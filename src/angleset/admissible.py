@@ -144,8 +144,8 @@ def existence(g: Graph, tau: TauLike, psd_tol: float = PSD_TOL) -> ExistenceVerd
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
     """
-    if psd_tol < 0.0:
-        raise ValueError("psd_tol must be non-negative")
+    if not 0.0 <= psd_tol < math.inf:
+        raise ValueError(f"psd_tol must be finite and non-negative, got {psd_tol}")
     evals = eigen_symmetric(gram_matrix(g, tau)).eigenvalues
     lam_min = float(evals[-1])
     rank = int((evals > psd_tol).sum())

@@ -11,6 +11,7 @@ numeric route cross-checks it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .graphs import Graph, component_vertex_sets, components
@@ -169,8 +170,8 @@ def classify_structure(g: Graph) -> GraphClass:
 
 def classify_index(g: Graph, tol: float = INDEX_TOL) -> IndexClass:
     """Numeric trichotomy: compare the computed index against 2 within ``tol``."""
-    if tol < 0.0:
-        raise ValueError("tol must be non-negative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     r = graph_index(g)
     if r > 2.0 + tol:
         kind = IndexKind.SUPERCRITICAL

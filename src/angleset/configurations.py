@@ -1,11 +1,11 @@
 """Explicit configurations of lines with prescribed pairwise angles.
 
-A configuration assigns to each vertex a unit vector (equivalently the rank-1
-orthogonal projection onto its span) such that adjacent vertices meet at the
-prescribed angle, arccos(sqrt(tau)), and non-adjacent ones are orthogonal.
-Construction factors the Gram matrix through its spectral decomposition;
-verification recomputes every defining relation and reports worst-case
-Frobenius residuals.
+A configuration assigns to each vertex a unit vector v_i (equivalently the
+rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
+vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
+ones are orthogonal. Construction factors the Gram matrix through its
+spectral decomposition; verification reads every defining relation off the
+vectors' Gram matrix V V^T and reports worst-case Frobenius residuals.
 """
 
 from __future__ import annotations
@@ -43,23 +43,23 @@ def angle_of(tau: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SubspaceConfiguration:
-    """One unit vector per vertex, plus the projections onto their spans.
+    """One vector per vertex: ``vectors`` has shape (n, ambient_dim), with
+    row i - 1 for vertex i.
 
-    ``vectors`` has shape (n, ambient_dim) with row i - 1 for vertex i;
-    ``projections`` holds one ambient_dim-square matrix per vertex. The
-    projections are stored rather than derived so that doctored matrices can
-    be fed to :func:`verify_configuration`.
+    The projection of vertex i, v_i v_i^T, is not stored: every relation that
+    :func:`verify_configuration` checks follows from the inner products.
     """
 
-    ambient_dim: int
     vectors: np.ndarray
-    projections: tuple[np.ndarray, ...]
 
     @classmethod
     def from_vectors(cls, vectors) -> "SubspaceConfiguration":
-        v = np.atleast_2d(np.asarray(vectors, dtype=float))
-        projections = tuple(np.outer(row, row) for row in v)
-        return cls(v.shape[1], v, projections)
+        return cls(np.atleast_2d(np.asarray(vectors, dtype=float)))
+
+    @property
+    def ambient_dim(self) -> int:
+        """Dimension of the space the vectors live in."""
+        return self.vectors.shape[1]
 
     @property
     def size(self) -> int:
@@ -67,15 +67,14 @@ class SubspaceConfiguration:
         return self.vectors.shape[0]
 
 
-def construct_configuration(
-    g: Graph, tau: TauLike, tol: float = PSD_TOL
-) -> SubspaceConfiguration:
+def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Eigendecompose the Gram matrix, drop eigenvalues at or below the rank
-    threshold, and scale the surviving eigenvector rows into vectors whose
-    pairwise inner products reproduce the matrix. Raises ``ValueError`` when
-    the matrix is not positive semidefinite (no configuration exists).
+    Eigendecompose the Gram matrix, drop eigenvalues at or below ``PSD_TOL``,
+    and scale the surviving eigenvector rows into vectors whose pairwise inner
+    products reproduce the matrix to within ``PSD_TOL`` (Frobenius). Raises
+    ``ValueError`` when the matrix is not positive semidefinite (no
+    configuration exists).
     """
     a = gram_matrix(g, tau)
     spectrum = eigen_symmetric(a, vectors=True)
@@ -89,9 +88,9 @@ def construct_configuration(
     basis = spectrum.eigenvectors[:, keep]
     vectors = basis * np.sqrt(evals[keep])
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
-    if deviation > max(tol, 1e-12):
+    if deviation > PSD_TOL:
         raise RuntimeError(
-            f"Gram factorization off by {deviation:.3e}, above tolerance {tol:.1e}"
+            f"Gram factorization off by {deviation:.3e}, above tolerance {PSD_TOL:.1e}"
         )
     return SubspaceConfiguration.from_vectors(vectors)
 
@@ -100,14 +99,13 @@ def construct_configuration(
 class VerificationReport:
     """Worst-case Frobenius residuals of every defining relation.
 
-    ``idempotency`` and ``symmetry`` cover each projection on its own;
-    ``braid`` covers P_i P_j P_i = tau_ij P_i over both orderings of every
-    edge; ``orthogonality`` covers P_i P_j = 0 over non-adjacent pairs; and
-    ``gram`` is the deviation of the vectors' Gram matrix from the target.
+    ``idempotency`` covers P_i^2 = P_i for each vertex; ``braid`` covers
+    P_i P_j P_i = tau_ij P_i over both orderings of every edge;
+    ``orthogonality`` covers P_i P_j = 0 over non-adjacent pairs; and ``gram``
+    is the deviation of the vectors' Gram matrix from the target.
     """
 
     idempotency: float
-    symmetry: float
     braid: float
     orthogonality: float
     gram: float
@@ -115,9 +113,7 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.idempotency, self.symmetry, self.braid, self.orthogonality, self.gram
-        )
+        return max(self.idempotency, self.braid, self.orthogonality, self.gram)
 
     @property
     def passed(self) -> bool:
@@ -126,7 +122,6 @@ class VerificationReport:
     def as_dict(self) -> dict:
         return {
             "idempotency": self.idempotency,
-            "symmetry": self.symmetry,
             "braid": self.braid,
             "orthogonality": self.orthogonality,
             "gram": self.gram,
@@ -141,37 +136,41 @@ def verify_configuration(
     tau: TauLike,
     verify_tol: float = VERIFY_TOL,
 ) -> VerificationReport:
-    """Recompute every relation of the configuration against ``(g, tau)``."""
+    """Recompute every relation of the configuration against ``(g, tau)``.
+
+    With P_i = v_i v_i^T and G = V V^T, every residual is a scalar times a
+    rank-1 matrix of known Frobenius norm, ||P_i|| = g_ii:
+
+    - P_i^2 - P_i = (g_ii - 1) P_i
+    - P_i P_j P_i - tau_ij P_i = (g_ij^2 - tau_ij) P_i
+    - ||P_i P_j|| = ||P_j P_i|| = |g_ij| sqrt(g_ii g_jj)
+
+    so the one product G gives the whole report. ``verify_tol`` must be
+    finite and non-negative.
+    """
+    if not 0.0 <= verify_tol < math.inf:
+        raise ValueError(f"verify_tol must be finite and non-negative, got {verify_tol}")
     if config.size != g.n:
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
     w = TauWeighting.of(tau)
-    w.validate_for(g)
-    projs = config.projections
-    idem = 0.0
-    sym = 0.0
-    for p in projs:
-        idem = max(idem, float(np.linalg.norm(p @ p - p)))
-        sym = max(sym, float(np.linalg.norm(p - p.T)))
-    braid = 0.0
-    for i, j in g.edges:
-        t = w.value(i, j)
-        pi, pj = projs[i - 1], projs[j - 1]
-        braid = max(braid, float(np.linalg.norm(pi @ pj @ pi - t * pi)))
-        braid = max(braid, float(np.linalg.norm(pj @ pi @ pj - t * pj)))
-    orth = 0.0
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if g.has_edge(i, j):
-                continue
-            pi, pj = projs[i - 1], projs[j - 1]
-            orth = max(orth, float(np.linalg.norm(pi @ pj)))
-            orth = max(orth, float(np.linalg.norm(pj @ pi)))
-    gram_dev = float(
-        np.linalg.norm(config.vectors @ config.vectors.T - gram_matrix(g, tau))
+    target = gram_matrix(g, w)
+    v = config.vectors
+    gram = v @ v.T
+    sq = np.diag(gram)
+    edges = sorted(g.edges)
+    i, j = (np.array(edges, dtype=int).reshape(-1, 2) - 1).T
+    t = np.array([w.value(a, b) for a, b in edges])
+    apart = ~np.eye(g.n, dtype=bool)
+    apart[i, j] = apart[j, i] = False
+    idem = np.max(np.abs(sq - 1.0) * sq)
+    braid = np.max(np.abs(gram[i, j] ** 2 - t) * np.maximum(sq[i], sq[j]), initial=0.0)
+    orth = np.max((np.abs(gram) * np.sqrt(np.outer(sq, sq)))[apart], initial=0.0)
+    gram_dev = np.linalg.norm(gram - target)
+    return VerificationReport(
+        float(idem), float(braid), float(orth), float(gram_dev), verify_tol
     )
-    return VerificationReport(idem, sym, braid, orth, gram_dev, verify_tol)
 
 
 def _tau_to_json(w: TauWeighting):
@@ -209,8 +208,7 @@ def configuration_document(
 def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeighting]:
     """Rebuild a configuration from its exported document.
 
-    Projections are re-derived from the stored vectors; the graph's vertex
-    count is the number of vectors.
+    The graph's vertex count is the number of vectors.
     """
     try:
         vectors = doc["vectors"]

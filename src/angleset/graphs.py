@@ -291,6 +291,15 @@ class NamedFamily:
             raise GraphError(f"unknown family tag {self.family!r}")
 
     @property
+    def vertex_count(self) -> int:
+        """Number of vertices of the graph :func:`generate_named` builds."""
+        if self.family in _FIXED:
+            return _FIXED[self.family]
+        if self.family in ("A~", "D~", "star"):
+            return self.size + 1
+        return self.size
+
+    @property
     def spec_string(self) -> str:
         if self.family in _FIXED:
             return self.family
@@ -348,33 +357,31 @@ def generate_named(spec: NamedFamily) -> Graph:
     E~7); ``A~<k>`` is the cycle on k+1 vertices; ``D~<k>`` has a two-leaf
     fork at each end of a central path; stars put the center at vertex 1.
     """
-    f, k = spec.family, spec.size
+    f, n = spec.family, spec.vertex_count
     if f in ("A", "path"):
-        return Graph(k, frozenset(_path_edges(k)))
+        return Graph(n, frozenset(_path_edges(n)))
     if f == "D":
-        edges = [(1, 3), (2, 3)] + _path_edges(k)[2:]
-        return Graph(k, frozenset(edges))
+        edges = [(1, 3), (2, 3)] + _path_edges(n)[2:]
+        return Graph(n, frozenset(edges))
     if f == "E6":
-        return Graph(6, frozenset(_path_edges(5) + [(3, 6)]))
+        return Graph(n, frozenset(_path_edges(5) + [(3, 6)]))
     if f == "E7":
-        return Graph(7, frozenset(_path_edges(6) + [(3, 7)]))
+        return Graph(n, frozenset(_path_edges(6) + [(3, 7)]))
     if f == "E8":
-        return Graph(8, frozenset(_path_edges(7) + [(3, 8)]))
+        return Graph(n, frozenset(_path_edges(7) + [(3, 8)]))
     if f in ("A~", "cycle"):
-        n = k + 1 if f == "A~" else k
         return Graph(n, frozenset(_path_edges(n) + [(1, n)]))
     if f == "D~":
-        n = k + 1
         edges = [(1, 3), (2, 3)] + _path_edges(n - 2)[2:] + [(n - 2, n - 1), (n - 2, n)]
         return Graph(n, frozenset(edges))
     if f == "E~6":
-        return Graph(7, frozenset(_path_edges(5) + [(3, 6), (6, 7)]))
+        return Graph(n, frozenset(_path_edges(5) + [(3, 6), (6, 7)]))
     if f == "E~7":
-        return Graph(8, frozenset(_path_edges(7) + [(4, 8)]))
+        return Graph(n, frozenset(_path_edges(7) + [(4, 8)]))
     if f == "E~8":
-        return Graph(9, frozenset(_path_edges(8) + [(3, 9)]))
+        return Graph(n, frozenset(_path_edges(8) + [(3, 9)]))
     if f == "star":
-        return Graph(k + 1, frozenset((1, v) for v in range(2, k + 2)))
+        return Graph(n, frozenset((1, v) for v in range(2, n + 1)))
     raise GraphError(f"unknown family tag {f!r}")  # pragma: no cover
 
 

@@ -125,9 +125,10 @@ class TestExistence:
         v = existence(g, 0.1)
         assert v.exists and v.rank == 5
 
-    def test_negative_tolerance_rejected(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_tolerance_rejected(self, bad):
         with pytest.raises(ValueError, match="psd_tol"):
-            existence(named("A", 2), 0.5, psd_tol=-1.0)
+            existence(named("A", 2), 0.5, psd_tol=bad)
 
     def test_relabeling_does_not_change_the_verdict(self):
         base = named("E7")

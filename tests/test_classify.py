@@ -160,9 +160,10 @@ class TestNumericRoute:
         assert classify_index(g).kind is IndexKind.SUBCRITICAL
         assert classify_index(g, tol=1.0).kind is IndexKind.CRITICAL
 
-    def test_negative_tolerance_rejected(self):
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_negative_tolerance_rejected(self, bad):
         with pytest.raises(ValueError, match="tol"):
-            classify_index(Graph(1, frozenset()), tol=-1e-3)
+            classify_index(Graph(1, frozenset()), tol=bad)
 
 
 class TestRouteAgreement:

@@ -1,10 +1,15 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from angleset.cli import SWEEP_HEADER, main
+from angleset.cli import MAX_VERTICES, SWEEP_HEADER, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -118,6 +123,18 @@ class TestExists:
         assert code == 1
         assert "error:" in err and "(0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["exists", "--graph", "A3", "--tau", "0.1", "--tol", "nan"],
+            ["classify", "--graph", "K1,5", "--tol", "inf"],
+        ],
+    )
+    def test_non_finite_tolerance(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_tau_flag_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exists", "--graph", "A3"])
@@ -207,6 +224,16 @@ class TestConstructAndVerify:
         code, _, err = run(capsys, "verify", "--in", str(path))
         assert code == 1 and err.startswith("error:")
 
+    def test_verify_rejects_an_oversized_document(self, capsys, tmp_path):
+        n = MAX_VERTICES + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": 1, "vectors": [[1.0]] * n, "tau": 0.5, "graph": []}
+        ))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph has {n} vertices")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1 and err.startswith("error:")
@@ -281,6 +308,20 @@ class TestGraphSourceHandling:
         code, _, err = run(capsys, "spectrum", "--file", str(p))
         assert code == 1 and "line 2" in err
 
+    @pytest.mark.parametrize("spec,n", [("A100000", 100000), ("K1,2000", 2001)])
+    def test_oversized_named_graph(self, capsys, spec, n):
+        code, out, err = run(capsys, "spectrum", "--graph", spec)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph has {n} vertices, above the limit")
+
+    @pytest.mark.parametrize("text,n", [("1 100000\n", 100000), ("n 2001\n1 2\n", 2001)])
+    def test_oversized_edge_file(self, capsys, tmp_path, text, n):
+        p = tmp_path / "big.txt"
+        p.write_text(text)
+        code, out, err = run(capsys, "exists", "--file", str(p), "--tau", "0.5")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: graph has {n} vertices, above the limit")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -298,10 +339,19 @@ def test_module_entrypoint_runs():
 
 
 def test_console_script_runs():
+    """Run the ``[project.scripts]`` target of pyproject.toml the way an
+    installed console script does, without needing an install."""
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    entries = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', scripts, re.M))
+    module, func = entries["angleset"].split(":")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
-        ["angleset", "classify", "--graph", "E8"],
+        [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+         "classify", "--graph", "E8"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "index_class: subcritical" in proc.stdout

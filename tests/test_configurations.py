@@ -9,17 +9,19 @@ from angleset import (
     Graph,
     NamedFamily,
     SubspaceConfiguration,
+    TauWeighting,
     angle_of,
     configuration_document,
     construct_configuration,
     generate_named,
+    graph_spectrum,
     gram_matrix,
     load_configuration,
     sigma_tree,
     tree_from_pruefer,
     verify_configuration,
 )
-from corpus import pruefer_from_index
+from corpus import CORPUS_SEED, pruefer_from_index
 
 
 def named(family, size=None):
@@ -42,7 +44,8 @@ class TestSubspaceConfiguration:
     def test_from_vectors(self):
         c = SubspaceConfiguration.from_vectors([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
         assert c.size == 3 and c.ambient_dim == 2
-        assert np.allclose(c.projections[2], [[0.36, 0.48], [0.48, 0.64]])
+        assert c.vectors.dtype == float
+        assert c.vectors[2].tolist() == [0.6, 0.8]
 
     def test_single_vector_promoted_to_matrix(self):
         c = SubspaceConfiguration.from_vectors([1.0, 0.0, 0.0])
@@ -108,7 +111,6 @@ class TestVerify:
         d = report.as_dict()
         assert set(d) == {
             "idempotency",
-            "symmetry",
             "braid",
             "orthogonality",
             "gram",
@@ -118,7 +120,6 @@ class TestVerify:
         assert d["passed"] is True
         assert report.max_residual == max(
             report.idempotency,
-            report.symmetry,
             report.braid,
             report.orthogonality,
             report.gram,
@@ -133,16 +134,6 @@ class TestVerify:
         report = verify_configuration(bad, g, 0.3)
         assert not report.passed
         assert report.idempotency > 1e-3
-
-    def test_doctored_projection_breaks_symmetry(self):
-        g = named("A", 2)
-        c = construct_configuration(g, 0.5)
-        skew = c.projections[0].copy()
-        skew[0, 1] += 1e-3
-        doctored = SubspaceConfiguration(
-            c.ambient_dim, c.vectors, (skew,) + c.projections[1:]
-        )
-        assert verify_configuration(doctored, g, 0.5).symmetry >= 1e-3
 
     def test_wrong_tau_shows_in_braid_and_gram(self):
         g = named("A", 3)
@@ -168,6 +159,13 @@ class TestVerify:
         g = named("A", 3)
         c = construct_configuration(g, 0.3)
         assert not verify_configuration(c, g, 0.3, verify_tol=1e-18).passed
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, bad):
+        g = named("A", 3)
+        c = construct_configuration(g, 0.3)
+        with pytest.raises(ValueError, match="verify_tol"):
+            verify_configuration(c, g, 0.3, verify_tol=bad)
 
 
 class TestDocumentRoundTrip:
@@ -232,3 +230,74 @@ def test_construct_then_verify_on_random_feasible_trees(n, data, scale):
     c = construct_configuration(g, tau)
     report = verify_configuration(c, g, tau)
     assert report.passed, report.as_dict()
+
+
+def pairwise_residuals(vectors, g, tau):
+    """Reference for :func:`verify_configuration`: every relation recomputed
+    from the d x d projection matrices, one vertex pair at a time."""
+    w = TauWeighting.of(tau)
+    projs = [np.outer(row, row) for row in vectors]
+    idem = max(float(np.linalg.norm(p @ p - p)) for p in projs)
+    braid = 0.0
+    for i, j in g.edges:
+        t = w.value(i, j)
+        pi, pj = projs[i - 1], projs[j - 1]
+        braid = max(braid, float(np.linalg.norm(pi @ pj @ pi - t * pi)))
+        braid = max(braid, float(np.linalg.norm(pj @ pi @ pj - t * pj)))
+    orth = 0.0
+    for i in range(1, g.n + 1):
+        for j in range(i + 1, g.n + 1):
+            if g.has_edge(i, j):
+                continue
+            pi, pj = projs[i - 1], projs[j - 1]
+            orth = max(orth, float(np.linalg.norm(pi @ pj)))
+            orth = max(orth, float(np.linalg.norm(pj @ pi)))
+    gram = float(np.linalg.norm(vectors @ vectors.T - gram_matrix(g, tau)))
+    return {"idempotency": idem, "braid": braid, "orthogonality": orth, "gram": gram}
+
+
+def oracle_cases(graphs):
+    """A constructed configuration per graph, then four tampered copies: one
+    row scaled, noise on every vector, tau lowered, and one edge pruned."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    for k, g in enumerate(graphs):
+        spec = graph_spectrum(g)
+        mu, r = -spec.min_eigenvalue, spec.index
+        c = rng.uniform(0.3, 0.9)
+        if k % 3 == 0:
+            tau = min(1.0, 1.0 / mu**2)  # singular Gram matrix: dimensions drop
+        elif k % 3 == 1:
+            tau = c / mu**2
+        else:
+            # Edge weights below sqrt(c)/r keep the weighted adjacency's spectral
+            # radius below sqrt(c) < 1, so the Gram matrix stays definite.
+            tau = {e: c * rng.uniform(0.5, 1.0) / r**2 for e in sorted(g.edges)}
+        v = construct_configuration(g, tau).vectors
+        yield "clean", v, g, tau
+        scaled = v.copy()
+        scaled[k % g.n] *= 1.01
+        yield "scaled row", scaled, g, tau
+        yield "noisy", v + 1e-3 * rng.standard_normal(v.shape), g, tau
+        if isinstance(tau, dict):
+            yield "wrong tau", v, g, {e: 0.9 * t for e, t in tau.items()}
+        else:
+            yield "wrong tau", v, g, 0.9 * tau
+        cut = sorted(g.edges)[k % g.num_edges]
+        pruned = Graph(g.n, g.edges - {cut})
+        if isinstance(tau, dict):
+            tau = {e: t for e, t in tau.items() if e != cut}
+        yield "pruned edge", v, pruned, tau
+
+
+def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
+    reports = 0
+    for kind, v, g, tau in oracle_cases(random_connected_corpus):
+        config = SubspaceConfiguration.from_vectors(v)
+        report = verify_configuration(config, g, tau)
+        want = pairwise_residuals(v, g, tau)
+        for field, value in want.items():
+            assert abs(getattr(report, field) - value) <= 1e-12, (kind, field, sorted(g.edges))
+        assert report.passed == (max(want.values()) <= report.tol)
+        assert report.passed == (kind == "clean"), (kind, report.as_dict())
+        reports += 1
+    assert reports == 5 * len(random_connected_corpus)

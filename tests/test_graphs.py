@@ -134,6 +134,7 @@ class TestNamedFamilies:
         fam = parse_named_spec(spec)
         assert (fam.family, fam.size) == (family, size)
         assert fam.spec_string == spec
+        assert fam.vertex_count == generate_named(fam).n
 
     @pytest.mark.parametrize("bad", ["", "B3", "E5", "A", "K2,3", "A-1", "E~9"])
     def test_parse_rejects(self, bad):
