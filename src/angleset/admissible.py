@@ -7,6 +7,11 @@ vectors with inner product sqrt(tau_ij) on edges and orthogonality otherwise;
 for trees it decides existence of the configuration outright, and the rank
 counts the dimension it lives in. The admissible parameter interval of a tree
 is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
+
+For a constant tau the Gram matrix is I + sqrt(tau) A, so its spectrum is
+1 + sqrt(tau) spec(A). Constant-tau existence therefore reads the graph's
+memoised adjacency spectrum (see :func:`graph_spectrum`) instead of solving
+again; only a per-edge weighting assembles and solves its own Gram matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .classify import classify_structure
 from .graphs import Graph, is_tree
-from .spectra import eigen_symmetric, graph_index
+from .spectra import eigen_symmetric, graph_index, graph_spectrum
 
 __all__ = [
     "ExistenceVerdict",
@@ -146,7 +151,11 @@ def existence(g: Graph, tau: TauLike, psd_tol: float = PSD_TOL) -> ExistenceVerd
     """
     if not 0.0 <= psd_tol < math.inf:
         raise ValueError(f"psd_tol must be finite and non-negative, got {psd_tol}")
-    evals = eigen_symmetric(gram_matrix(g, tau)).eigenvalues
+    w = TauWeighting.of(tau)
+    if w.is_constant:
+        evals = 1.0 + math.sqrt(w.constant) * graph_spectrum(g).eigenvalues
+    else:
+        evals = eigen_symmetric(gram_matrix(g, w)).eigenvalues
     lam_min = float(evals[-1])
     rank = int((evals > psd_tol).sum())
     return ExistenceVerdict(lam_min >= -psd_tol, lam_min, rank)

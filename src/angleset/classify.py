@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, component_vertex_sets, components
+from .graphs import Graph, component_vertex_sets, induced_subgraph
 from .spectra import graph_index
 
 __all__ = [
@@ -162,8 +162,8 @@ def _component_shape(g: Graph) -> tuple[str, int | None]:
 def classify_structure(g: Graph) -> GraphClass:
     """Label every connected component by exact shape recognition."""
     labeled = []
-    for comp, verts in zip(components(g), component_vertex_sets(g)):
-        family, size = _component_shape(comp)
+    for verts in component_vertex_sets(g):
+        family, size = _component_shape(induced_subgraph(g, verts))
         labeled.append(ComponentClass(family, size, verts))
     return GraphClass(tuple(labeled))
 

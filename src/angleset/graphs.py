@@ -27,6 +27,7 @@ __all__ = [
     "components",
     "enumerate_trees",
     "generate_named",
+    "induced_subgraph",
     "is_bipartite",
     "is_connected",
     "is_tree",
@@ -124,16 +125,33 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
+def _component_roots(g: Graph) -> list[int]:
+    """Smallest member of each vertex's component, indexed by vertex (slot 0
+    unused).
+
+    Union-find over the edge set, each union hanging the larger root under
+    the smaller, so a root is always its component's least vertex. It leaves
+    the per-vertex neighbour sets of ``g`` unbuilt.
+    """
+    root = list(range(g.n + 1))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for i, j in g.edges:
+        a, b = find(i), find(j)
+        if a < b:
+            root[b] = a
+        elif b < a:
+            root[a] = b
+    return [find(v) for v in range(g.n + 1)]
+
+
 def is_connected(g: Graph) -> bool:
-    seen = {1}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    return all(r == 1 for r in _component_roots(g)[1:])
 
 
 def is_tree(g: Graph) -> bool:
@@ -162,22 +180,21 @@ def is_bipartite(g: Graph) -> bool:
 def component_vertex_sets(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending,
     ordered by smallest member. Together they partition ``1..n``."""
-    seen: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    queue.append(u)
-        seen |= comp
-        out.append(tuple(sorted(comp)))
-    return out
+    members: dict[int, list[int]] = {}
+    roots = _component_roots(g)
+    for v in g.vertices:
+        members.setdefault(roots[v], []).append(v)
+    return [tuple(vs) for vs in members.values()]
+
+
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
+    """Subgraph induced on ``vertices``, renumbered ``1..k`` in ascending
+    order of their labels."""
+    relabel = {v: k for k, v in enumerate(sorted(set(vertices)), start=1)}
+    edges = frozenset(
+        (relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel
+    )
+    return Graph(len(relabel), edges)
 
 
 def components(g: Graph) -> list[Graph]:
@@ -186,14 +203,7 @@ def components(g: Graph) -> list[Graph]:
     Vertices of each component are renumbered ``1..k`` preserving the order of
     their original labels; :func:`component_vertex_sets` recovers the labels.
     """
-    out: list[Graph] = []
-    for verts in component_vertex_sets(g):
-        relabel = {v: k for k, v in enumerate(verts, start=1)}
-        edges = frozenset(
-            (relabel[i], relabel[j]) for i, j in g.edges if i in relabel
-        )
-        out.append(Graph(len(verts), edges))
-    return out
+    return [induced_subgraph(g, verts) for verts in component_vertex_sets(g)]
 
 
 def parse_edge_list(text: str) -> Graph:

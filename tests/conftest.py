@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 
+import angleset.admissible
+import angleset.configurations
+import angleset.spectra
 from angleset import graph_spectrum
 
 import corpus
@@ -23,3 +27,19 @@ def cycle_corpus():
 @pytest.fixture(scope="session")
 def random_connected_corpus():
     return list(corpus.random_connected_graphs(500, max_n=8))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Sizes of the matrices ``eigen_symmetric`` solves, one entry per call,
+    counted in every module that looks it up."""
+    calls = []
+    real = angleset.spectra.eigen_symmetric
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.shape(m)[0])
+        return real(m, *args, **kwargs)
+
+    for module in (angleset.spectra, angleset.admissible, angleset.configurations):
+        monkeypatch.setattr(module, "eigen_symmetric", counted)
+    return calls

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from angleset import (
+    PSD_TOL,
     Graph,
     NamedFamily,
     QuarterPosition,
     SigmaInterval,
     TauWeighting,
+    adjacency_matrix,
+    classify_index,
+    eigen_symmetric,
     existence,
     generate_named,
+    graph_index,
+    graph_spectrum,
     gram_matrix,
+    min_eigenvalue,
     parse_named_spec,
     sigma_bounds,
     sigma_cycle,
@@ -20,7 +27,7 @@ from angleset import (
     tree_from_pruefer,
     trichotomy,
 )
-from corpus import pruefer_from_index, shuffled
+from corpus import cycle, pruefer_from_index, shuffled
 
 
 def named(tag_or_family, size=None):
@@ -143,6 +150,102 @@ class TestExistence:
             v = existence(g, moved)
             assert v.exists == reference.exists and v.rank == reference.rank
             assert v.min_eigenvalue == pytest.approx(reference.min_eigenvalue, abs=1e-12)
+
+
+class TestAdjacencySpectrumReuse:
+    """Constant-tau questions read spec(I + sqrt(tau) A) = 1 + sqrt(tau) spec(A)
+    off one adjacency solve kept on the graph instance."""
+
+    @pytest.mark.parametrize("tag", ["A2", "A7", "D6", "E8", "E~7", "K1,5"])
+    def test_one_solve_answers_every_tree_question(self, eig_calls, tag):
+        g = generate_named(parse_named_spec(tag))
+        sigma_tree(g)
+        trichotomy(g)
+        classify_index(g)
+        for c in (0.2, 0.5, 0.9, 1.0, 1.3):
+            existence(g, min(1.0, c * sigma_tree(g).upper))
+        graph_index(g)
+        min_eigenvalue(g)
+        graph_spectrum(g)
+        assert eig_calls == [g.n]
+
+    def test_one_solve_answers_a_graph_with_cycles(self, eig_calls):
+        g = cycle(7)
+        for tau in (0.1, 0.25, 0.3, 0.8):
+            existence(g, tau)
+        classify_index(g)
+        assert eig_calls == [7]
+
+    def test_the_memo_belongs_to_the_instance(self, eig_calls):
+        g = named("E7")
+        twin = Graph(g.n, g.edges)
+        assert twin == g
+        existence(g, 0.2)
+        existence(twin, 0.2)
+        assert eig_calls == [7, 7]
+
+    def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls):
+        g = named("A", 4)
+        existence(g, 0.2)
+        weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
+        first = existence(g, weights)
+        second = existence(g, weights)
+        assert eig_calls == [4, 4, 4]
+        assert first == second
+        direct = eigen_symmetric(gram_matrix(g, weights)).eigenvalues
+        assert first.min_eigenvalue == direct[-1]
+
+    def test_memoised_eigenvalues_are_read_only(self):
+        g = named("D", 5)
+        spectrum = graph_spectrum(g)
+        assert graph_spectrum(g) is spectrum
+        with pytest.raises(ValueError):
+            spectrum.eigenvalues[0] = 0.0
+        assert graph_index(g) == spectrum.index
+
+    def test_vectors_are_solved_afresh(self, eig_calls):
+        g = named("D", 5)
+        plain = graph_spectrum(g)
+        full = graph_spectrum(g, vectors=True)
+        assert eig_calls == [5, 5]
+        assert full is not plain and full.eigenvectors is not None
+        assert full.eigenvectors.flags.writeable
+        assert np.allclose(full.eigenvalues, plain.eigenvalues, atol=1e-12)
+
+
+def _psd_endpoint(g):
+    """min(1, 1/q^2) with q = -lambda_min(A) from numpy: where the unsigned
+    Gram matrix stops being PSD, and for a tree the endpoint 1/r^2 of its
+    interval."""
+    q = -np.linalg.eigvalsh(adjacency_matrix(g))[0]
+    return min(1.0, 1.0 / (q * q))
+
+
+@pytest.mark.parametrize(
+    "corpus_fixture", ["boundary_trees", "cycle_corpus", "random_connected_corpus"]
+)
+def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
+    graphs = request.getfixturevalue(corpus_fixture)
+    if corpus_fixture == "boundary_trees":
+        graphs = [g for g, _, _ in graphs]
+    seen = set()
+    worst = 0.0
+    for g in graphs:
+        ends = {_psd_endpoint(g)}
+        if corpus_fixture == "cycle_corpus":
+            ends.add(sigma_cycle(g.n).upper)
+        for tau in [c * end for end in ends for c in (0.5, 1.0, 1.5)]:
+            if tau > 1.0:
+                continue
+            evals = eigen_symmetric(gram_matrix(g, tau)).eigenvalues
+            lam_min = float(evals[-1])
+            verdict = existence(g, tau)
+            assert verdict.exists == (lam_min >= -PSD_TOL)
+            assert verdict.rank == int((evals > PSD_TOL).sum())
+            worst = max(worst, abs(verdict.min_eigenvalue - lam_min))
+            seen.add(verdict.exists)
+    assert worst <= 1e-12
+    assert seen == {True, False}
 
 
 class TestSigmaInterval:

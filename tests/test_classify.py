@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import angleset.classify
 from angleset import (
     Graph,
     IndexKind,
@@ -119,6 +120,15 @@ class TestMultiComponent:
         comps = classify_structure(g).components
         labels = {c.vertices: c.label for c in comps}
         assert labels == {(1, 4, 6): "A3", (2, 5): "A2", (3,): "A1"}
+
+    def test_components_are_found_once(self, monkeypatch):
+        calls = []
+        real = angleset.classify.component_vertex_sets
+        monkeypatch.setattr(angleset.classify, "component_vertex_sets",
+                            lambda g: calls.append(g) or real(g))
+        g = Graph.from_edges([(1, 4), (4, 6), (2, 5)], n=6)
+        assert len(classify_structure(g).components) == 3
+        assert calls == [g]
 
     def test_prediction_takes_the_worst_component(self):
         a3 = [(1, 2), (2, 3)]

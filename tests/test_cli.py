@@ -66,6 +66,11 @@ class TestSigma:
         assert "closed_form: 1/4" in out
         assert "trichotomy: EqualQuarter" in out
 
+    def test_tree_interval_and_trichotomy_share_one_eigensolve(self, capsys, eig_calls):
+        code, _, _ = run(capsys, "sigma", "--graph", "E7")
+        assert code == 0
+        assert eig_calls == [7]
+
     def test_cycle_has_no_trichotomy_line(self, capsys):
         code, out, _ = run(capsys, "sigma", "--graph", "C6")
         assert code == 0
@@ -271,6 +276,11 @@ class TestSweep:
         assert len(rows) == 7
         assert rows[0]["exists"] is True and rows[-1]["exists"] is False
 
+    def test_one_eigensolve_for_every_row(self, capsys, eig_calls):
+        code, out, _ = run(capsys, "sweep", "--graph", "E8", "--steps", "40")
+        assert code == 0 and len(out.splitlines()) == 41
+        assert eig_calls == [8]
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -328,11 +338,19 @@ class TestGraphSourceHandling:
         assert exc.value.code == 2
 
 
+def _src_env():
+    """The environment with ``src`` first on ``PYTHONPATH``, so a child
+    interpreter imports this checkout without an install."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "angleset", "sigma", "--graph", "A3"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "sigma_upper: 0.5" in proc.stdout
@@ -345,13 +363,12 @@ def test_console_script_runs():
     scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     entries = dict(re.findall(r'^(\S+)\s*=\s*"([^"]+)"', scripts, re.M))
     module, func = entries["angleset"].split(":")
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
          "classify", "--graph", "E8"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "index_class: subcritical" in proc.stdout

@@ -1,3 +1,6 @@
+import random
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -227,6 +230,61 @@ class TestPredicates:
         comps = components(g)
         assert [c.n for c in comps] == [1, 2, 2, 1]
         assert comps[1].edges == {(1, 2)}
+
+
+def _bfs_component_sets(g):
+    """Breadth-first reference for component_vertex_sets."""
+    nbrs = {v: set() for v in g.vertices}
+    for i, j in g.edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    seen, out = set(), []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            for u in nbrs[queue.popleft()] - comp:
+                comp.add(u)
+                queue.append(u)
+        seen |= comp
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+class TestComponentsByUnionFind:
+    def test_matches_breadth_first_search_on_random_graphs(self):
+        rng = random.Random(4462)
+        disconnected = isolated = 0
+        for _ in range(600):
+            n = rng.randint(1, 14)
+            p = rng.uniform(0.0, 0.35)
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            g = Graph(n, frozenset(e for e in pairs if rng.random() < p))
+            want = _bfs_component_sets(g)
+            assert component_vertex_sets(g) == want
+            assert is_connected(g) == (len(want) == 1)
+            assert is_tree(g) == (len(want) == 1 and g.num_edges == n - 1)
+            disconnected += len(want) > 1
+            isolated += any(len(c) == 1 for c in want) and n > 1
+        assert disconnected > 100 and isolated > 100
+
+    @pytest.mark.parametrize(
+        "query", [is_tree, is_connected, component_vertex_sets, components]
+    )
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate_named(NamedFamily("E~8")),
+            generate_named(NamedFamily("cycle", 6)),
+            Graph.from_edges([(2, 5), (3, 4)], n=6),
+        ],
+        ids=["tree", "cycle", "disconnected"],
+    )
+    def test_neighbour_sets_stay_unbuilt(self, query, g):
+        g = Graph(g.n, g.edges)
+        query(g)
+        assert "_adjacency" not in g.__dict__
 
 
 class TestAdjacencyMatrix:
