@@ -8,10 +8,11 @@ for trees it decides existence of the configuration outright, and the rank
 counts the dimension it lives in. The admissible parameter interval of a tree
 is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 
-For a constant tau the Gram matrix is I + sqrt(tau) A, so its spectrum is
-1 + sqrt(tau) spec(A). Constant-tau existence therefore reads the graph's
-memoised adjacency spectrum (see :func:`graph_spectrum`) instead of solving
-again; only a per-edge weighting assembles and solves its own Gram matrix.
+The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
+it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
+(see :func:`graph_spectrum`); only a per-edge weighting solves its own Gram
+matrix. :func:`existence` and :func:`construct_configuration` both take their
+verdict from it through :meth:`ExistenceVerdict.from_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .classify import classify_structure
+from .classify import IndexKind, classify_index, classify_structure
 from .graphs import Graph, is_tree
-from .spectra import eigen_symmetric, graph_index, graph_spectrum
+from .spectra import Spectrum, eigen_symmetric, graph_index, graph_spectrum
 
 __all__ = [
     "ExistenceVerdict",
@@ -36,6 +37,7 @@ __all__ = [
     "TauLike",
     "existence",
     "gram_matrix",
+    "gram_spectrum",
     "sigma_bounds",
     "sigma_cycle",
     "sigma_tree",
@@ -127,6 +129,20 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     return a
 
 
+def gram_spectrum(g: Graph, tau: TauLike, *, vectors: bool = False) -> Spectrum:
+    """Gram spectrum of ``(g, tau)``, eigenvalues descending. A constant tau
+    shifts the adjacency spectrum to 1 + sqrt(tau) spec(A), with the adjacency
+    eigenvectors and the residual bound scaled by sqrt(tau); a per-edge
+    weighting solves its own Gram matrix."""
+    w = TauWeighting.of(tau)
+    if not w.is_constant:
+        return eigen_symmetric(gram_matrix(g, w), vectors=vectors)
+    root = math.sqrt(w.constant)
+    adj = graph_spectrum(g, vectors=vectors)
+    evals = 1.0 + root * adj.eigenvalues
+    return Spectrum(evals, root * adj.residual_bound, adj.eigenvectors)
+
+
 @dataclass(frozen=True)
 class ExistenceVerdict:
     """Outcome of the semidefiniteness test.
@@ -141,6 +157,12 @@ class ExistenceVerdict:
     min_eigenvalue: float
     rank: int
 
+    @classmethod
+    def from_eigenvalues(cls, evals: np.ndarray, psd_tol: float) -> "ExistenceVerdict":
+        """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
+        lam_min = float(evals[-1])
+        return cls(lam_min >= -psd_tol, lam_min, int((evals > psd_tol).sum()))
+
 
 def existence(g: Graph, tau: TauLike, psd_tol: float = PSD_TOL) -> ExistenceVerdict:
     """Semidefiniteness verdict for the Gram matrix of ``(g, tau)``.
@@ -151,14 +173,7 @@ def existence(g: Graph, tau: TauLike, psd_tol: float = PSD_TOL) -> ExistenceVerd
     """
     if not 0.0 <= psd_tol < math.inf:
         raise ValueError(f"psd_tol must be finite and non-negative, got {psd_tol}")
-    w = TauWeighting.of(tau)
-    if w.is_constant:
-        evals = 1.0 + math.sqrt(w.constant) * graph_spectrum(g).eigenvalues
-    else:
-        evals = eigen_symmetric(gram_matrix(g, w)).eigenvalues
-    lam_min = float(evals[-1])
-    rank = int((evals > psd_tol).sum())
-    return ExistenceVerdict(lam_min >= -psd_tol, lam_min, rank)
+    return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues, psd_tol)
 
 
 @dataclass(frozen=True)
@@ -225,34 +240,28 @@ class QuarterPosition(enum.Enum):
     BELOW = "BelowQuarter"
 
 
-_CROSS_TOL = 1e-9
+_QUARTER = {
+    IndexKind.SUBCRITICAL: QuarterPosition.ABOVE,
+    IndexKind.CRITICAL: QuarterPosition.EQUAL,
+    IndexKind.SUPERCRITICAL: QuarterPosition.BELOW,
+}
 
 
 def trichotomy(g: Graph) -> QuarterPosition:
-    """Where the endpoint of a tree's admissible interval sits relative to 1/4.
+    """Where the endpoint 1/r^2 of a tree's admissible interval sits relative
+    to 1/4: above, at or below as the index r is below, at or above 2.
 
-    Decided structurally: plain Dynkin shapes lie above, their tilde
-    extensions exactly at, and every other tree below 1/4. The numeric
-    endpoint cross-checks the structural answer.
+    Read off the structural index class: plain Dynkin shapes lie above, their
+    tilde extensions exactly at, and every other tree below 1/4. The numeric
+    index class cross-checks it.
     """
     if not is_tree(g):
         raise ValueError("trichotomy applies to trees only")
-    shape = classify_structure(g).components[0]
-    if shape.is_dynkin:
-        position = QuarterPosition.ABOVE
-    elif shape.is_extended:
-        position = QuarterPosition.EQUAL
-    else:
-        position = QuarterPosition.BELOW
-    if g.n >= 2:
-        upper = sigma_tree(g).upper
-        consistent = {
-            QuarterPosition.ABOVE: upper > 0.25,
-            QuarterPosition.EQUAL: abs(upper - 0.25) <= _CROSS_TOL,
-            QuarterPosition.BELOW: upper < 0.25,
-        }[position]
-        if not consistent:
-            raise RuntimeError(
-                f"structural position {position.value} contradicts endpoint {upper!r}"
-            )
-    return position
+    kind = classify_structure(g).predicted_index_kind
+    numeric = classify_index(g)
+    if numeric.kind is not kind:
+        raise RuntimeError(
+            f"structural position {_QUARTER[kind].value} contradicts index "
+            f"{numeric.index!r} ({numeric.kind.value})"
+        )
+    return _QUARTER[kind]

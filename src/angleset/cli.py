@@ -16,13 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import (
-    existence,
-    sigma_cycle,
-    sigma_tree,
-    trichotomy,
-)
-from .classify import ComponentClass, classify_index, classify_structure
+from .admissible import PSD_TOL, existence, sigma_cycle, sigma_tree, trichotomy
+from .classify import INDEX_TOL, ComponentClass, classify_index, classify_structure
 from .configurations import (
     VERIFY_TOL,
     configuration_document,
@@ -279,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectrum", cmd_spectrum, "adjacency eigenvalues, index and minimum")
     add("sigma", cmd_sigma, "admissible parameter interval of a tree or cycle")
     add("exists", cmd_exists, "semidefiniteness verdict for a given tau",
-        tau=True, tol_default=1e-9)
+        tau=True, tol_default=PSD_TOL)
     add("classify", cmd_classify, "shape labels and index trichotomy",
-        tol_default=1e-9)
+        tol_default=INDEX_TOL)
     p_construct = add("construct", cmd_construct,
                       "build a configuration and export it as JSON",
                       tau=True, tol_default=VERIFY_TOL)
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tau-min", type=float, default=0.01, dest="tau_min")
     p_sweep.add_argument("--tau-max", type=float, default=1.0, dest="tau_max")
     p_sweep.add_argument("--steps", type=int, default=100)
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
+    p_sweep.add_argument("--tol", type=float, default=PSD_TOL)
     p_sweep.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -3,9 +3,10 @@
 A configuration assigns to each vertex a unit vector v_i (equivalently the
 rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
-ones are orthogonal. Construction factors the Gram matrix through its
-spectral decomposition; verification reads every defining relation off the
-vectors' Gram matrix V V^T and reports worst-case Frobenius residuals.
+ones are orthogonal. Construction takes the Gram spectrum and its PSD verdict
+the way :func:`existence` does and factors the Gram matrix through the kept
+eigenpairs; verification reads every defining relation off the vectors' Gram
+matrix V V^T and reports worst-case Frobenius residuals.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import PSD_TOL, TauLike, TauWeighting, gram_matrix
+from .admissible import (
+    PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, gram_matrix, gram_spectrum,
+)
 from .graphs import Graph
-from .spectra import eigen_symmetric
 
 __all__ = [
     "SubspaceConfiguration",
@@ -70,23 +72,23 @@ class SubspaceConfiguration:
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Eigendecompose the Gram matrix, drop eigenvalues at or below ``PSD_TOL``,
-    and scale the surviving eigenvector rows into vectors whose pairwise inner
-    products reproduce the matrix to within ``PSD_TOL`` (Frobenius). Raises
-    ``ValueError`` when the matrix is not positive semidefinite (no
-    configuration exists).
+    Take the Gram spectrum with eigenvectors from :func:`gram_spectrum` and
+    its verdict at ``PSD_TOL``, keep the leading ``rank`` eigenpairs, and
+    scale them into vectors whose pairwise inner products reproduce the
+    matrix to within ``PSD_TOL`` (Frobenius). Raises ``ValueError`` when the
+    matrix is not positive semidefinite (no configuration exists).
     """
-    a = gram_matrix(g, tau)
-    spectrum = eigen_symmetric(a, vectors=True)
-    evals = spectrum.eigenvalues
-    if evals[-1] < -PSD_TOL:
+    w = TauWeighting.of(tau)
+    a = gram_matrix(g, w)
+    spectrum = gram_spectrum(g, w, vectors=True)
+    verdict = ExistenceVerdict.from_eigenvalues(spectrum.eigenvalues, PSD_TOL)
+    if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
-            f"{evals[-1]:.6e}"
+            f"{verdict.min_eigenvalue:.6e}"
         )
-    keep = evals > PSD_TOL
-    basis = spectrum.eigenvectors[:, keep]
-    vectors = basis * np.sqrt(evals[keep])
+    k = verdict.rank
+    vectors = spectrum.eigenvectors[:, :k] * np.sqrt(spectrum.eigenvalues[:k])
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
     if deviation > PSD_TOL:
         raise RuntimeError(

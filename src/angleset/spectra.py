@@ -2,9 +2,9 @@
 
 The solver is a cyclic Jacobi rotation scheme: rotations sweep the strict
 upper triangle in row order until the off-diagonal Frobenius norm drops below
-``tol`` times the Frobenius norm of the input. That is unconditionally stable
-on symmetric matrices and has no dependencies, but it is pure Python and
-cubic in n per sweep: on a 2-vCPU machine the adjacency matrix of a random
+``DEFAULT_TOL`` times the Frobenius norm of the input. That is unconditionally
+stable on symmetric matrices and has no dependencies, but it is pure Python
+and cubic in n per sweep: on a 2-vCPU machine the adjacency matrix of a random
 graph takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to
 solve (``bench/README.md``).
 
@@ -75,21 +75,13 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def eigen_symmetric(
-    m,
-    tol: float = DEFAULT_TOL,
-    *,
-    vectors: bool = False,
-    max_sweeps: int = MAX_SWEEPS,
-) -> Spectrum:
+def eigen_symmetric(m, *, vectors: bool = False) -> Spectrum:
     """Eigendecompose a dense symmetric matrix by cyclic Jacobi rotations.
 
-    ``tol`` is relative: sweeps stop once the off-diagonal Frobenius norm is
-    at most ``tol * ||m||_F``. Raises :class:`ConvergenceError` if the sweep
-    cap is hit first and ``ValueError`` for non-symmetric input.
+    Sweeps stop once the off-diagonal Frobenius norm is at most
+    ``DEFAULT_TOL * ||m||_F``. Raises :class:`ConvergenceError` if
+    ``MAX_SWEEPS`` sweeps run first and ``ValueError`` for non-symmetric input.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
@@ -99,7 +91,7 @@ def eigen_symmetric(
     n = mat.shape[0]
     a: list[list[float]] = mat.tolist()
     fro = math.sqrt(sum(x * x for row in a for x in row))
-    target = tol * fro
+    target = DEFAULT_TOL * fro
     # Entries at or below `skip` cannot push the off-norm above target even if
     # every off-diagonal slot held one, so rotating on them is wasted work.
     skip = target / (2.0 * n)
@@ -118,7 +110,7 @@ def eigen_symmetric(
     off = off_norm()
     sweeps = 0
     while off > target:
-        if sweeps == max_sweeps:
+        if sweeps == MAX_SWEEPS:
             raise ConvergenceError(off, target, sweeps)
         for p in range(n - 1):
             ap = a[p]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import angleset.admissible
-import angleset.configurations
 import angleset.spectra
 from angleset import graph_spectrum
 
@@ -40,6 +39,6 @@ def eig_calls(monkeypatch):
         calls.append(np.shape(m)[0])
         return real(m, *args, **kwargs)
 
-    for module in (angleset.spectra, angleset.admissible, angleset.configurations):
+    for module in (angleset.spectra, angleset.admissible):
         monkeypatch.setattr(module, "eigen_symmetric", counted)
     return calls

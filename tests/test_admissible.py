@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import angleset.classify
 from angleset import (
     PSD_TOL,
     Graph,
@@ -13,6 +14,7 @@ from angleset import (
     TauWeighting,
     adjacency_matrix,
     classify_index,
+    construct_configuration,
     eigen_symmetric,
     existence,
     generate_named,
@@ -195,6 +197,12 @@ class TestAdjacencySpectrumReuse:
         direct = eigen_symmetric(gram_matrix(g, weights)).eigenvalues
         assert first.min_eigenvalue == direct[-1]
 
+    def test_constant_tau_construct_solves_once(self, eig_calls):
+        g = named("D", 6)
+        config = construct_configuration(g, 0.2)
+        assert eig_calls == [6]
+        assert config.ambient_dim == existence(g, 0.2).rank == 6
+
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
         spectrum = graph_spectrum(g)
@@ -221,6 +229,18 @@ def _psd_endpoint(g):
     return min(1.0, 1.0 / (q * q))
 
 
+def _construct_agrees(g, tau):
+    """``construct_configuration`` succeeds iff ``existence`` says a
+    configuration exists, and then lives in ``rank`` dimensions."""
+    verdict = existence(g, tau)
+    if verdict.exists:
+        assert construct_configuration(g, tau).ambient_dim == verdict.rank
+    else:
+        with pytest.raises(ValueError, match="no configuration exists"):
+            construct_configuration(g, tau)
+    return verdict
+
+
 @pytest.mark.parametrize(
     "corpus_fixture", ["boundary_trees", "cycle_corpus", "random_connected_corpus"]
 )
@@ -244,6 +264,10 @@ def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
             assert verdict.rank == int((evals > PSD_TOL).sum())
             worst = max(worst, abs(verdict.min_eigenvalue - lam_min))
             seen.add(verdict.exists)
+            if corpus_fixture != "boundary_trees":
+                assert _construct_agrees(g, tau) == verdict
+                per_edge = _construct_agrees(g, dict.fromkeys(g.edges, tau))
+                assert (per_edge.exists, per_edge.rank) == (verdict.exists, verdict.rank)
     assert worst <= 1e-12
     assert seen == {True, False}
 
@@ -377,6 +401,15 @@ class TestTrichotomy:
     def test_rejects_cycles(self):
         with pytest.raises(ValueError, match="trees only"):
             trichotomy(named("cycle", 5))
+
+    @pytest.mark.parametrize(
+        "family,size,index",
+        [("E8", None, 2.0), ("E8", None, 2.5), ("D~", 5, 1.9), ("D~", 5, 2.1)],
+    )
+    def test_an_index_contradicting_the_shape_raises(self, monkeypatch, family, size, index):
+        monkeypatch.setattr(angleset.classify, "graph_index", lambda g: index)
+        with pytest.raises(RuntimeError, match="contradicts"):
+            trichotomy(named(family, size))
 
     def test_enum_values_spell_the_position(self):
         assert QuarterPosition.ABOVE.value == "AboveQuarter"

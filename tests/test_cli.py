@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from angleset.cli import MAX_VERTICES, SWEEP_HEADER, main
+from angleset import PSD_TOL
+from angleset.classify import INDEX_TOL
+from angleset.cli import MAX_VERTICES, SWEEP_HEADER, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -336,6 +338,19 @@ class TestGraphSourceHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,constant",
+    [
+        (["exists", "--graph", "A3", "--tau", "0.2"], PSD_TOL),
+        (["sweep", "--graph", "A3"], PSD_TOL),
+        (["classify", "--graph", "A3"], INDEX_TOL),
+    ],
+)
+def test_tolerance_defaults_are_the_module_constants(argv, constant):
+    # Identity, not equality: an equal literal in the parser would pass ==.
+    assert build_parser().parse_args(argv).tol is constant
 
 
 def _src_env():
