@@ -24,7 +24,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .classify import IndexKind, classify_index, classify_structure
+from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, is_tree
 from .spectra import Spectrum, eigen_symmetric, graph_index, graph_spectrum
 
@@ -210,8 +210,14 @@ def sigma_cycle(n: int) -> SigmaInterval:
     """
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    c = math.cos(math.pi / n)
-    return SigmaInterval(min(1.0, 1.0 / (4.0 * c * c)))
+    return SigmaInterval(_coxeter_endpoint(n))
+
+
+def _coxeter_endpoint(h: int) -> float:
+    """Endpoint 1/(4cos^2(pi/h)), capped at 1, of the Dynkin shapes with
+    Coxeter number ``h``; the path on n vertices has h = n + 1."""
+    c = math.cos(math.pi / h)
+    return min(1.0, 1.0 / (4.0 * c * c))
 
 
 def sigma_bounds(n: int) -> tuple[float, float]:
@@ -228,8 +234,7 @@ def sigma_bounds(n: int) -> tuple[float, float]:
         # 4cos^2(pi/3) is exactly 1, but rounds just above it in floats,
         # which would push the upper bound below the lower one.
         return 1.0, 1.0
-    c = math.cos(math.pi / (n + 1))
-    return 1.0 / (n - 1) ** 2, min(1.0, 1.0 / (4.0 * c * c))
+    return 1.0 / (n - 1) ** 2, _coxeter_endpoint(n + 1)
 
 
 class QuarterPosition(enum.Enum):
@@ -257,7 +262,13 @@ def trichotomy(g: Graph) -> QuarterPosition:
     """
     if not is_tree(g):
         raise ValueError("trichotomy applies to trees only")
-    kind = classify_structure(g).predicted_index_kind
+    return _quarter_position(g, classify_structure(g))
+
+
+def _quarter_position(g: Graph, shapes: GraphClass) -> QuarterPosition:
+    """:func:`trichotomy` of a tree ``g`` whose structural class ``shapes`` is
+    already known, cross-checked against the numeric index class."""
+    kind = shapes.predicted_index_kind
     numeric = classify_index(g)
     if numeric.kind is not kind:
         raise RuntimeError(

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, component_vertex_sets, induced_subgraph
+from .graphs import E_ARMS, Graph, component_vertex_sets, induced_subgraph
 from .spectra import graph_index
 
 __all__ = [
@@ -34,14 +34,9 @@ _EXTENDED = frozenset({"A~", "D~", "E~6", "E~7", "E~8"})
 
 # Leg profiles (sorted arm lengths from the unique degree-3 vertex) of the
 # E-type shapes. Profiles (1, 1, k) are D-type and handled separately.
-_TRIDENTS = {
-    (1, 2, 2): ("E6", 6),
-    (1, 2, 3): ("E7", 7),
-    (1, 2, 4): ("E8", 8),
-    (2, 2, 2): ("E~6", 6),
-    (1, 3, 3): ("E~7", 7),
-    (1, 2, 5): ("E~8", 8),
-}
+_TRIDENTS = {tuple(sorted(arms)): (tag, int(tag[-1])) for tag, arms in E_ARMS.items()}
+
+_E_COXETER = {"E6": 12, "E7": 18, "E8": 30}
 
 
 class IndexKind(enum.Enum):
@@ -79,6 +74,23 @@ class ComponentClass:
     @property
     def is_extended(self) -> bool:
         return self.family in _EXTENDED
+
+    @property
+    def closed_form(self) -> str | None:
+        """Exact admissible-interval endpoint, ``None`` if unrecognized: a
+        Dynkin shape with Coxeter number h has 1/(4cos^2(pi/h)), the n-cycle
+        that of h = n, and every other extended shape 1/4."""
+        if self.family in ("A", "A~"):
+            h = self.size + 1
+        elif self.family == "D":
+            h = 2 * (self.size - 1)
+        elif self.family in _E_COXETER:
+            h = _E_COXETER[self.family]
+        elif self.is_extended:
+            return "1/4"
+        else:
+            return None
+        return f"1/(4cos^2(pi/{h}))"
 
     @property
     def label(self) -> str:

@@ -3,10 +3,13 @@
 Subcommands: spectrum, sigma, exists, classify, construct, verify, sweep.
 Graphs come either from a named-family spec (``--graph D~4``) or an edge-list
 file (``--file``); numeric output is printed to 10 significant digits; every
-subcommand supports ``--format json``. Exit code 0 means the computation ran;
-a negative answer (no configuration exists, verification failed) is still 0.
-Graphs with more than ``MAX_VERTICES`` vertices are rejected before any
-matrix is allocated.
+subcommand supports ``--format json``, and ``sweep`` prints CSV by default.
+``sigma`` covers a tree with at least one edge or a single cycle, and adds the
+closed form of a recognized shape. Exit code 0 means the computation ran; a
+negative answer (no configuration exists, verification failed) is still 0.
+Bad input exits 1 with ``error: ...``: graphs with more than ``MAX_VERTICES``
+vertices are rejected before any matrix is allocated, and sweeps of more than
+``MAX_STEPS`` values before any value is listed.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import PSD_TOL, existence, sigma_cycle, sigma_tree, trichotomy
-from .classify import INDEX_TOL, ComponentClass, classify_index, classify_structure
+from .admissible import PSD_TOL, _quarter_position, existence, sigma_cycle, sigma_tree
+from .classify import INDEX_TOL, classify_index, classify_structure
 from .configurations import (
     VERIFY_TOL,
     configuration_document,
@@ -25,17 +28,13 @@ from .configurations import (
     load_configuration,
     verify_configuration,
 )
-from .graphs import (
-    Graph,
-    GraphError,
-    generate_named,
-    is_tree,
-    parse_edge_list,
-    parse_named_spec,
-)
+from .graphs import Graph, GraphError, generate_named, parse_edge_list, parse_named_spec
 from .spectra import graph_spectrum
 
 SWEEP_HEADER = "tau,min_eigenvalue,exists,rank"
+
+# ``sweep`` lists its tau values before it computes any row.
+MAX_STEPS = 100_000
 
 # Dense n x n matrices of this size take 32 MB each.
 MAX_VERTICES = 2000
@@ -64,22 +63,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     g = parse_edge_list(Path(args.file).read_text())
     _check_size(g.n)
     return g
-
-
-def _closed_form(shape: ComponentClass) -> str | None:
-    """Exact endpoint expression for the recognized families, if any."""
-    if shape.family == "A":
-        return f"1/(4cos^2(pi/{shape.size + 1}))"
-    if shape.family == "D":
-        return f"1/(4cos^2(pi/{2 * (shape.size - 1)}))"
-    if shape.family in ("E6", "E7", "E8"):
-        denom = {"E6": 12, "E7": 18, "E8": 30}[shape.family]
-        return f"1/(4cos^2(pi/{denom}))"
-    if shape.family == "A~":
-        return f"1/(4cos^2(pi/{shape.size + 1}))"
-    if shape.is_extended:
-        return "1/4"
-    return None
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -111,42 +94,30 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_sigma(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    shapes = classify_structure(g).components
-    single = len(shapes) == 1
-    if is_tree(g) and g.n >= 2:
+    shapes = classify_structure(g)
+    shape = shapes.components[0]
+    connected = len(shapes.components) == 1
+    tree = connected and g.n >= 2 and g.num_edges == g.n - 1
+    if tree:
         interval = sigma_tree(g)
-        position = trichotomy(g)
-        payload = {
-            "sigma_upper": interval.upper,
-            "interval": f"(0, {_fmt(interval.upper)}]",
-            "trichotomy": position.value,
-        }
-        lines = [
-            f"sigma_upper: {_fmt(interval.upper)}",
-            f"interval: (0, {_fmt(interval.upper)}]",
-        ]
-        form = _closed_form(shapes[0])
-        if form is not None:
-            payload["closed_form"] = form
-            lines.insert(1, f"closed_form: {form}")
-        lines.append(f"trichotomy: {position.value}")
-    elif single and shapes[0].family == "A~":
+    elif connected and shape.family == "A~":
         interval = sigma_cycle(g.n)
-        payload = {
-            "sigma_upper": interval.upper,
-            "interval": f"(0, {_fmt(interval.upper)}]",
-            "closed_form": _closed_form(shapes[0]),
-        }
-        lines = [
-            f"sigma_upper: {_fmt(interval.upper)}",
-            f"closed_form: {payload['closed_form']}",
-            f"interval: (0, {_fmt(interval.upper)}]",
-        ]
     else:
         raise GraphError(
             "no formula in scope for this graph shape: sigma needs a tree "
             "with at least one edge, or a cycle"
         )
+    payload = {
+        "sigma_upper": interval.upper,
+        "interval": f"(0, {_fmt(interval.upper)}]",
+    }
+    if tree:
+        payload["trichotomy"] = _quarter_position(g, shapes).value
+    if shape.closed_form is not None:
+        payload["closed_form"] = shape.closed_form
+    text = {**payload, "sigma_upper": _fmt(interval.upper)}
+    order = ("sigma_upper", "closed_form", "interval", "trichotomy")
+    lines = [f"{key}: {text[key]}" for key in order if key in text]
     _emit(args, payload, lines)
     return 0
 
@@ -222,6 +193,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
+    if args.steps > MAX_STEPS:
+        raise ValueError(f"--steps {args.steps} is above the limit of {MAX_STEPS}")
     lo, hi = args.tau_min, args.tau_max
     if not 0.0 < lo <= hi <= 1.0:
         raise ValueError("need 0 < --tau-min <= --tau-max <= 1")
@@ -256,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_text: str, *, tau: bool = False,
-            tol_default: float | None = None, graph_source: bool = True):
+            tol_default: float | None = None, graph_source: bool = True,
+            formats: tuple[str, ...] = ("text", "json")):
         p = sub.add_parser(name, help=help_text)
         if graph_source:
             p.add_argument("--graph", help="named family spec, e.g. A5, D~4, E~8, C6, K1,4")
@@ -267,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         if tol_default is not None:
             p.add_argument("--tol", type=float, default=tol_default,
                            help=f"tolerance (default {tol_default:g})")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=func)
         return p
 
@@ -284,15 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = add("verify", cmd_verify, "re-check an exported configuration",
                    tol_default=VERIFY_TOL, graph_source=False)
     p_verify.add_argument("--in", required=True, help="path to a configuration JSON")
-    p_sweep = sub.add_parser("sweep", help="tabulate existence over a tau range (CSV)")
-    p_sweep.add_argument("--graph", help="named family spec, e.g. A5, D~4, E~8, C6, K1,4")
-    p_sweep.add_argument("--file", help="path to an edge-list file")
+    p_sweep = add("sweep", cmd_sweep, "tabulate existence over a tau range (CSV)",
+                  tol_default=PSD_TOL, formats=("csv", "text", "json"))
     p_sweep.add_argument("--tau-min", type=float, default=0.01, dest="tau_min")
     p_sweep.add_argument("--tau-max", type=float, default=1.0, dest="tau_max")
     p_sweep.add_argument("--steps", type=int, default=100)
-    p_sweep.add_argument("--tol", type=float, default=PSD_TOL)
-    p_sweep.add_argument("--format", choices=("text", "json", "csv"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -181,12 +181,19 @@ def _tau_to_json(w: TauWeighting):
     return [[i, j, value] for (i, j), value in sorted(w.per_edge.items())]
 
 
+def _labeled(item, length: int) -> bool:
+    """Whether ``item`` is a list of ``length`` entries whose first two are
+    integer vertex labels (``type`` rules out JSON's ``true`` and ``1.0``)."""
+    return (type(item) is list and len(item) == length
+            and all(type(v) is int for v in item[:2]))
+
+
 def _tau_from_json(data) -> TauWeighting:
-    if isinstance(data, (int, float)):
+    if type(data) in (int, float):
         return TauWeighting(constant=float(data))
-    if isinstance(data, list):
-        return TauWeighting(per_edge={(int(i), int(j)): float(v) for i, j, v in data})
-    raise ValueError(f"cannot read tau from {data!r}")
+    if type(data) is list and all(_labeled(t, 3) and type(t[2]) in (int, float) for t in data):
+        return TauWeighting(per_edge={(i, j): float(v) for i, j, v in data})
+    raise ValueError(f"cannot read tau from {data!r}: need a number or [i, j, tau] triples")
 
 
 def configuration_document(
@@ -210,7 +217,10 @@ def configuration_document(
 def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeighting]:
     """Rebuild a configuration from its exported document.
 
-    The graph's vertex count is the number of vectors.
+    The graph's vertex count is the number of vectors. ``graph`` must be a
+    list of integer pairs, ``vectors`` a list of rows of numbers and a
+    per-edge ``tau`` a list of ``[i, j, tau]`` triples; anything else raises
+    ``ValueError``.
     """
     try:
         vectors = doc["vectors"]
@@ -221,10 +231,17 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
         raise ValueError(f"configuration document missing field: {exc}") from None
     if not vectors:
         raise ValueError("configuration document has no vectors")
-    config = SubspaceConfiguration.from_vectors(vectors)
+    try:
+        config = SubspaceConfiguration.from_vectors(vectors)
+    except TypeError as exc:
+        raise ValueError(f"cannot read vectors: {exc}") from None
+    if config.vectors.ndim != 2:
+        raise ValueError("cannot read vectors: need a list of rows of numbers")
     if config.ambient_dim != ambient:
         raise ValueError(
             f"ambient_dim {ambient} does not match vector length {config.ambient_dim}"
         )
-    g = Graph.from_edges([(int(i), int(j)) for i, j in edge_data], n=config.size)
+    if not (type(edge_data) is list and all(_labeled(e, 2) for e in edge_data)):
+        raise ValueError("graph must be a list of [i, j] integer label pairs")
+    g = Graph.from_edges(edge_data, n=config.size)
     return config, g, _tau_from_json(tau_data)

@@ -268,8 +268,22 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(declared, frozenset(edges))
 
 
-_SIZED = {"A": 1, "D": 4, "A~": 2, "D~": 4, "path": 1, "cycle": 3, "star": 1}
-_FIXED = {"E6": 6, "E7": 7, "E8": 8, "E~6": 7, "E~7": 8, "E~8": 9}
+# Sized families: their spec prefix (``A5``, ``C6``, ``K1,4``) and least size.
+_SIZED = {"A": ("A", 1), "D": ("D", 4), "A~": ("A~", 2), "D~": ("D~", 4),
+          "path": ("P", 1), "cycle": ("C", 3), "star": ("K1,", 1)}
+_BY_PREFIX = {prefix: family for family, (prefix, _) in _SIZED.items()}
+
+# The E-type trees as arm lengths (left, right, hung): a path of
+# left + right + 1 vertices with an arm of ``hung`` vertices hung from vertex
+# left + 1. Sorted, the arms are the tree's leg profile.
+E_ARMS = {
+    "E6": (2, 2, 1),
+    "E7": (2, 3, 1),
+    "E8": (2, 4, 1),
+    "E~6": (2, 2, 2),
+    "E~7": (3, 3, 1),
+    "E~8": (2, 5, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -287,14 +301,14 @@ class NamedFamily:
 
     def __post_init__(self) -> None:
         if self.family in _SIZED:
-            least = _SIZED[self.family]
+            least = _SIZED[self.family][1]
             if self.size is None:
                 raise GraphError(f"family {self.family} needs a size parameter")
             if self.size < least:
                 raise GraphError(
                     f"family {self.family} needs size >= {least}, got {self.size}"
                 )
-        elif self.family in _FIXED:
+        elif self.family in E_ARMS:
             if self.size is not None:
                 raise GraphError(f"family {self.family} takes no size parameter")
         else:
@@ -303,51 +317,28 @@ class NamedFamily:
     @property
     def vertex_count(self) -> int:
         """Number of vertices of the graph :func:`generate_named` builds."""
-        if self.family in _FIXED:
-            return _FIXED[self.family]
+        if self.family in E_ARMS:
+            return sum(E_ARMS[self.family]) + 1
         if self.family in ("A~", "D~", "star"):
             return self.size + 1
         return self.size
 
     @property
     def spec_string(self) -> str:
-        if self.family in _FIXED:
+        if self.family in E_ARMS:
             return self.family
-        if self.family == "path":
-            return f"P{self.size}"
-        if self.family == "cycle":
-            return f"C{self.size}"
-        if self.family == "star":
-            return f"K1,{self.size}"
-        return f"{self.family}{self.size}"
-
-
-_SPEC_PATTERNS: list[tuple[re.Pattern[str], str]] = [
-    (re.compile(r"E~([678])"), "E~"),
-    (re.compile(r"E([678])"), "E"),
-    (re.compile(r"A~(\d+)"), "A~"),
-    (re.compile(r"D~(\d+)"), "D~"),
-    (re.compile(r"A(\d+)"), "A"),
-    (re.compile(r"D(\d+)"), "D"),
-    (re.compile(r"C(\d+)"), "cycle"),
-    (re.compile(r"P(\d+)"), "path"),
-    (re.compile(r"K1,(\d+)"), "star"),
-]
+        return f"{_SIZED[self.family][0]}{self.size}"
 
 
 def parse_named_spec(text: str) -> NamedFamily:
     """Parse a family spec string such as ``A5``, ``D~4``, ``E~8``, ``C6``,
     ``P3`` or ``K1,4``."""
     s = text.strip()
-    for pattern, tag in _SPEC_PATTERNS:
-        m = pattern.fullmatch(s)
-        if m is None:
-            continue
-        if tag == "E~":
-            return NamedFamily(f"E~{m.group(1)}")
-        if tag == "E":
-            return NamedFamily(f"E{m.group(1)}")
-        return NamedFamily(tag, int(m.group(1)))
+    if s in E_ARMS:
+        return NamedFamily(s)
+    m = re.fullmatch(r"(.*?)(\d+)", s)
+    if m is not None and m.group(1) in _BY_PREFIX:
+        return NamedFamily(_BY_PREFIX[m.group(1)], int(m.group(2)))
     raise GraphError(
         f"unrecognized graph spec {text!r} "
         "(expected A<n>, D<n>, E6|E7|E8, A~<n>, D~<n>, E~6|E~7|E~8, C<n>, P<n> or K1,<m>)"
@@ -362,10 +353,11 @@ def generate_named(spec: NamedFamily) -> Graph:
     """Construct the graph of a named family on vertices 1..n.
 
     Layout conventions: paths run 1-2-...-n; ``D`` attaches leaves 1 and 2 to
-    vertex 3 followed by the path 3..n; the ``E``-type graphs are a path with
-    one extra vertex attached to vertex 3 (to the middle vertex for E6 and
-    E~7); ``A~<k>`` is the cycle on k+1 vertices; ``D~<k>`` has a two-leaf
-    fork at each end of a central path; stars put the center at vertex 1.
+    vertex 3 followed by the path 3..n; an ``E``-type graph with arms
+    ``E_ARMS[tag] = (left, right, hung)`` is the path 1..left+right+1 with the
+    remaining vertices, in order, hung as one arm from vertex left+1;
+    ``A~<k>`` is the cycle on k+1 vertices; ``D~<k>`` has a two-leaf fork at
+    each end of a central path; stars put the center at vertex 1.
     """
     f, n = spec.family, spec.vertex_count
     if f in ("A", "path"):
@@ -373,23 +365,16 @@ def generate_named(spec: NamedFamily) -> Graph:
     if f == "D":
         edges = [(1, 3), (2, 3)] + _path_edges(n)[2:]
         return Graph(n, frozenset(edges))
-    if f == "E6":
-        return Graph(n, frozenset(_path_edges(5) + [(3, 6)]))
-    if f == "E7":
-        return Graph(n, frozenset(_path_edges(6) + [(3, 7)]))
-    if f == "E8":
-        return Graph(n, frozenset(_path_edges(7) + [(3, 8)]))
+    if f in E_ARMS:
+        left, right, _ = E_ARMS[f]
+        spine = left + right + 1
+        arm = [left + 1, *range(spine + 1, n + 1)]
+        return Graph(n, frozenset(_path_edges(spine) + list(zip(arm, arm[1:]))))
     if f in ("A~", "cycle"):
         return Graph(n, frozenset(_path_edges(n) + [(1, n)]))
     if f == "D~":
         edges = [(1, 3), (2, 3)] + _path_edges(n - 2)[2:] + [(n - 2, n - 1), (n - 2, n)]
         return Graph(n, frozenset(edges))
-    if f == "E~6":
-        return Graph(n, frozenset(_path_edges(5) + [(3, 6), (6, 7)]))
-    if f == "E~7":
-        return Graph(n, frozenset(_path_edges(7) + [(4, 8)]))
-    if f == "E~8":
-        return Graph(n, frozenset(_path_edges(8) + [(3, 9)]))
     if f == "star":
         return Graph(n, frozenset((1, v) for v in range(2, n + 1)))
     raise GraphError(f"unknown family tag {f!r}")  # pragma: no cover

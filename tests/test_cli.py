@@ -1,15 +1,18 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import angleset
 from angleset import PSD_TOL
 from angleset.classify import INDEX_TOL
-from angleset.cli import MAX_VERTICES, SWEEP_HEADER, build_parser, main
+from angleset.cli import MAX_STEPS, MAX_VERTICES, SWEEP_HEADER, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,6 +21,38 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def structure_calls(monkeypatch):
+    """Calls of ``classify_structure`` and ``is_tree`` by name, counted in
+    every angleset module that holds either function."""
+    calls = Counter()
+    for name in ("classify_structure", "is_tree"):
+        real = getattr(angleset, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("angleset") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _closed_form_value(form: str) -> float:
+    if form == "1/4":
+        return 0.25
+    h = int(re.fullmatch(r"1/\(4cos\^2\(pi/(\d+)\)\)", form).group(1))
+    return 1.0 / (4.0 * math.cos(math.pi / h) ** 2)
+
+
+CLOSED_FORM_SPECS = (
+    [f"A{n}" for n in range(2, 31)] + [f"D{n}" for n in range(4, 31)] + ["E6", "E7", "E8"]
+    + [f"D~{n}" for n in range(4, 31)] + ["E~6", "E~7", "E~8"]
+    + [f"C{n}" for n in range(3, 31)] + [f"K1,{m}" for m in range(3, 9)]
+)
 
 
 class TestSpectrum:
@@ -96,6 +131,24 @@ class TestSigma:
         doc = json.loads(raw)
         assert f"sigma_upper: {doc['sigma_upper']:.10g}" in text
         assert doc["closed_form"] == "1/(4cos^2(pi/6))"
+
+    @pytest.mark.parametrize("spec", ["E8", "K1,5"])
+    def test_one_structural_classification(self, capsys, structure_calls, spec):
+        code, _, _ = run(capsys, "sigma", "--graph", spec)
+        assert code == 0
+        assert structure_calls["classify_structure"] == 1
+        assert structure_calls["is_tree"] <= 1
+
+    def test_closed_form_evaluates_to_sigma_upper(self, capsys):
+        for spec in CLOSED_FORM_SPECS:
+            code, out, _ = run(capsys, "sigma", "--graph", spec, "--format", "json")
+            assert code == 0
+            doc = json.loads(out)
+            if spec in ("K1,5", "K1,6", "K1,7", "K1,8"):
+                assert "closed_form" not in doc, spec
+            else:
+                value = _closed_form_value(doc["closed_form"])
+                assert abs(value - doc["sigma_upper"]) <= 1e-12, spec
 
     def test_out_of_scope_shape(self, capsys, tmp_path):
         p = tmp_path / "chord.txt"
@@ -241,6 +294,15 @@ class TestConstructAndVerify:
         assert code == 1 and out == ""
         assert err.startswith(f"error: graph has {n} vertices")
 
+    @pytest.mark.parametrize("field,value", [("graph", 5), ("tau", [5])])
+    def test_verify_rejects_malformed_fields(self, capsys, tmp_path, field, value):
+        doc = {"ambient_dim": 1, "vectors": [[1.0], [0.0]], "tau": 0.5, "graph": [[1, 2]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1 and err.startswith("error:")
@@ -290,6 +352,7 @@ class TestSweep:
             ["--tau-min", "0.9", "--tau-max", "0.5"],
             ["--tau-max", "1.5"],
             ["--steps", "0"],
+            ["--steps", str(MAX_STEPS + 1)],
         ],
     )
     def test_domain_errors(self, capsys, flags):

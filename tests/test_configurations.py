@@ -211,9 +211,26 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError, match="no vectors"):
             load_configuration(doc)
 
-    def test_unreadable_tau(self):
-        doc = {"ambient_dim": 1, "vectors": [[1.0]], "tau": "x", "graph": []}
+    @pytest.mark.parametrize(
+        "tau", ["x", True, [5], [[1, 2]], [[1.0, 2, 0.5]], [[1, 2, "0.5"]], [[1, 2, None]]]
+    )
+    def test_unreadable_tau(self, tau):
+        doc = {"ambient_dim": 1, "vectors": [[1.0]], "tau": tau, "graph": []}
         with pytest.raises(ValueError, match="cannot read tau"):
+            load_configuration(doc)
+
+    @pytest.mark.parametrize("vectors", [{"a": 1}, [[{"a": 1}]], [[[1.0]]], [["x"]]])
+    def test_unreadable_vectors(self, vectors):
+        doc = {"ambient_dim": 1, "vectors": vectors, "tau": 0.5, "graph": []}
+        with pytest.raises(ValueError):
+            load_configuration(doc)
+
+    @pytest.mark.parametrize(
+        "graph", [5, "1 2", {"1": 2}, [5], [[1.9, 2]], [[1.0, 2]], [[True, 2]], [[1, 2, 3]], [["1", "2"]]]
+    )
+    def test_malformed_graph(self, graph):
+        doc = {"ambient_dim": 1, "vectors": [[1.0], [0.0]], "tau": 0.5, "graph": graph}
+        with pytest.raises(ValueError, match="graph must be a list of"):
             load_configuration(doc)
 
 

@@ -131,6 +131,7 @@ class TestNamedFamilies:
             ("C6", "cycle", 6),
             ("P3", "path", 3),
             ("K1,4", "star", 4),
+            ("K1,12", "star", 12),
         ],
     )
     def test_parse_named_spec(self, spec, family, size):
@@ -139,7 +140,9 @@ class TestNamedFamilies:
         assert fam.spec_string == spec
         assert fam.vertex_count == generate_named(fam).n
 
-    @pytest.mark.parametrize("bad", ["", "B3", "E5", "A", "K2,3", "A-1", "E~9"])
+    @pytest.mark.parametrize(
+        "bad", ["", "B3", "E5", "A", "K2,3", "A-1", "E~9", "K1,", "C1,4", "a5", "A~~3", "E6~"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(GraphError):
             parse_named_spec(bad)
@@ -165,10 +168,20 @@ class TestNamedFamilies:
         g = generate_named(NamedFamily("D", 4))
         assert sorted(g.degree(v) for v in g.vertices) == [1, 1, 1, 3]
 
-    def test_e6_is_a_five_path_with_a_middle_pendant(self):
-        g = generate_named(NamedFamily("E6"))
-        assert g.n == 6
-        assert g.edges == {(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)}
+    E_LAYOUTS = {
+        "E6": {(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)},
+        "E7": {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)},
+        "E8": {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (3, 8)},
+        "E~6": {(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 7)},
+        "E~7": {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (4, 8)},
+        "E~8": {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (3, 9)},
+    }
+
+    @pytest.mark.parametrize("tag", list(E_LAYOUTS))
+    def test_e_type_layouts(self, tag):
+        g = generate_named(NamedFamily(tag))
+        assert g.n == len(self.E_LAYOUTS[tag]) + 1
+        assert g.edges == self.E_LAYOUTS[tag]
 
     def test_cycle_alias_matches_tilde_a(self):
         assert generate_named(NamedFamily("cycle", 5)).edges == generate_named(
@@ -184,15 +197,6 @@ class TestNamedFamilies:
         g = generate_named(NamedFamily("D~", 4))
         assert g.n == 5
         assert sorted(g.degree(v) for v in g.vertices) == [1, 1, 1, 1, 4]
-
-    @pytest.mark.parametrize(
-        "tag,n,extra_edges",
-        [("E~6", 7, 0), ("E~7", 8, 0), ("E~8", 9, 0)],
-    )
-    def test_tilde_e_sizes(self, tag, n, extra_edges):
-        g = generate_named(NamedFamily(tag))
-        assert g.n == n
-        assert is_tree(g)
 
     def test_tilde_families_have_one_more_vertex_than_their_subscript(self):
         for family, size in [("A~", 5), ("D~", 7)]:
