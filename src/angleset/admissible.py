@@ -134,13 +134,21 @@ def gram_spectrum(g: Graph, tau: TauLike, *, vectors: bool = False) -> Spectrum:
     shifts the adjacency spectrum to 1 + sqrt(tau) spec(A), with the adjacency
     eigenvectors and the residual bound scaled by sqrt(tau); a per-edge
     weighting solves its own Gram matrix."""
-    w = TauWeighting.of(tau)
+    return _gram_solve(g, TauWeighting.of(tau), vectors)[0]
+
+
+def _gram_solve(
+    g: Graph, w: TauWeighting, vectors: bool
+) -> tuple[Spectrum, np.ndarray | None]:
+    """:func:`gram_spectrum`, with the Gram matrix it assembled on the way:
+    a per-edge weighting solves that matrix; a constant one builds none."""
     if not w.is_constant:
-        return eigen_symmetric(gram_matrix(g, w), vectors=vectors)
+        a = gram_matrix(g, w)
+        return eigen_symmetric(a, vectors=vectors), a
     root = math.sqrt(w.constant)
     adj = graph_spectrum(g, vectors=vectors)
     evals = 1.0 + root * adj.eigenvalues
-    return Spectrum(evals, root * adj.residual_bound, adj.eigenvectors)
+    return Spectrum(evals, root * adj.residual_bound, adj.eigenvectors), None
 
 
 @dataclass(frozen=True)

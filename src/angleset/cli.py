@@ -7,14 +7,21 @@ subcommand supports ``--format json``, and ``sweep`` prints CSV by default.
 ``sigma`` covers a tree with at least one edge or a single cycle, and adds the
 closed form of a recognized shape. Exit code 0 means the computation ran; a
 negative answer (no configuration exists, verification failed) is still 0.
-Bad input exits 1 with ``error: ...``: graphs with more than ``MAX_VERTICES``
-vertices are rejected before any matrix is allocated, and sweeps of more than
-``MAX_STEPS`` values before any value is listed.
+Malformed arguments (a missing ``--tau``, ``--tau abc``, an unknown option)
+exit 2 with argparse's usage and ``angleset <cmd>: error: ...``, or
+``angleset: error: ...`` for an unknown subcommand or option. Bad input exits
+1 with ``error: ...``: graphs with more than ``MAX_VERTICES`` vertices are
+rejected before any matrix is allocated, and sweeps of more than ``MAX_STEPS``
+values before any value is listed.
+
+:func:`main` may be called repeatedly in one process. Its parser is built on
+the first call and reused; :func:`build_parser` returns a fresh one each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -266,9 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses. ``parse_args`` returns a fresh
+    ``Namespace`` on every call and leaves the parser unchanged, and help and
+    errors look up ``sys.stdout``/``sys.stderr`` when they print."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:

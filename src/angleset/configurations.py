@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admissible import (
-    PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, gram_matrix, gram_spectrum,
+    PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, _gram_solve, gram_matrix,
 )
 from .graphs import Graph
 
@@ -77,16 +77,20 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     scale them into vectors whose pairwise inner products reproduce the
     matrix to within ``PSD_TOL`` (Frobenius). Raises ``ValueError`` when the
     matrix is not positive semidefinite (no configuration exists).
+
+    The matrix is assembled once: a per-edge weighting reuses the one it
+    solved, and a constant tau builds it only after a positive verdict.
     """
     w = TauWeighting.of(tau)
-    a = gram_matrix(g, w)
-    spectrum = gram_spectrum(g, w, vectors=True)
+    spectrum, a = _gram_solve(g, w, vectors=True)
     verdict = ExistenceVerdict.from_eigenvalues(spectrum.eigenvalues, PSD_TOL)
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
             f"{verdict.min_eigenvalue:.6e}"
         )
+    if a is None:
+        a = gram_matrix(g, w)
     k = verdict.rank
     vectors = spectrum.eigenvectors[:, :k] * np.sqrt(spectrum.eigenvalues[:k])
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
@@ -217,18 +221,24 @@ def configuration_document(
 def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeighting]:
     """Rebuild a configuration from its exported document.
 
-    The graph's vertex count is the number of vectors. ``graph`` must be a
-    list of integer pairs, ``vectors`` a list of rows of numbers and a
-    per-edge ``tau`` a list of ``[i, j, tau]`` triples; anything else raises
-    ``ValueError``.
+    The graph's vertex count is the number of vectors. ``doc`` must be an
+    object, ``ambient_dim`` an integer, ``graph`` a list of integer pairs,
+    ``vectors`` a list of rows of numbers and a per-edge ``tau`` a list of
+    ``[i, j, tau]`` triples; anything else raises ``ValueError``.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"configuration document must be a JSON object, got {type(doc).__name__}"
+        )
     try:
         vectors = doc["vectors"]
         tau_data = doc["tau"]
         edge_data = doc["graph"]
-        ambient = int(doc["ambient_dim"])
-    except (KeyError, TypeError) as exc:
+        ambient = doc["ambient_dim"]
+    except KeyError as exc:
         raise ValueError(f"configuration document missing field: {exc}") from None
+    if type(ambient) is not int:
+        raise ValueError(f"ambient_dim must be an integer, got {ambient!r}")
     if not vectors:
         raise ValueError("configuration document has no vectors")
     try:

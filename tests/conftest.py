@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -42,3 +45,25 @@ def eig_calls(monkeypatch):
     for module in (angleset.spectra, angleset.admissible):
         monkeypatch.setattr(module, "eigen_symmetric", counted)
     return calls
+
+
+@pytest.fixture
+def name_calls(monkeypatch):
+    """``name_calls(*names)`` counts calls of the named angleset functions in
+    every angleset module that holds one by name, into the returned Counter."""
+    calls = Counter()
+
+    def watch(*names):
+        for name in names:
+            real = getattr(angleset, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("angleset") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return watch

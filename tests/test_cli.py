@@ -1,15 +1,15 @@
+import argparse
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import angleset
+import angleset.cli
 from angleset import PSD_TOL
 from angleset.classify import INDEX_TOL
 from angleset.cli import MAX_STEPS, MAX_VERTICES, SWEEP_HEADER, build_parser, main
@@ -18,27 +18,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one in-process ``main`` call, with
+    argparse's exits taken as codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 @pytest.fixture
-def structure_calls(monkeypatch):
-    """Calls of ``classify_structure`` and ``is_tree`` by name, counted in
-    every angleset module that holds either function."""
-    calls = Counter()
-    for name in ("classify_structure", "is_tree"):
-        real = getattr(angleset, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("angleset") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
-    return calls
+def structure_calls(name_calls):
+    """Calls of ``classify_structure`` and ``is_tree``."""
+    return name_calls("classify_structure", "is_tree")
 
 
 def _closed_form_value(form: str) -> float:
@@ -303,6 +296,26 @@ class TestConstructAndVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"ambient_dim": 3.9, "vectors": [[1.0, 0.0, 0.0]], "tau": 0.5, "graph": []},
+            {"ambient_dim": "3", "vectors": [[1.0, 0.0, 0.0]], "tau": 0.5, "graph": []},
+            {"ambient_dim": True, "vectors": [[1.0]], "tau": 0.5, "graph": []},
+            {"ambient_dim": None, "vectors": [[1.0]], "tau": 0.5, "graph": []},
+            {"ambient_dim": [3], "vectors": [[1.0, 0.0, 0.0]], "tau": 0.5, "graph": []},
+            [{"ambient_dim": 1, "vectors": [[1.0]], "tau": 0.5, "graph": []}],
+        ],
+        ids=["float", "string", "true", "null", "list", "list-document"],
+    )
+    def test_verify_rejects_a_malformed_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "ambient_dim must be an integer" in err or "must be a JSON object" in err
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1 and err.startswith("error:")
@@ -414,6 +427,73 @@ class TestGraphSourceHandling:
 def test_tolerance_defaults_are_the_module_constants(argv, constant):
     # Identity, not equality: an equal literal in the parser would pass ==.
     assert build_parser().parse_args(argv).tol is constant
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; ``build_parser`` stays a
+    factory of fresh parsers."""
+
+    @staticmethod
+    def session(tmp_path):
+        config = str(tmp_path / "config.json")
+        return [
+            (["sigma", "--graph", "E6"], 0),
+            (["exists", "--graph", "A3", "--tau", "abc"], 2),
+            (["exists", "--graph", "A3"], 2),
+            (["frobnicate"], 2),
+            (["--help"], 0),
+            (["sweep", "--help"], 0),
+            (["exists", "--graph", "A3", "--tau", "1.5"], 1),
+            (["spectrum", "--graph", "C6", "--format", "json"], 0),
+            (["sigma", "--graph", "D~4", "--format", "json"], 0),
+            (["exists", "--graph", "D4", "--tau", "0.3"], 0),
+            (["classify", "--graph", "E~8"], 0),
+            (["construct", "--graph", "E7", "--tau", "0.2", "--out", config], 0),
+            (["verify", "--in", config, "--format", "json"], 0),
+            (["sweep", "--graph", "A4", "--steps", "5"], 0),
+            (["exists", "--graph", "A3", "--tau", "0.2", "--tol", "nan"], 1),
+        ]
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        calls = self.session(tmp_path)
+        reused = [run(capsys, *argv) for _ in range(2) for argv, _ in calls]
+        assert [code for code, _, _ in reused] == [code for _, code in calls] * 2
+        monkeypatch.setattr(angleset.cli, "_parser", build_parser)
+        fresh = [run(capsys, *argv) for _ in range(2) for argv, _ in calls]
+        assert reused == fresh
+
+    def test_main_builds_at_most_one_parser_tree(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser()
+        tree = len(built)
+        built.clear()
+        for _ in range(5):
+            assert run(capsys, "spectrum", "--graph", "A3")[0] == 0
+            assert run(capsys, "exists", "--graph", "A3", "--tau", "x")[0] == 2
+        assert len(built) <= tree
+
+    def test_build_parser_returns_a_new_parser(self):
+        first, second = build_parser(), build_parser()
+        assert first is not second
+        assert angleset.cli._parser() not in (first, second)
+
+    def test_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import angleset.cli as c; print(c._parser.cache_info().currsize)"],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 def _src_env():

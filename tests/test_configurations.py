@@ -87,6 +87,25 @@ class TestConstruct:
         assert v[1] @ v[2] == pytest.approx(math.sqrt(0.2), abs=1e-12)
         assert v[0] @ v[2] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "tau", [0.2, {(1, 2): 0.3, (2, 3): 0.2, (3, 4): 0.45}], ids=["constant", "per-edge"]
+    )
+    def test_one_gram_assembly_per_call(self, name_calls, tau):
+        calls = name_calls("gram_matrix")
+        construct_configuration(named("A", 4), tau)
+        assert calls["gram_matrix"] == 1
+
+    @pytest.mark.parametrize(
+        "tau,built", [(0.6, 0), ({(1, 2): 0.6, (2, 3): 0.6}, 1)], ids=["constant", "per-edge"]
+    )
+    def test_no_assembly_past_what_the_verdict_needs(self, name_calls, tau, built):
+        """A constant tau reads its verdict off the adjacency spectrum and
+        builds no matrix when none exists; a per-edge one solves its own."""
+        calls = name_calls("gram_matrix")
+        with pytest.raises(ValueError, match="no configuration exists"):
+            construct_configuration(named("A", 3), tau)
+        assert calls["gram_matrix"] == built
+
     def test_vectors_reproduce_the_gram_matrix(self):
         g = named("D", 6)
         c = construct_configuration(g, 0.2)
@@ -200,6 +219,21 @@ class TestDocumentRoundTrip:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):
             load_configuration({"vectors": [[1.0]]})
+
+    @pytest.mark.parametrize(
+        "ambient,vectors",
+        [(3.9, [[1.0, 0.0, 0.0]]), ("3", [[1.0, 0.0, 0.0]]), (True, [[1.0]]),
+         (None, [[1.0]]), ([3], [[1.0, 0.0, 0.0]])],
+    )
+    def test_ambient_dim_must_be_an_integer(self, ambient, vectors):
+        doc = {"ambient_dim": ambient, "vectors": vectors, "tau": 0.5, "graph": []}
+        with pytest.raises(ValueError, match="ambient_dim must be an integer"):
+            load_configuration(doc)
+
+    @pytest.mark.parametrize("doc", [[], [{"ambient_dim": 1}], "doc", 3, None])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_configuration(doc)
 
     def test_ambient_mismatch(self):
         doc = {"ambient_dim": 5, "vectors": [[1.0, 0.0]], "tau": 0.5, "graph": []}
