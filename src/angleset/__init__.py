@@ -57,6 +57,7 @@ from .spectra import (
     ConvergenceError,
     Spectrum,
     eigen_symmetric,
+    eigenpairs,
     graph_index,
     graph_spectrum,
     min_eigenvalue,
@@ -90,6 +91,7 @@ __all__ = [
     "configuration_document",
     "construct_configuration",
     "eigen_symmetric",
+    "eigenpairs",
     "enumerate_trees",
     "existence",
     "generate_named",

@@ -11,8 +11,10 @@ is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
 it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
 (see :func:`graph_spectrum`); only a per-edge weighting solves its own Gram
-matrix. :func:`existence` and :func:`construct_configuration` both take their
-verdict from it through :meth:`ExistenceVerdict.from_eigenvalues`.
+matrix. :func:`existence` takes its verdict from it through
+:meth:`ExistenceVerdict.from_eigenvalues`; :func:`construct_configuration`,
+which also needs eigenvectors, takes the same verdict from the LAPACK
+eigenpairs of the assembled Gram matrix.
 """
 
 from __future__ import annotations
@@ -129,26 +131,16 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     return a
 
 
-def gram_spectrum(g: Graph, tau: TauLike, *, vectors: bool = False) -> Spectrum:
-    """Gram spectrum of ``(g, tau)``, eigenvalues descending. A constant tau
-    shifts the adjacency spectrum to 1 + sqrt(tau) spec(A), with the adjacency
-    eigenvectors and the residual bound scaled by sqrt(tau); a per-edge
-    weighting solves its own Gram matrix."""
-    return _gram_solve(g, TauWeighting.of(tau), vectors)[0]
-
-
-def _gram_solve(
-    g: Graph, w: TauWeighting, vectors: bool
-) -> tuple[Spectrum, np.ndarray | None]:
-    """:func:`gram_spectrum`, with the Gram matrix it assembled on the way:
-    a per-edge weighting solves that matrix; a constant one builds none."""
+def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
+    """Gram eigenvalues of ``(g, tau)``, descending. A constant tau shifts
+    the adjacency spectrum to 1 + sqrt(tau) spec(A), with the residual bound
+    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix."""
+    w = TauWeighting.of(tau)
     if not w.is_constant:
-        a = gram_matrix(g, w)
-        return eigen_symmetric(a, vectors=vectors), a
+        return eigen_symmetric(gram_matrix(g, w))
     root = math.sqrt(w.constant)
-    adj = graph_spectrum(g, vectors=vectors)
-    evals = 1.0 + root * adj.eigenvalues
-    return Spectrum(evals, root * adj.residual_bound, adj.eigenvectors), None
+    adj = graph_spectrum(g)
+    return Spectrum(1.0 + root * adj.eigenvalues, root * adj.residual_bound)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
-"""Dense symmetric eigensolver and graph-spectrum quantities.
+"""Dense symmetric eigensolvers and graph-spectrum quantities.
 
-The solver is a cyclic Jacobi rotation scheme: rotations sweep the strict
-upper triangle in row order until the off-diagonal Frobenius norm drops below
-``DEFAULT_TOL`` times the Frobenius norm of the input. That is unconditionally
-stable on symmetric matrices and has no dependencies, but it is pure Python
-and cubic in n per sweep: on a 2-vCPU machine the adjacency matrix of a random
-graph takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to
-solve (``bench/README.md``).
+Two solvers, one job each. Eigenvalues alone come from
+:func:`eigen_symmetric`, a cyclic Jacobi rotation scheme: rotations sweep the
+strict upper triangle in row order until the off-diagonal Frobenius norm drops
+below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
+unconditionally stable on symmetric matrices, but it is pure Python and cubic
+in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
+takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
+(``bench/README.md``). Eigenpairs, which only
+:func:`~angleset.configurations.construct_configuration` needs, come from
+LAPACK through :func:`eigenpairs`.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
@@ -28,6 +31,7 @@ __all__ = [
     "MAX_SWEEPS",
     "Spectrum",
     "eigen_symmetric",
+    "eigenpairs",
     "graph_index",
     "graph_spectrum",
     "min_eigenvalue",
@@ -54,11 +58,12 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
-    ``eigenvectors`` (when requested) holds the k-th eigenvector in column k;
-    within a degenerate eigenspace the basis is whatever the rotations
-    produce, so tests should only rely on subspace-level statements.
-    ``residual_bound`` is the final off-diagonal Frobenius norm, which bounds
-    every eigenvalue error and each residual ``|m v - lambda v|``.
+    ``eigenvectors`` is set only by :func:`eigenpairs` and holds the k-th
+    eigenvector in column k; within a degenerate eigenspace the basis is
+    whatever LAPACK produces, so tests should only rely on subspace-level
+    statements. ``residual_bound`` bounds every eigenvalue error: for
+    :func:`eigen_symmetric` it is the final off-diagonal Frobenius norm, for
+    :func:`eigenpairs` the a-posteriori residual ``||m V - V Lambda||_F``.
     """
 
     eigenvalues: np.ndarray
@@ -75,19 +80,24 @@ class Spectrum:
         return float(self.eigenvalues[-1])
 
 
-def eigen_symmetric(m, *, vectors: bool = False) -> Spectrum:
-    """Eigendecompose a dense symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps stop once the off-diagonal Frobenius norm is at most
-    ``DEFAULT_TOL * ||m||_F``. Raises :class:`ConvergenceError` if
-    ``MAX_SWEEPS`` sweeps run first and ``ValueError`` for non-symmetric input.
-    """
+def _symmetric(m) -> np.ndarray:
+    """``m`` as a float array; ``ValueError`` unless square and symmetric."""
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if not np.array_equal(mat, mat.T):
         raise ValueError("matrix is not symmetric")
+    return mat
 
+
+def eigen_symmetric(m) -> Spectrum:
+    """Eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps stop once the off-diagonal Frobenius norm is at most
+    ``DEFAULT_TOL * ||m||_F``. Raises :class:`ConvergenceError` if
+    ``MAX_SWEEPS`` sweeps run first and ``ValueError`` for non-symmetric input.
+    """
+    mat = _symmetric(m)
     n = mat.shape[0]
     a: list[list[float]] = mat.tolist()
     fro = math.sqrt(sum(x * x for row in a for x in row))
@@ -95,9 +105,6 @@ def eigen_symmetric(m, *, vectors: bool = False) -> Spectrum:
     # Entries at or below `skip` cannot push the off-norm above target even if
     # every off-diagonal slot held one, so rotating on them is wasted work.
     skip = target / (2.0 * n)
-    v: list[list[float]] | None = None
-    if vectors:
-        v = [[1.0 if i == k else 0.0 for k in range(n)] for i in range(n)]
 
     def off_norm() -> float:
         s2 = 0.0
@@ -147,33 +154,37 @@ def eigen_symmetric(m, *, vectors: bool = False) -> Spectrum:
                     ai[q] = yr
                     ap[i] = xr
                     aq[i] = yr
-                if v is not None:
-                    for vi in v:
-                        x = vi[p]
-                        y = vi[q]
-                        vi[p] = c * x - s * y
-                        vi[q] = s * x + c * y
         sweeps += 1
         off = off_norm()
 
-    diag = [a[i][i] for i in range(n)]
-    order = sorted(range(n), key=diag.__getitem__, reverse=True)
-    eigenvalues = np.array([diag[k] for k in order])
-    eigenvectors = None
-    if v is not None:
-        eigenvectors = np.array(v)[:, order]
-    return Spectrum(eigenvalues, residual_bound=off, eigenvectors=eigenvectors)
+    eigenvalues = np.array(sorted((a[i][i] for i in range(n)), reverse=True))
+    return Spectrum(eigenvalues, residual_bound=off)
 
 
-def graph_spectrum(g: Graph, *, vectors: bool = False) -> Spectrum:
+def eigenpairs(m) -> Spectrum:
+    """Eigenvalues and orthonormal eigenvectors of a dense symmetric matrix,
+    from LAPACK (``np.linalg.eigh``), eigenvalues descending and eigenvector
+    k in column k.
+
+    ``residual_bound`` is the a-posteriori residual ``||m V - V Lambda||_F``.
+    With V orthonormal, m = V Lambda V^T + R V^T for that residual R, so by
+    Weyl's inequality every eigenvalue is off by at most ``||R||_2 <=
+    ||R||_F`` (plus the departure of V from orthonormality, at rounding
+    level). Raises ``ValueError`` for non-symmetric input.
+    """
+    mat = _symmetric(m)
+    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    residual = float(np.linalg.norm(mat @ evecs - evecs * evals))
+    return Spectrum(evals, residual_bound=residual, eigenvectors=evecs)
+
+
+def graph_spectrum(g: Graph) -> Spectrum:
     """Adjacency spectrum of ``g``, eigenvalues sorted descending.
 
-    Without ``vectors`` the spectrum is memoised on ``g`` itself, like its
-    neighbour sets, and its eigenvalue array is read-only; it lives and dies
-    with the graph. ``vectors=True`` always solves afresh.
+    The spectrum is memoised on ``g`` itself, like its neighbour sets, and its
+    eigenvalue array is read-only; it lives and dies with the graph.
     """
-    if vectors:
-        return eigen_symmetric(adjacency_matrix(g), vectors=True)
     memo = g.__dict__
     spectrum = memo.get("_spectrum")
     if spectrum is None:

@@ -16,6 +16,7 @@ from angleset import (
     classify_index,
     construct_configuration,
     eigen_symmetric,
+    eigenpairs,
     existence,
     generate_named,
     graph_index,
@@ -29,6 +30,7 @@ from angleset import (
     tree_from_pruefer,
     trichotomy,
 )
+from angleset.admissible import gram_spectrum
 from corpus import cycle, pruefer_from_index, shuffled
 
 
@@ -197,10 +199,12 @@ class TestAdjacencySpectrumReuse:
         direct = eigen_symmetric(gram_matrix(g, weights)).eigenvalues
         assert first.min_eigenvalue == direct[-1]
 
-    def test_constant_tau_construct_solves_once(self, eig_calls):
+    def test_constant_tau_construct_solves_once(self, eig_calls, name_calls):
+        """``construct`` takes its one solve from LAPACK, not from Jacobi."""
         g = named("D", 6)
+        calls = name_calls("eigenpairs")
         config = construct_configuration(g, 0.2)
-        assert eig_calls == [6]
+        assert eig_calls == [] and calls["eigenpairs"] == 1
         assert config.ambient_dim == existence(g, 0.2).rank == 6
 
     def test_memoised_eigenvalues_are_read_only(self):
@@ -210,15 +214,6 @@ class TestAdjacencySpectrumReuse:
         with pytest.raises(ValueError):
             spectrum.eigenvalues[0] = 0.0
         assert graph_index(g) == spectrum.index
-
-    def test_vectors_are_solved_afresh(self, eig_calls):
-        g = named("D", 5)
-        plain = graph_spectrum(g)
-        full = graph_spectrum(g, vectors=True)
-        assert eig_calls == [5, 5]
-        assert full is not plain and full.eigenvectors is not None
-        assert full.eigenvectors.flags.writeable
-        assert np.allclose(full.eigenvalues, plain.eigenvalues, atol=1e-12)
 
 
 def _psd_endpoint(g):
@@ -270,6 +265,41 @@ def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
                 assert (per_edge.exists, per_edge.rank) == (verdict.exists, verdict.rank)
     assert worst <= 1e-12
     assert seen == {True, False}
+
+
+# tau = endpoint * (1 - delta): at delta = 2e-9 the least Gram eigenvalue is
+# PSD_TOL itself, at 4e-9 it is 2 * PSD_TOL.
+ENDPOINT_SHRINKS = (0.0, 1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 4e-9)
+
+
+@pytest.mark.parametrize(
+    "family,sizes", [("A", range(8, 97)), ("D", range(8, 97)), ("E", (6, 7, 8))],
+    ids=["A", "D", "E"],
+)
+def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
+    """Just below a tree's endpoint, where the least eigenvalue is at most a
+    few ``PSD_TOL``, ``construct`` succeeds exactly when ``existence`` does,
+    in ``rank`` dimensions. ``existence`` reads Jacobi eigenvalues and
+    ``construct`` LAPACK ones, so an eigenvalue within the two solvers' summed
+    error bounds of ``PSD_TOL`` may fall on either side of the rank cut; the
+    dimension may then differ from the rank by the number of such
+    eigenvalues, and by nothing else."""
+    for n in sizes:
+        g = generate_named(parse_named_spec(f"{family}{n}"))
+        end = sigma_tree(g).upper
+        for delta in ENDPOINT_SHRINKS:
+            for tau in (end * (1 - delta), round(end * (1 - delta), 10)):
+                verdict = existence(g, tau)
+                if not verdict.exists:
+                    with pytest.raises(ValueError, match="no configuration exists"):
+                        construct_configuration(g, tau)
+                    continue
+                dim = construct_configuration(g, tau).ambient_dim
+                jacobi = gram_spectrum(g, tau)
+                lapack = eigenpairs(gram_matrix(g, tau))
+                band = jacobi.residual_bound + lapack.residual_bound
+                unsure = int(np.sum(np.abs(jacobi.eigenvalues - PSD_TOL) <= band))
+                assert abs(dim - verdict.rank) <= unsure, (family, n, tau)
 
 
 class TestSigmaInterval:

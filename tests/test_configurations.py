@@ -96,11 +96,11 @@ class TestConstruct:
         assert calls["gram_matrix"] == 1
 
     @pytest.mark.parametrize(
-        "tau,built", [(0.6, 0), ({(1, 2): 0.6, (2, 3): 0.6}, 1)], ids=["constant", "per-edge"]
+        "tau,built", [(0.6, 1), ({(1, 2): 0.6, (2, 3): 0.6}, 1)], ids=["constant", "per-edge"]
     )
     def test_no_assembly_past_what_the_verdict_needs(self, name_calls, tau, built):
-        """A constant tau reads its verdict off the adjacency spectrum and
-        builds no matrix when none exists; a per-edge one solves its own."""
+        """Every tau reaches its verdict from the eigenpairs of the one Gram
+        matrix it assembles, also when no configuration exists."""
         calls = name_calls("gram_matrix")
         with pytest.raises(ValueError, match="no configuration exists"):
             construct_configuration(named("A", 3), tau)
@@ -209,6 +209,15 @@ class TestDocumentRoundTrip:
         c2, g2, w2 = load_configuration(doc)
         assert w2.per_edge == {(1, 2): 0.4, (2, 3): 0.35}
         assert verify_configuration(c2, g2, w2).passed
+
+    def test_vectors_export_as_per_float_lists(self):
+        """``tolist`` writes the same JSON as converting one float at a time."""
+        g = named("E8")
+        c = construct_configuration(g, 0.2)
+        doc = configuration_document(c, g, 0.2, verify_configuration(c, g, 0.2))
+        assert type(doc["vectors"][0][0]) is float
+        by_float = dict(doc, vectors=[[float(x) for x in row] for row in c.vectors])
+        assert json.dumps(doc, indent=2) == json.dumps(by_float, indent=2)
 
     def test_isolated_vertices_survive(self):
         g = Graph.from_edges([(1, 2)], n=4)

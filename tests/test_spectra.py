@@ -10,6 +10,7 @@ from angleset import (
     Graph,
     adjacency_matrix,
     eigen_symmetric,
+    eigenpairs,
     generate_named,
     graph_index,
     graph_spectrum,
@@ -126,20 +127,42 @@ class TestEigenvectors:
     @pytest.mark.parametrize("tag", ["P4", "C4", "E6", "E~6", "K1,4"])
     def test_diagonalization_residual(self, tag):
         m = adjacency_matrix(graph_for(tag)).astype(float)
-        s = eigen_symmetric(m, vectors=True)
+        s = eigenpairs(m)
         v = s.eigenvectors
         assert np.max(np.abs(m @ v - v * s.eigenvalues)) < 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(m.shape[0]))) < 1e-12
-
-    def test_vectors_absent_by_default(self):
-        assert graph_spectrum(graph_for("P4")).eigenvectors is None
-        assert graph_spectrum(graph_for("P4"), vectors=True).eigenvectors is not None
+        assert s.residual_bound == np.linalg.norm(m @ v - v * s.eigenvalues)
+        assert s.residual_bound < 1e-13
 
     def test_input_matrix_not_mutated(self):
         m = adjacency_matrix(graph_for("C4")).astype(float)
         before = m.copy()
-        eigen_symmetric(m, vectors=True)
+        eigen_symmetric(m)
+        eigenpairs(m)
         assert np.array_equal(m, before)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenpairs(np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+
+    def test_eigenvalues_only_from_jacobi(self):
+        m = adjacency_matrix(graph_for("P4")).astype(float)
+        assert eigen_symmetric(m).eigenvectors is None
+        assert graph_spectrum(graph_for("P4")).eigenvectors is None
+
+    @pytest.mark.parametrize(
+        "corpus_fixture", ["boundary_trees", "cycle_corpus", "random_connected_corpus"]
+    )
+    def test_lapack_agrees_with_jacobi(self, request, corpus_fixture):
+        graphs = request.getfixturevalue(corpus_fixture)
+        if corpus_fixture == "boundary_trees":
+            graphs = [g for g, _, _ in graphs]
+        worst = max(
+            np.max(np.abs(eigenpairs(adjacency_matrix(g)).eigenvalues
+                          - graph_spectrum(g).eigenvalues))
+            for g in graphs
+        )
+        assert worst <= 1e-12
 
 
 class TestResidualBound:
@@ -175,10 +198,12 @@ def test_trace_identities(m):
 
 @given(symmetric_int_matrices(max_n=5))
 @settings(max_examples=40, deadline=None)
-def test_rotations_preserve_diagonalization(m):
-    s = eigen_symmetric(m, vectors=True)
+def test_eigenpairs_reconstruct_the_matrix(m):
+    s = eigenpairs(m)
     v = s.eigenvectors
+    assert np.all(np.diff(s.eigenvalues) <= 0)
     assert np.max(np.abs(v @ np.diag(s.eigenvalues) @ v.T - m)) < 1e-9
+    assert np.max(np.abs(v.T @ v - np.eye(m.shape[0]))) < 1e-12
 
 
 def test_bipartite_spectrum_is_symmetric(random_connected_corpus):
