@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -57,6 +57,20 @@ def _check_tau_value(tau: float, where: str = "") -> float:
     return tau
 
 
+def _edge_weights(
+    items: Iterable[tuple[tuple[int, int], float]],
+) -> dict[tuple[int, int], float]:
+    """Canonical ``(i, j)``-keyed weights, ``i < j``, from ``((i, j), tau)``
+    pairs. An edge named twice, in either order, is an error."""
+    fixed: dict[tuple[int, int], float] = {}
+    for (i, j), value in items:
+        e = (i, j) if i < j else (j, i)
+        if e in fixed:
+            raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
+        fixed[e] = _check_tau_value(value, f"on edge {e[0]}-{e[1]}")
+    return fixed
+
+
 @dataclass(frozen=True)
 class TauWeighting:
     """Assignment of an angle parameter in (0, 1] to every edge.
@@ -74,13 +88,7 @@ class TauWeighting:
         if self.constant is not None:
             _check_tau_value(self.constant)
         else:
-            fixed: dict[tuple[int, int], float] = {}
-            for (i, j), value in self.per_edge.items():
-                e = (i, j) if i < j else (j, i)
-                if e in fixed:
-                    raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
-                fixed[e] = _check_tau_value(value, f"on edge {e[0]}-{e[1]}")
-            object.__setattr__(self, "per_edge", fixed)
+            object.__setattr__(self, "per_edge", _edge_weights(self.per_edge.items()))
 
     @classmethod
     def of(cls, value: "TauLike") -> "TauWeighting":
@@ -147,9 +155,9 @@ def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
 class ExistenceVerdict:
     """Outcome of the semidefiniteness test.
 
-    ``exists`` means the Gram matrix is PSD within ``psd_tol``, i.e. the
-    configuration is realizable by unit vectors (for trees this is exact
-    existence). ``rank`` counts eigenvalues above the tolerance: the ambient
+    ``exists`` means the least Gram eigenvalue is at least ``-PSD_TOL``, i.e.
+    the configuration is realizable by unit vectors (for trees this is exact
+    existence). ``rank`` counts eigenvalues above ``PSD_TOL``: the ambient
     dimension of the minimal realization.
     """
 
@@ -158,22 +166,21 @@ class ExistenceVerdict:
     rank: int
 
     @classmethod
-    def from_eigenvalues(cls, evals: np.ndarray, psd_tol: float) -> "ExistenceVerdict":
+    def from_eigenvalues(cls, evals: np.ndarray) -> "ExistenceVerdict":
         """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
         lam_min = float(evals[-1])
-        return cls(lam_min >= -psd_tol, lam_min, int((evals > psd_tol).sum()))
+        return cls(lam_min >= -PSD_TOL, lam_min, int((evals > PSD_TOL).sum()))
 
 
-def existence(g: Graph, tau: TauLike, psd_tol: float = PSD_TOL) -> ExistenceVerdict:
-    """Semidefiniteness verdict for the Gram matrix of ``(g, tau)``.
+def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
+    """Semidefiniteness verdict for the Gram matrix of ``(g, tau)`` at the
+    fixed ``PSD_TOL``, the cut :func:`construct_configuration` uses too.
 
     For trees this decides whether a configuration with the prescribed angles
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
     """
-    if not 0.0 <= psd_tol < math.inf:
-        raise ValueError(f"psd_tol must be finite and non-negative, got {psd_tol}")
-    return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues, psd_tol)
+    return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues)
 
 
 @dataclass(frozen=True)

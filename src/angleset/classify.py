@@ -11,7 +11,6 @@ numeric route cross-checks it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .graphs import E_ARMS, Graph, component_vertex_sets, induced_subgraph
@@ -47,7 +46,7 @@ class IndexKind(enum.Enum):
 
 @dataclass(frozen=True)
 class IndexClass:
-    """Numeric trichotomy of the index against 2, within ``tol``."""
+    """Numeric trichotomy of the index against 2, within ``INDEX_TOL``."""
 
     kind: IndexKind
     index: float
@@ -180,14 +179,13 @@ def classify_structure(g: Graph) -> GraphClass:
     return GraphClass(tuple(labeled))
 
 
-def classify_index(g: Graph, tol: float = INDEX_TOL) -> IndexClass:
-    """Numeric trichotomy: compare the computed index against 2 within ``tol``."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+def classify_index(g: Graph) -> IndexClass:
+    """Numeric trichotomy: the computed index counts as critical within
+    ``INDEX_TOL`` of 2, and as sub- or supercritical beyond it."""
     r = graph_index(g)
-    if r > 2.0 + tol:
+    if r > 2.0 + INDEX_TOL:
         kind = IndexKind.SUPERCRITICAL
-    elif r < 2.0 - tol:
+    elif r < 2.0 - INDEX_TOL:
         kind = IndexKind.SUBCRITICAL
     else:
         kind = IndexKind.CRITICAL

@@ -14,6 +14,11 @@ exit 2 with argparse's usage and ``angleset <cmd>: error: ...``, or
 rejected before any matrix is allocated, and sweeps of more than ``MAX_STEPS``
 values before any value is listed.
 
+No subcommand takes a tolerance. ``exists`` and ``sweep`` judge
+semidefiniteness and rank at ``PSD_TOL``, ``classify`` the index class at
+``INDEX_TOL``, and ``construct`` and ``verify`` the residuals at ``VERIFY_TOL``,
+so no call can move a cut away from the one the other subcommands use.
+
 :func:`main` may be called repeatedly in one process. Its parser is built on
 the first call and reused; :func:`build_parser` returns a fresh one each time.
 """
@@ -26,10 +31,9 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import PSD_TOL, _quarter_position, existence, sigma_cycle, sigma_tree
-from .classify import INDEX_TOL, classify_index, classify_structure
+from .admissible import _quarter_position, existence, sigma_cycle, sigma_tree
+from .classify import classify_index, classify_structure
 from .configurations import (
-    VERIFY_TOL,
     configuration_document,
     construct_configuration,
     load_configuration,
@@ -131,7 +135,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    verdict = existence(g, args.tau, psd_tol=args.tol)
+    verdict = existence(g, args.tau)
     payload = {
         "exists": verdict.exists,
         "min_eigenvalue": verdict.min_eigenvalue,
@@ -149,7 +153,7 @@ def cmd_exists(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     shapes = classify_structure(g)
-    numeric = classify_index(g, tol=args.tol)
+    numeric = classify_index(g)
     payload = {
         "components": [
             {"label": c.label, "vertices": list(c.vertices)} for c in shapes.components
@@ -167,7 +171,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     config = construct_configuration(g, args.tau)
-    report = verify_configuration(config, g, args.tau, verify_tol=args.tol)
+    report = verify_configuration(config, g, args.tau)
     doc = configuration_document(config, g, args.tau, report)
     text = json.dumps(doc, indent=2)
     if args.out is not None:
@@ -183,7 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc = json.loads(Path(getattr(args, "in")).read_text())
     config, g, w = load_configuration(doc)
     _check_size(g.n)
-    report = verify_configuration(config, g, w, verify_tol=args.tol)
+    report = verify_configuration(config, g, w)
     payload = report.as_dict()
     lines = [
         f"idempotency: {_fmt(report.idempotency)}",
@@ -211,7 +215,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for tau in taus:
-        verdict = existence(g, tau, psd_tol=args.tol)
+        verdict = existence(g, tau)
         rows.append((tau, verdict.min_eigenvalue, verdict.exists, verdict.rank))
     if args.format == "json":
         print(json.dumps({
@@ -236,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help_text: str, *, tau: bool = False,
-            tol_default: float | None = None, graph_source: bool = True,
-            formats: tuple[str, ...] = ("text", "json")):
+            graph_source: bool = True, formats: tuple[str, ...] = ("text", "json")):
         p = sub.add_parser(name, help=help_text)
         if graph_source:
             p.add_argument("--graph", help="named family spec, e.g. A5, D~4, E~8, C6, K1,4")
@@ -245,28 +248,22 @@ def build_parser() -> argparse.ArgumentParser:
         if tau:
             p.add_argument("--tau", type=float, required=True,
                            help="angle parameter in (0, 1]")
-        if tol_default is not None:
-            p.add_argument("--tol", type=float, default=tol_default,
-                           help=f"tolerance (default {tol_default:g})")
         p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=func)
         return p
 
     add("spectrum", cmd_spectrum, "adjacency eigenvalues, index and minimum")
     add("sigma", cmd_sigma, "admissible parameter interval of a tree or cycle")
-    add("exists", cmd_exists, "semidefiniteness verdict for a given tau",
-        tau=True, tol_default=PSD_TOL)
-    add("classify", cmd_classify, "shape labels and index trichotomy",
-        tol_default=INDEX_TOL)
+    add("exists", cmd_exists, "semidefiniteness verdict for a given tau", tau=True)
+    add("classify", cmd_classify, "shape labels and index trichotomy")
     p_construct = add("construct", cmd_construct,
-                      "build a configuration and export it as JSON",
-                      tau=True, tol_default=VERIFY_TOL)
+                      "build a configuration and export it as JSON", tau=True)
     p_construct.add_argument("--out", help="output path (default: stdout)")
     p_verify = add("verify", cmd_verify, "re-check an exported configuration",
-                   tol_default=VERIFY_TOL, graph_source=False)
+                   graph_source=False)
     p_verify.add_argument("--in", required=True, help="path to a configuration JSON")
     p_sweep = add("sweep", cmd_sweep, "tabulate existence over a tau range (CSV)",
-                  tol_default=PSD_TOL, formats=("csv", "text", "json"))
+                  formats=("csv", "text", "json"))
     p_sweep.add_argument("--tau-min", type=float, default=0.01, dest="tau_min")
     p_sweep.add_argument("--tau-max", type=float, default=1.0, dest="tau_max")
     p_sweep.add_argument("--steps", type=int, default=100)

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admissible import PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, gram_matrix
+from .admissible import (
+    PSD_TOL,
+    ExistenceVerdict,
+    TauLike,
+    TauWeighting,
+    _check_tau_value,
+    _edge_weights,
+    gram_matrix,
+)
 from .graphs import Graph
 from .spectra import eigenpairs
 
@@ -37,10 +45,7 @@ VERIFY_TOL = 1e-8
 
 def angle_of(tau: float) -> float:
     """Angle in [0, pi/2) with cos^2 equal to ``tau`` in (0, 1]."""
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
-    return math.acos(math.sqrt(tau))
+    return math.acos(math.sqrt(_check_tau_value(tau)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +92,7 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     a = gram_matrix(g, tau)
     spectrum = eigenpairs(a)
     evals = spectrum.eigenvalues
-    verdict = ExistenceVerdict.from_eigenvalues(evals, PSD_TOL)
+    verdict = ExistenceVerdict.from_eigenvalues(evals)
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
@@ -112,14 +117,14 @@ class VerificationReport:
     ``idempotency`` covers P_i^2 = P_i for each vertex; ``braid`` covers
     P_i P_j P_i = tau_ij P_i over both orderings of every edge;
     ``orthogonality`` covers P_i P_j = 0 over non-adjacent pairs; and ``gram``
-    is the deviation of the vectors' Gram matrix from the target.
+    is the deviation of the vectors' Gram matrix from the target. The
+    report passes when the worst of them is at most ``VERIFY_TOL``.
     """
 
     idempotency: float
     braid: float
     orthogonality: float
     gram: float
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -127,7 +132,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= VERIFY_TOL
 
     def as_dict(self) -> dict:
         return {
@@ -135,7 +140,7 @@ class VerificationReport:
             "braid": self.braid,
             "orthogonality": self.orthogonality,
             "gram": self.gram,
-            "tol": self.tol,
+            "tol": VERIFY_TOL,
             "passed": self.passed,
         }
 
@@ -144,7 +149,6 @@ def verify_configuration(
     config: SubspaceConfiguration,
     g: Graph,
     tau: TauLike,
-    verify_tol: float = VERIFY_TOL,
 ) -> VerificationReport:
     """Recompute every relation of the configuration against ``(g, tau)``.
 
@@ -155,11 +159,9 @@ def verify_configuration(
     - P_i P_j P_i - tau_ij P_i = (g_ij^2 - tau_ij) P_i
     - ||P_i P_j|| = ||P_j P_i|| = |g_ij| sqrt(g_ii g_jj)
 
-    so the one product G gives the whole report. ``verify_tol`` must be
-    finite and non-negative.
+    so the one product G gives the whole report, judged against the fixed
+    ``VERIFY_TOL``.
     """
-    if not 0.0 <= verify_tol < math.inf:
-        raise ValueError(f"verify_tol must be finite and non-negative, got {verify_tol}")
     if config.size != g.n:
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
@@ -178,9 +180,7 @@ def verify_configuration(
     braid = np.max(np.abs(gram[i, j] ** 2 - t) * np.maximum(sq[i], sq[j]), initial=0.0)
     orth = np.max((np.abs(gram) * np.sqrt(np.outer(sq, sq)))[apart], initial=0.0)
     gram_dev = np.linalg.norm(gram - target)
-    return VerificationReport(
-        float(idem), float(braid), float(orth), float(gram_dev), verify_tol
-    )
+    return VerificationReport(float(idem), float(braid), float(orth), float(gram_dev))
 
 
 def _tau_to_json(w: TauWeighting):
@@ -200,7 +200,7 @@ def _tau_from_json(data) -> TauWeighting:
     if type(data) in (int, float):
         return TauWeighting(constant=float(data))
     if type(data) is list and all(_labeled(t, 3) and type(t[2]) in (int, float) for t in data):
-        return TauWeighting(per_edge={(i, j): float(v) for i, j, v in data})
+        return TauWeighting(per_edge=_edge_weights(((i, j), v) for i, j, v in data))
     raise ValueError(f"cannot read tau from {data!r}: need a number or [i, j, tau] triples")
 
 

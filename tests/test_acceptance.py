@@ -224,7 +224,7 @@ def test_criterion_08_construction_round_trip(boundary_trees):
         at_boundary = k % 5 == 0
         tau = upper if at_boundary else rng.uniform(0.05, 0.999) * upper
         config = construct_configuration(g, tau)
-        report = verify_configuration(config, g, tau, verify_tol=1e-8)
+        report = verify_configuration(config, g, tau)
         verdict = existence(g, tau)
         if not report.passed:
             failures.append(f"{sorted(g.edges)} at tau={tau}: residual {report.max_residual:.2e}")

@@ -165,16 +165,6 @@ class TestNumericRoute:
         assert got.kind is IndexKind.SUPERCRITICAL
         assert got.index == pytest.approx(3.0, abs=1e-12)
 
-    def test_wide_tolerance_reclassifies(self):
-        g = generate_named(NamedFamily("A", 3))  # index sqrt(2)
-        assert classify_index(g).kind is IndexKind.SUBCRITICAL
-        assert classify_index(g, tol=1.0).kind is IndexKind.CRITICAL
-
-    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
-    def test_negative_tolerance_rejected(self, bad):
-        with pytest.raises(ValueError, match="tol"):
-            classify_index(Graph(1, frozenset()), tol=bad)
-
 
 class TestRouteAgreement:
     def test_on_generated_families(self):

@@ -10,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import angleset.cli
-from angleset import PSD_TOL
-from angleset.classify import INDEX_TOL
 from angleset.cli import MAX_STEPS, MAX_VERTICES, SWEEP_HEADER, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,18 +174,6 @@ class TestExists:
         assert code == 1
         assert "error:" in err and "(0, 1]" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["exists", "--graph", "A3", "--tau", "0.1", "--tol", "nan"],
-            ["classify", "--graph", "K1,5", "--tol", "inf"],
-        ],
-    )
-    def test_non_finite_tolerance(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "finite" in err
-
     def test_tau_flag_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exists", "--graph", "A3"])
@@ -316,6 +302,14 @@ class TestConstructAndVerify:
         assert err.startswith("error:") and "Traceback" not in err
         assert "ambient_dim must be an integer" in err or "must be a JSON object" in err
 
+    @pytest.mark.parametrize("second", [[1, 2, 0.7], [2, 1, 0.7]], ids=["same", "reversed"])
+    def test_verify_rejects_an_edge_weighted_twice(self, capsys, tmp_path, second):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"ambient_dim": 1, "vectors": [[1.0], [1.0]],
+                                    "tau": [[1, 2, 0.5], second], "graph": [[1, 2]]}))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out, err) == (1, "", "error: edge 1-2 weighted twice\n")
+
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "nope.json"))
         assert code == 1 and err.startswith("error:")
@@ -417,16 +411,25 @@ class TestGraphSourceHandling:
 
 
 @pytest.mark.parametrize(
-    "argv,constant",
+    "argv",
     [
-        (["exists", "--graph", "A3", "--tau", "0.2"], PSD_TOL),
-        (["sweep", "--graph", "A3"], PSD_TOL),
-        (["classify", "--graph", "A3"], INDEX_TOL),
+        ["exists", "--graph", "A3", "--tau", "0.2"],
+        ["classify", "--graph", "A3"],
+        ["construct", "--graph", "A3", "--tau", "0.2"],
+        ["verify", "--in", "config.json"],
+        ["sweep", "--graph", "A3"],
     ],
+    ids=lambda argv: argv[0],
 )
-def test_tolerance_defaults_are_the_module_constants(argv, constant):
-    # Identity, not equality: an equal literal in the parser would pass ==.
-    assert build_parser().parse_args(argv).tol is constant
+def test_no_subcommand_takes_a_tolerance(capsys, argv):
+    """The cuts are the module constants: ``--tol`` is an unknown option,
+    and no help text offers one."""
+    code, out, err = run(capsys, *argv, "--tol", "1e-9")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --tol 1e-9" in err
+    for help_argv in (["--help"], [argv[0], "--help"]):
+        code, out, _ = run(capsys, *help_argv)
+        assert code == 0 and "--tol" not in out
 
 
 class TestParserReuse:
@@ -451,7 +454,7 @@ class TestParserReuse:
             (["construct", "--graph", "E7", "--tau", "0.2", "--out", config], 0),
             (["verify", "--in", config, "--format", "json"], 0),
             (["sweep", "--graph", "A4", "--steps", "5"], 0),
-            (["exists", "--graph", "A3", "--tau", "0.2", "--tol", "nan"], 1),
+            (["exists", "--graph", "A3", "--tau", "0.2", "--tol", "nan"], 2),
         ]
 
     def test_reused_parser_matches_a_fresh_one(self, capsys, tmp_path, monkeypatch):

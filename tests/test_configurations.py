@@ -21,6 +21,7 @@ from angleset import (
     tree_from_pruefer,
     verify_configuration,
 )
+from angleset.configurations import VERIFY_TOL
 from corpus import CORPUS_SEED, pruefer_from_index
 
 
@@ -175,16 +176,16 @@ class TestVerify:
             verify_configuration(c, named("A", 4), 0.3)
 
     def test_custom_tolerance_feeds_passed(self):
+        """``passed`` compares the worst residual against ``VERIFY_TOL``:
+        stretching a correct configuration by 1 + 1e-6 moves its residuals
+        to about 2e-6, past the cut."""
         g = named("A", 3)
         c = construct_configuration(g, 0.3)
-        assert not verify_configuration(c, g, 0.3, verify_tol=1e-18).passed
-
-    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
-    def test_bad_tolerance_rejected(self, bad):
-        g = named("A", 3)
-        c = construct_configuration(g, 0.3)
-        with pytest.raises(ValueError, match="verify_tol"):
-            verify_configuration(c, g, 0.3, verify_tol=bad)
+        exact = verify_configuration(c, g, 0.3)
+        assert exact.passed and exact.max_residual <= VERIFY_TOL
+        stretched = SubspaceConfiguration.from_vectors(c.vectors * (1 + 1e-6))
+        report = verify_configuration(stretched, g, 0.3)
+        assert not report.passed and report.max_residual > VERIFY_TOL
 
 
 class TestDocumentRoundTrip:
@@ -199,6 +200,14 @@ class TestDocumentRoundTrip:
         assert w2.constant == 0.2
         assert np.allclose(c2.vectors, c.vectors, atol=0)
         assert verify_configuration(c2, g2, w2).passed
+
+    @pytest.mark.parametrize(
+        "tau", [[[1, 2, 0.5], [1, 2, 0.7]], [[1, 2, 0.5], [2, 1, 0.7]]], ids=["same", "reversed"]
+    )
+    def test_edge_weighted_twice(self, tau):
+        doc = {"ambient_dim": 1, "vectors": [[1.0], [1.0]], "tau": tau, "graph": [[1, 2]]}
+        with pytest.raises(ValueError, match="^edge 1-2 weighted twice$"):
+            load_configuration(doc)
 
     def test_per_edge_tau(self):
         g = named("A", 3)
@@ -357,7 +366,7 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
         want = pairwise_residuals(v, g, tau)
         for field, value in want.items():
             assert abs(getattr(report, field) - value) <= 1e-12, (kind, field, sorted(g.edges))
-        assert report.passed == (max(want.values()) <= report.tol)
+        assert report.passed == (max(want.values()) <= VERIFY_TOL)
         assert report.passed == (kind == "clean"), (kind, report.as_dict())
         reports += 1
     assert reports == 5 * len(random_connected_corpus)
