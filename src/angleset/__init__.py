@@ -21,6 +21,7 @@ from .admissible import (
     trichotomy,
 )
 from .classify import (
+    INDEX_TOL,
     ComponentClass,
     GraphClass,
     IndexClass,
@@ -29,6 +30,7 @@ from .classify import (
     classify_structure,
 )
 from .configurations import (
+    VERIFY_TOL,
     SubspaceConfiguration,
     VerificationReport,
     angle_of,
@@ -72,6 +74,7 @@ __all__ = [
     "Graph",
     "GraphClass",
     "GraphError",
+    "INDEX_TOL",
     "IndexClass",
     "IndexKind",
     "NamedFamily",
@@ -81,6 +84,7 @@ __all__ = [
     "Spectrum",
     "SubspaceConfiguration",
     "TauWeighting",
+    "VERIFY_TOL",
     "VerificationReport",
     "adjacency_matrix",
     "angle_of",

@@ -2,8 +2,9 @@
 
 Subcommands: spectrum, sigma, exists, classify, construct, verify, sweep.
 Graphs come either from a named-family spec (``--graph D~4``) or an edge-list
-file (``--file``); numeric output is printed to 10 significant digits; every
-subcommand supports ``--format json``, and ``sweep`` prints CSV by default.
+file (``--file``). Each subcommand computes one payload that :func:`_emit`
+prints, as JSON with ``--format json`` and otherwise as ``key: value`` lines,
+or for ``sweep`` as CSV rows. ``construct`` always prints JSON.
 ``sigma`` covers a tree with at least one edge or a single cycle, and adds the
 closed form of a recognized shape. Exit code 0 means the computation ran; a
 negative answer (no configuration exists, verification failed) is still 0.
@@ -42,7 +43,8 @@ from .configurations import (
 from .graphs import Graph, GraphError, generate_named, parse_edge_list, parse_named_spec
 from .spectra import graph_spectrum
 
-SWEEP_HEADER = "tau,min_eigenvalue,exists,rank"
+SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 # ``sweep`` lists its tau values before it computes any row.
 MAX_STEPS = 100_000
@@ -51,12 +53,14 @@ MAX_STEPS = 100_000
 MAX_VERTICES = 2000
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+def _fmt(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.10g}"
+    if isinstance(x, list):
+        return ", ".join(_fmt(v) for v in x)
+    return str(x)
 
 
 def _check_size(n: int) -> None:
@@ -76,30 +80,35 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return g
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, shown: tuple[str, ...] = (),
+          **text_values) -> None:
+    """Print ``payload`` in ``args.format``: ``json`` as one document; ``csv``
+    as a header of ``payload["rows"]``'s keys and one line per row; ``text`` as
+    one line per key of ``shown`` (default: every key) that is present, with
+    ``text_values`` in place of payload values. Text and CSV show floats to 10
+    significant digits, booleans as ``true``/``false`` and lists joined by ", "."""
     if args.format == "json":
         print(json.dumps(payload))
+        return
+    if args.format == "csv":
+        rows = payload["rows"]
+        lines = [",".join(rows[0])] + [",".join(map(_fmt, row.values())) for row in rows]
     else:
-        for line in text_lines:
-            print(line)
+        text = {**payload, **text_values}
+        lines = [f"{key}: {_fmt(text[key])}" for key in shown or text if key in text]
+    print("\n".join(lines))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     spec = graph_spectrum(g)
-    evals = [float(x) for x in spec.eigenvalues]
     payload = {
-        "eigenvalues": evals,
+        "eigenvalues": [float(x) for x in spec.eigenvalues],
         "index": spec.index,
         "min_eigenvalue": spec.min_eigenvalue,
         "residual_bound": spec.residual_bound,
     }
-    lines = [
-        "eigenvalues: " + ", ".join(_fmt(x) for x in evals),
-        f"index: {_fmt(spec.index)}",
-        f"min_eigenvalue: {_fmt(spec.min_eigenvalue)}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, payload, ("eigenvalues", "index", "min_eigenvalue"))
     return 0
 
 
@@ -126,27 +135,15 @@ def cmd_sigma(args: argparse.Namespace) -> int:
         payload["trichotomy"] = _quarter_position(g, shapes).value
     if shape.closed_form is not None:
         payload["closed_form"] = shape.closed_form
-    text = {**payload, "sigma_upper": _fmt(interval.upper)}
-    order = ("sigma_upper", "closed_form", "interval", "trichotomy")
-    lines = [f"{key}: {text[key]}" for key in order if key in text]
-    _emit(args, payload, lines)
+    _emit(args, payload, ("sigma_upper", "closed_form", "interval", "trichotomy"))
     return 0
 
 
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     verdict = existence(g, args.tau)
-    payload = {
-        "exists": verdict.exists,
-        "min_eigenvalue": verdict.min_eigenvalue,
-        "rank": verdict.rank,
-    }
-    lines = [
-        f"exists: {_bool(verdict.exists)}",
-        f"min_eigenvalue: {_fmt(verdict.min_eigenvalue)}",
-        f"rank: {verdict.rank}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, {"exists": verdict.exists, "min_eigenvalue": verdict.min_eigenvalue,
+                 "rank": verdict.rank})
     return 0
 
 
@@ -161,10 +158,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "index": numeric.index,
         "index_class": numeric.kind.value,
     }
-    lines = ["components: " + ", ".join(c.label for c in shapes.components)]
-    lines.append(f"index: {_fmt(numeric.index)}")
-    lines.append(f"index_class: {numeric.kind.value}")
-    _emit(args, payload, lines)
+    _emit(args, payload, components=[c.label for c in shapes.components])
     return 0
 
 
@@ -188,15 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config, g, w = load_configuration(doc)
     _check_size(g.n)
     report = verify_configuration(config, g, w)
-    payload = report.as_dict()
-    lines = [
-        f"idempotency: {_fmt(report.idempotency)}",
-        f"braid: {_fmt(report.braid)}",
-        f"orthogonality: {_fmt(report.orthogonality)}",
-        f"gram: {_fmt(report.gram)}",
-        f"passed: {_bool(report.passed)}",
-    ]
-    _emit(args, payload, lines)
+    _emit(args, report.as_dict(), ("idempotency", "braid", "orthogonality", "gram", "passed"))
     return 0
 
 
@@ -215,19 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     rows = []
     for tau in taus:
-        verdict = existence(g, tau)
-        rows.append((tau, verdict.min_eigenvalue, verdict.exists, verdict.rank))
-    if args.format == "json":
-        print(json.dumps({
-            "rows": [
-                {"tau": t, "min_eigenvalue": m, "exists": e, "rank": r}
-                for t, m, e, r in rows
-            ]
-        }))
-    else:
-        print(SWEEP_HEADER)
-        for t, m, e, r in rows:
-            print(f"{_fmt(t)},{_fmt(m)},{_bool(e)},{r}")
+        v = existence(g, tau)
+        rows.append(dict(zip(SWEEP_COLUMNS, (tau, v.min_eigenvalue, v.exists, v.rank))))
+    _emit(args, {"rows": rows})
     return 0
 
 
@@ -257,13 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("exists", cmd_exists, "semidefiniteness verdict for a given tau", tau=True)
     add("classify", cmd_classify, "shape labels and index trichotomy")
     p_construct = add("construct", cmd_construct,
-                      "build a configuration and export it as JSON", tau=True)
+                      "build a configuration and export it as JSON", tau=True,
+                      formats=("json",))
     p_construct.add_argument("--out", help="output path (default: stdout)")
     p_verify = add("verify", cmd_verify, "re-check an exported configuration",
                    graph_source=False)
     p_verify.add_argument("--in", required=True, help="path to a configuration JSON")
     p_sweep = add("sweep", cmd_sweep, "tabulate existence over a tau range (CSV)",
-                  formats=("csv", "text", "json"))
+                  formats=("csv", "json"))
     p_sweep.add_argument("--tau-min", type=float, default=0.01, dest="tau_min")
     p_sweep.add_argument("--tau-max", type=float, default=1.0, dest="tau_max")
     p_sweep.add_argument("--steps", type=int, default=100)

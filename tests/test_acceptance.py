@@ -10,8 +10,6 @@ import math
 import random
 import time
 
-import pytest
-
 from angleset import (
     IndexKind,
     adjacency_matrix,
@@ -21,8 +19,6 @@ from angleset import (
     existence,
     generate_named,
     graph_spectrum,
-    gram_matrix,
-    min_eigenvalue,
     parse_named_spec,
     sigma_cycle,
     sigma_tree,

@@ -533,3 +533,74 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "index_class: subcritical" in proc.stdout
+
+
+def rendered(value) -> str:
+    """A JSON value as the text and CSV formats show it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.10g}"
+    if isinstance(value, list):
+        return ", ".join(rendered(v) for v in value)
+    if isinstance(value, dict):  # a ``classify`` component shows its label
+        return value["label"]
+    return str(value)
+
+
+class TestOneRenderer:
+    """Text, JSON and CSV are renderings of one payload per call."""
+
+    @staticmethod
+    def argv(tmp_path, command, source):
+        tree = tmp_path / "tree.txt"
+        tree.write_text("1 2\n2 3\n3 4\n3 5\n5 6\n5 7\n")
+        graph = ["--graph", "E6"] if source == "graph" else ["--file", str(tree)]
+        if command == "exists":
+            return ["exists", *graph, "--tau", "0.2"]
+        if command == "verify":
+            config = tmp_path / "config.json"
+            assert main(["construct", *graph, "--tau", "0.2", "--out", str(config)]) == 0
+            return ["verify", "--in", str(config)]
+        return [command, *graph]
+
+    @pytest.mark.parametrize("source", ["graph", "file"])
+    @pytest.mark.parametrize("command", ["spectrum", "sigma", "exists", "classify", "verify"])
+    def test_each_text_line_renders_its_json_value(self, capsys, tmp_path, command, source):
+        argv = self.argv(tmp_path, command, source)
+        capsys.readouterr()
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, raw, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(raw)
+        lines = text.splitlines()
+        assert lines
+        for line in lines:
+            key, value = line.split(": ", 1)
+            assert value == rendered(doc[key]), line
+
+    @pytest.mark.parametrize("graph", [["--graph", "D4"], ["--graph", "C5"]])
+    def test_sweep_csv_and_json_rows_agree(self, capsys, graph):
+        argv = ["sweep", *graph, "--tau-min", "0.1", "--tau-max", "0.9", "--steps", "9"]
+        _, csv_text, _ = run(capsys, *argv)
+        _, raw, _ = run(capsys, *argv, "--format", "json")
+        rows = json.loads(raw)["rows"]
+        columns = ["tau", "min_eigenvalue", "exists", "rank"]
+        assert [list(row) for row in rows] == [columns] * 9
+        assert csv_text.splitlines() == [",".join(columns)] + [
+            ",".join(rendered(row[c]) for c in columns) for row in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--graph", "A3"], ["construct", "--graph", "A3", "--tau", "0.5"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_text_is_no_format_of_sweep_or_construct(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "text")
+        assert code == 2 and out == ""
+        assert "argument --format: invalid choice: 'text'" in err
+
+    def test_construct_prints_json_by_default(self, capsys):
+        argv = ["construct", "--graph", "A3", "--tau", "0.5"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--format", "json")
