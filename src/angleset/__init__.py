@@ -33,7 +33,6 @@ from .configurations import (
     VERIFY_TOL,
     SubspaceConfiguration,
     VerificationReport,
-    angle_of,
     configuration_document,
     construct_configuration,
     load_configuration,
@@ -45,8 +44,6 @@ from .graphs import (
     NamedFamily,
     adjacency_matrix,
     component_vertex_sets,
-    components,
-    enumerate_trees,
     generate_named,
     is_bipartite,
     is_connected,
@@ -62,7 +59,6 @@ from .spectra import (
     eigenpairs,
     graph_index,
     graph_spectrum,
-    min_eigenvalue,
 )
 
 __version__ = "0.1.0"
@@ -87,16 +83,13 @@ __all__ = [
     "VERIFY_TOL",
     "VerificationReport",
     "adjacency_matrix",
-    "angle_of",
     "classify_index",
     "classify_structure",
     "component_vertex_sets",
-    "components",
     "configuration_document",
     "construct_configuration",
     "eigen_symmetric",
     "eigenpairs",
-    "enumerate_trees",
     "existence",
     "generate_named",
     "gram_matrix",
@@ -106,7 +99,6 @@ __all__ = [
     "is_connected",
     "is_tree",
     "load_configuration",
-    "min_eigenvalue",
     "parse_edge_list",
     "parse_named_spec",
     "sigma_bounds",

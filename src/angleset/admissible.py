@@ -228,20 +228,21 @@ def _coxeter_endpoint(h: int) -> float:
 
 
 def sigma_bounds(n: int) -> tuple[float, float]:
-    """Universal bounds ``(lower, upper)`` for the interval endpoint over all
+    """Tight bounds ``(lower, upper)`` for the interval endpoint over all
     trees on ``n >= 2`` vertices.
 
-    The lower bound ``1/(n-1)^2`` comes from the index never exceeding
-    ``n - 1``; the upper bound ``1/(4cos^2(pi/(n+1)))`` is attained by the
-    path, whose index is minimal among connected graphs.
+    The lower bound ``1/(n-1)`` is attained by the star K1,n-1, whose index
+    ``sqrt(n-1)`` is the largest among trees (Lovasz-Pelikan); the upper
+    bound ``1/(4cos^2(pi/(n+1)))`` is attained by the path, whose index is
+    minimal among connected graphs.
     """
     if n < 2:
         raise ValueError(f"bounds need n >= 2, got {n}")
-    if n == 2:
-        # 4cos^2(pi/3) is exactly 1, but rounds just above it in floats,
-        # which would push the upper bound below the lower one.
-        return 1.0, 1.0
-    return 1.0 / (n - 1) ** 2, _coxeter_endpoint(n + 1)
+    if n <= 3:
+        # The star is the path. 4cos^2(pi/(n+1)) rounds just above 1 and 2,
+        # which would put the upper bound below the lower one.
+        return 1.0 / (n - 1), 1.0 / (n - 1)
+    return 1.0 / (n - 1), _coxeter_endpoint(n + 1)
 
 
 class QuarterPosition(enum.Enum):

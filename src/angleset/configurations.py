@@ -12,7 +12,6 @@ residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .admissible import (
     ExistenceVerdict,
     TauLike,
     TauWeighting,
-    _check_tau_value,
     _edge_weights,
     gram_matrix,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "SubspaceConfiguration",
     "VERIFY_TOL",
     "VerificationReport",
-    "angle_of",
     "configuration_document",
     "construct_configuration",
     "load_configuration",
@@ -41,11 +38,6 @@ __all__ = [
 ]
 
 VERIFY_TOL = 1e-8
-
-
-def angle_of(tau: float) -> float:
-    """Angle in [0, pi/2) with cos^2 equal to ``tau`` in (0, 1]."""
-    return math.acos(math.sqrt(_check_tau_value(tau)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +238,13 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
     if not vectors:
         raise ValueError("configuration document has no vectors")
     try:
-        config = SubspaceConfiguration.from_vectors(vectors)
+        rows = np.asarray(vectors, dtype=float)
     except TypeError as exc:
         raise ValueError(f"cannot read vectors: {exc}") from None
-    if config.vectors.ndim != 2:
+    # Nothing reshapes the array first: a flat row or a bare number is rejected.
+    if rows.ndim != 2:
         raise ValueError("cannot read vectors: need a list of rows of numbers")
+    config = SubspaceConfiguration(rows)
     if config.ambient_dim != ambient:
         raise ValueError(
             f"ambient_dim {ambient} does not match vector length {config.ambient_dim}"

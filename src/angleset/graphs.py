@@ -1,5 +1,5 @@
 """Finite simple undirected graphs: parsing, named diagram families, structural
-predicates, and exhaustive labeled-tree enumeration.
+predicates, and Pruefer decoding of labeled trees.
 
 Vertices are labeled 1..n throughout the public API. Matrices returned by
 :func:`adjacency_matrix` use the usual 0-based indexing, so vertex ``i``
@@ -9,12 +9,12 @@ corresponds to row ``i - 1``.
 from __future__ import annotations
 
 import heapq
-import itertools
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,6 @@ __all__ = [
     "NamedFamily",
     "adjacency_matrix",
     "component_vertex_sets",
-    "components",
-    "enumerate_trees",
     "generate_named",
     "induced_subgraph",
     "is_bipartite",
@@ -67,13 +65,17 @@ class Graph:
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """Build a graph from unordered vertex pairs.
 
-        ``n`` defaults to the largest endpoint. Duplicate edges (in either
-        orientation) are a hard error, as are loops.
+        ``n`` defaults to the largest endpoint. Labels must be Python or numpy
+        integers. Duplicate edges (in either orientation) are a hard error, as
+        are loops.
         """
         seen: set[tuple[int, int]] = set()
         top = 0
         for i, j in edges:
-            i, j = int(i), int(j)
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise GraphError("vertex labels must be integers") from None
             if i == j:
                 raise GraphError(f"loop edge {i}-{i}")
             e = (i, j) if i < j else (j, i)
@@ -195,15 +197,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         (relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel
     )
     return Graph(len(relabel), edges)
-
-
-def components(g: Graph) -> list[Graph]:
-    """Induced subgraphs of the connected components.
-
-    Vertices of each component are renumbered ``1..k`` preserving the order of
-    their original labels; :func:`component_vertex_sets` recovers the labels.
-    """
-    return [induced_subgraph(g, verts) for verts in component_vertex_sets(g)]
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -407,18 +400,3 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     u, w = heapq.heappop(leaves), heapq.heappop(leaves)
     edges.append((u, w) if u < w else (w, u))
     return Graph(n, frozenset(edges))
-
-
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """Yield every labeled tree on ``1..n`` exactly once (n**(n-2) trees).
-
-    Enumeration is by Pruefer sequence. Guarded to ``1 <= n <= 9`` to keep the
-    combinatorial blowup in check.
-    """
-    if not 1 <= n <= 9:
-        raise GraphError(f"tree enumeration supports 1 <= n <= 9, got {n}")
-    if n == 1:
-        yield Graph(1, frozenset())
-        return
-    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
-        yield tree_from_pruefer(n, seq)

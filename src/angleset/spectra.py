@@ -34,7 +34,6 @@ __all__ = [
     "eigenpairs",
     "graph_index",
     "graph_spectrum",
-    "min_eigenvalue",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -197,8 +196,3 @@ def graph_spectrum(g: Graph) -> Spectrum:
 def graph_index(g: Graph) -> float:
     """Largest adjacency eigenvalue (0 for a single vertex)."""
     return graph_spectrum(g).index
-
-
-def min_eigenvalue(g: Graph) -> float:
-    """Smallest adjacency eigenvalue."""
-    return graph_spectrum(g).min_eigenvalue

@@ -283,6 +283,18 @@ class TestConstructAndVerify:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "vectors,ambient", [([1.0, 0.0, 0.0], 3), (1.0, 1)], ids=["flat-row", "number"]
+    )
+    def test_verify_rejects_vectors_that_are_not_rows(self, capsys, tmp_path, vectors, ambient):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": ambient, "vectors": vectors, "tau": 0.5, "graph": []}
+        ))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read vectors: need a list of rows of numbers\n"
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"ambient_dim": 3.9, "vectors": [[1.0, 0.0, 0.0]], "tau": 0.5, "graph": []},

@@ -10,7 +10,6 @@ from angleset import (
     NamedFamily,
     SubspaceConfiguration,
     TauWeighting,
-    angle_of,
     configuration_document,
     construct_configuration,
     generate_named,
@@ -27,18 +26,6 @@ from corpus import CORPUS_SEED, pruefer_from_index
 
 def named(family, size=None):
     return generate_named(NamedFamily(family, size))
-
-
-class TestAngleOf:
-    def test_known_angles(self):
-        assert angle_of(1.0) == 0.0
-        assert angle_of(0.25) == pytest.approx(math.pi / 3, abs=1e-15)
-        assert angle_of(0.5) == pytest.approx(math.pi / 4, abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.1])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            angle_of(bad)
 
 
 class TestSubspaceConfiguration:
@@ -271,7 +258,11 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError, match="cannot read tau"):
             load_configuration(doc)
 
-    @pytest.mark.parametrize("vectors", [{"a": 1}, [[{"a": 1}]], [[[1.0]]], [["x"]]])
+    # The last two are a flat row and a bare number: reshaped, each would
+    # load as one vertex in R^1 and match ambient_dim.
+    @pytest.mark.parametrize(
+        "vectors", [{"a": 1}, [[{"a": 1}]], [[[1.0]]], [["x"]], [1.0], 1.0]
+    )
     def test_unreadable_vectors(self, vectors):
         doc = {"ambient_dim": 1, "vectors": vectors, "tau": 0.5, "graph": []}
         with pytest.raises(ValueError):

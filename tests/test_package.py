@@ -2,6 +2,8 @@
 Python files (``src/``, ``tests/`` and ``bench/``, which are only read)."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import angleset
@@ -17,6 +19,22 @@ def test_every_fixed_cut_is_exported():
     assert INDEX_TOL is classify.INDEX_TOL
     assert VERIFY_TOL is configurations.VERIFY_TOL
     assert {"PSD_TOL", "INDEX_TOL", "VERIFY_TOL"} <= set(angleset.__all__)
+
+
+def test_every_all_entry_exists():
+    # A name left in __all__ after its definition is gone breaks
+    # ``from angleset.<module> import *`` for users.
+    modules = [angleset] + [
+        importlib.import_module(f"angleset.{info.name}")
+        for info in pkgutil.iter_modules(angleset.__path__)
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert missing == []
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

@@ -15,7 +15,6 @@ from angleset import (
     graph_index,
     graph_spectrum,
     is_bipartite,
-    min_eigenvalue,
     parse_named_spec,
 )
 from charpoly import brackets_root, char_poly, square_free
@@ -99,7 +98,6 @@ class TestFrozenSpectra:
         s = graph_spectrum(graph_for("C4"))
         assert s.index == pytest.approx(2.0, abs=1e-12)
         assert s.min_eigenvalue == pytest.approx(-2.0, abs=1e-12)
-        assert min_eigenvalue(graph_for("C4")) == pytest.approx(-2.0, abs=1e-12)
 
     def test_edgeless_graph(self):
         s = graph_spectrum(Graph(3, frozenset()))
