@@ -10,11 +10,12 @@ is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 
 The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
 it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
-(see :func:`graph_spectrum`); only a per-edge weighting solves its own Gram
-matrix. :func:`existence` takes its verdict from it through
-:meth:`ExistenceVerdict.from_eigenvalues`; :func:`construct_configuration`,
-which also needs eigenvectors, takes the same verdict from the LAPACK
-eigenpairs of the assembled Gram matrix.
+(see :func:`graph_spectrum`); a per-edge weighting solves its own Gram matrix
+with :func:`~angleset.spectra.eigenpairs`. :func:`existence` takes its verdict
+from it through :meth:`ExistenceVerdict.from_eigenvalues`;
+:func:`construct_configuration`, which also needs eigenvectors, takes the
+same verdict from the same LAPACK solve of the assembled Gram matrix, so a
+per-edge ``existence`` and ``construct`` read identical eigenvalues.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, is_tree
-from .spectra import Spectrum, eigen_symmetric, graph_index, graph_spectrum
+from .spectra import Spectrum, eigenpairs, graph_index, graph_spectrum
 
 __all__ = [
     "ExistenceVerdict",
@@ -142,10 +143,11 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
 def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
     """Gram eigenvalues of ``(g, tau)``, descending. A constant tau shifts
     the adjacency spectrum to 1 + sqrt(tau) spec(A), with the residual bound
-    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix."""
+    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix by
+    LAPACK, as :func:`construct_configuration` does."""
     w = TauWeighting.of(tau)
     if not w.is_constant:
-        return eigen_symmetric(gram_matrix(g, w))
+        return eigenpairs(gram_matrix(g, w))
     root = math.sqrt(w.constant)
     adj = graph_spectrum(g)
     return Spectrum(1.0 + root * adj.eigenvalues, root * adj.residual_bound)

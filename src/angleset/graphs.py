@@ -66,12 +66,15 @@ class Graph:
         """Build a graph from unordered vertex pairs.
 
         ``n`` defaults to the largest endpoint. Labels must be Python or numpy
-        integers. Duplicate edges (in either orientation) are a hard error, as
-        are loops.
+        integers, not ``bool``. Duplicate edges (in either orientation) are a
+        hard error, as are loops.
         """
         seen: set[tuple[int, int]] = set()
         top = 0
         for i, j in edges:
+            # bool is an int subclass, so operator.index(True) would be 1.
+            if isinstance(i, bool) or isinstance(j, bool):
+                raise GraphError("vertex labels must be integers")
             try:
                 i, j = operator.index(i), operator.index(j)
             except TypeError:

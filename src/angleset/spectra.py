@@ -1,15 +1,16 @@
 """Dense symmetric eigensolvers and graph-spectrum quantities.
 
-Two solvers, one job each. Eigenvalues alone come from
+Two solvers, one job each. Adjacency spectra come from
 :func:`eigen_symmetric`, a cyclic Jacobi rotation scheme: rotations sweep the
 strict upper triangle in row order until the off-diagonal Frobenius norm drops
 below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). Eigenpairs, which only
-:func:`~angleset.configurations.construct_configuration` needs, come from
-LAPACK through :func:`eigenpairs`.
+(``bench/README.md``). Gram matrices solved as matrices of their own, those of
+a per-edge :func:`~angleset.admissible.gram_spectrum` and of
+:func:`~angleset.configurations.construct_configuration`, go to LAPACK through
+:func:`eigenpairs`, so both read one eigenvalue array off one matrix.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
@@ -57,12 +58,14 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
-    ``eigenvectors`` is set only by :func:`eigenpairs` and holds the k-th
+    ``eigenvectors`` is set only by :func:`eigenpairs`, which also solves a
+    per-edge :func:`~angleset.admissible.gram_spectrum`, and holds the k-th
     eigenvector in column k; within a degenerate eigenspace the basis is
     whatever LAPACK produces, so tests should only rely on subspace-level
     statements. ``residual_bound`` bounds every eigenvalue error: for
     :func:`eigen_symmetric` it is the final off-diagonal Frobenius norm, for
-    :func:`eigenpairs` the a-posteriori residual ``||m V - V Lambda||_F``.
+    :func:`eigenpairs`, per-edge Gram spectra included, the a-posteriori
+    residual ``||m V - V Lambda||_F``.
     """
 
     eigenvalues: np.ndarray

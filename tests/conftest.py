@@ -4,7 +4,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import angleset.admissible
 import angleset.spectra
 from angleset import graph_spectrum
 
@@ -31,10 +30,18 @@ def random_connected_corpus():
     return list(corpus.random_connected_graphs(500, max_n=8))
 
 
+def _holders(name, real):
+    """Every loaded angleset module whose attribute ``name`` is ``real``."""
+    return [
+        module for module in list(sys.modules.values())
+        if module.__name__.startswith("angleset") and getattr(module, name, None) is real
+    ]
+
+
 @pytest.fixture
 def eig_calls(monkeypatch):
     """Sizes of the matrices ``eigen_symmetric`` solves, one entry per call,
-    counted in every module that looks it up."""
+    counted in every angleset module that holds it by name."""
     calls = []
     real = angleset.spectra.eigen_symmetric
 
@@ -42,7 +49,7 @@ def eig_calls(monkeypatch):
         calls.append(np.shape(m)[0])
         return real(m, *args, **kwargs)
 
-    for module in (angleset.spectra, angleset.admissible):
+    for module in _holders("eigen_symmetric", real):
         monkeypatch.setattr(module, "eigen_symmetric", counted)
     return calls
 
@@ -61,9 +68,8 @@ def name_calls(monkeypatch):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            for module in list(sys.modules.values()):
-                if module.__name__.startswith("angleset") and getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counted)
+            for module in _holders(name, real):
+                monkeypatch.setattr(module, name, counted)
         return calls
 
     return watch

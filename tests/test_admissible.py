@@ -181,16 +181,36 @@ class TestAdjacencySpectrumReuse:
         existence(twin, 0.2)
         assert eig_calls == [7, 7]
 
-    def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls):
+    def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls, name_calls):
+        """A per-edge weighting takes its Gram eigenvalues from the LAPACK
+        solve ``construct`` makes, never from Jacobi."""
         g = named("A", 4)
+        calls = name_calls("eigenpairs")
         existence(g, 0.2)
+        assert eig_calls == [4] and calls["eigenpairs"] == 0
         weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
         first = existence(g, weights)
+        assert eig_calls == [4] and calls["eigenpairs"] == 1
         second = existence(g, weights)
-        assert eig_calls == [4, 4, 4]
+        assert eig_calls == [4] and calls["eigenpairs"] == 2
         assert first == second
-        direct = eigen_symmetric(gram_matrix(g, weights)).eigenvalues
-        assert first.min_eigenvalue == direct[-1]
+        a = gram_matrix(g, weights)
+        lapack = eigenpairs(a)
+        assert first.min_eigenvalue == lapack.eigenvalues[-1]
+        jacobi = eigen_symmetric(a)
+        band = jacobi.residual_bound + lapack.residual_bound
+        assert abs(first.min_eigenvalue - jacobi.eigenvalues[-1]) <= band
+
+    def test_per_edge_tau_on_a_thousand_vertices(self, eig_calls):
+        """The path's least Gram eigenvalue is 1 - 2 sqrt(tau) cos(pi/(n+1)).
+        LAPACK solves this matrix in well under a second; Jacobi, cubic per
+        sweep, would take minutes."""
+        g = named("A", 1000)
+        verdict = existence(g, dict.fromkeys(g.edges, 0.2))
+        assert eig_calls == []
+        expected = 1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 1001)
+        assert verdict.min_eigenvalue == pytest.approx(expected, abs=1e-12)
+        assert verdict.exists and verdict.rank == 1000
 
     def test_constant_tau_construct_solves_once(self, eig_calls, name_calls):
         """``construct`` takes its one solve from LAPACK, not from Jacobi."""
@@ -272,27 +292,33 @@ ENDPOINT_SHRINKS = (0.0, 1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 4e-9)
 def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
     """Just below a tree's endpoint, where the least eigenvalue is at most a
     few ``PSD_TOL``, ``construct`` succeeds exactly when ``existence`` does,
-    in ``rank`` dimensions. ``existence`` reads Jacobi eigenvalues and
-    ``construct`` LAPACK ones, so an eigenvalue within the two solvers' summed
-    error bounds of ``PSD_TOL`` may fall on either side of the rank cut; the
-    dimension may then differ from the rank by the number of such
-    eigenvalues, and by nothing else."""
+    in ``rank`` dimensions.
+
+    The same tau on every edge, given per edge, makes ``existence`` read the
+    LAPACK eigenvalues ``construct`` reads, so the dimension is the rank
+    exactly. A constant tau makes ``existence`` read Jacobi eigenvalues, so
+    an eigenvalue within the two solvers' summed error bounds of ``PSD_TOL``
+    may fall on either side of the rank cut; the dimension may then differ
+    from the rank by the number of such eigenvalues, and by nothing else."""
     for n in sizes:
         g = generate_named(parse_named_spec(f"{family}{n}"))
         end = sigma_tree(g).upper
         for delta in ENDPOINT_SHRINKS:
             for tau in (end * (1 - delta), round(end * (1 - delta), 10)):
-                verdict = existence(g, tau)
-                if not verdict.exists:
-                    with pytest.raises(ValueError, match="no configuration exists"):
-                        construct_configuration(g, tau)
-                    continue
-                dim = construct_configuration(g, tau).ambient_dim
-                jacobi = gram_spectrum(g, tau)
-                lapack = eigenpairs(gram_matrix(g, tau))
-                band = jacobi.residual_bound + lapack.residual_bound
-                unsure = int(np.sum(np.abs(jacobi.eigenvalues - PSD_TOL) <= band))
-                assert abs(dim - verdict.rank) <= unsure, (family, n, tau)
+                for weights in (tau, dict.fromkeys(g.edges, tau)):
+                    verdict = existence(g, weights)
+                    if not verdict.exists:
+                        with pytest.raises(ValueError, match="no configuration exists"):
+                            construct_configuration(g, weights)
+                        continue
+                    dim = construct_configuration(g, weights).ambient_dim
+                    unsure = 0
+                    if weights is tau:
+                        jacobi = gram_spectrum(g, tau)
+                        lapack = eigenpairs(gram_matrix(g, tau))
+                        band = jacobi.residual_bound + lapack.residual_bound
+                        unsure = int(np.sum(np.abs(jacobi.eigenvalues - PSD_TOL) <= band))
+                    assert abs(dim - verdict.rank) <= unsure, (family, n, weights is tau, tau)
 
 
 class TestSigmaInterval:

@@ -48,9 +48,10 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="duplicate"):
             Graph.from_edges([(1, 2), (2, 1)])
 
-    @pytest.mark.parametrize("edges", [[(1, 2.7), (2, 3)], [("1", "3")]])
+    @pytest.mark.parametrize("edges", [[(1, 2.7), (2, 3)], [("1", "3")], [(True, 2)]])
     def test_non_integer_labels_rejected(self, edges):
-        # int() would round 2.7 to 2 and parse "3" as 3.
+        # int() would round 2.7 to 2 and parse "3" as 3; operator.index(True)
+        # would give 1.
         with pytest.raises(GraphError, match="vertex labels must be integers"):
             Graph.from_edges(edges)
 
