@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -50,11 +51,11 @@ __all__ = [
 PSD_TOL = 1e-9
 
 
-def _check_tau_value(tau: float, where: str = "") -> float:
+def _check_tau_value(tau: float, edge: tuple[int, int] | None = None) -> float:
     tau = float(tau)
     if not 0.0 < tau <= 1.0:
-        suffix = f" {where}" if where else ""
-        raise ValueError(f"tau{suffix} must lie in (0, 1], got {tau}")
+        where = f" on edge {edge[0]}-{edge[1]}" if edge else ""
+        raise ValueError(f"tau{where} must lie in (0, 1], got {tau}")
     return tau
 
 
@@ -68,7 +69,7 @@ def _edge_weights(
         e = (i, j) if i < j else (j, i)
         if e in fixed:
             raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
-        fixed[e] = _check_tau_value(value, f"on edge {e[0]}-{e[1]}")
+        fixed[e] = _check_tau_value(value, e)
     return fixed
 
 
@@ -130,13 +131,25 @@ class TauWeighting:
 TauLike = Union[TauWeighting, float, Mapping[tuple[int, int], float]]
 
 
+def _edge_arrays(g: Graph, w: TauWeighting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0-based endpoints ``i < j`` of every edge of ``g`` and tau on each, as
+    three aligned arrays; ``w`` must cover the edge set exactly."""
+    w.validate_for(g)
+    edges = list(g.edges)
+    m = len(edges)
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * m) - 1
+    if w.constant is not None:
+        t = np.full(m, w.constant)
+    else:
+        t = np.fromiter(map(w.per_edge.__getitem__, edges), dtype=float, count=m)
+    return ends[0::2], ends[1::2], t
+
+
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere."""
-    w = TauWeighting.of(tau)
-    w.validate_for(g)
+    i, j, t = _edge_arrays(g, TauWeighting.of(tau))
     a = np.eye(g.n)
-    for i, j in g.edges:
-        a[i - 1, j - 1] = a[j - 1, i - 1] = math.sqrt(w.value(i, j))
+    a[i, j] = a[j, i] = np.sqrt(t)
     return a
 
 

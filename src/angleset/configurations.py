@@ -8,11 +8,18 @@ matrix, reaches the PSD verdict the way :func:`existence` does and factors the
 matrix through the kept eigenpairs; verification reads every defining relation
 off the vectors' Gram matrix V V^T and reports worst-case Frobenius
 residuals.
+
+Lines are defined only up to a rotation of the space, so construction returns
+them in one canonical frame: vector i has no component beyond coordinate i
+and a non-negative i-th coordinate. For a positive definite Gram matrix that
+is its Cholesky factor, which is sparse on sparse graphs and does not depend
+on the basis LAPACK picks inside a repeated eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .admissible import (
     ExistenceVerdict,
     TauLike,
     TauWeighting,
+    _edge_arrays,
     _edge_weights,
     gram_matrix,
 )
@@ -71,15 +79,24 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     Assemble the Gram matrix once, take its eigenpairs from
     :func:`~angleset.spectra.eigenpairs` and its verdict at ``PSD_TOL``, and
-    scale the leading ``rank`` eigenvectors by sqrt(lambda) into vectors.
+    scale the leading ``rank`` eigenvectors by sqrt(lambda) into a factor F.
     Raises ``ValueError`` when the matrix is not positive semidefinite (no
     configuration exists).
 
+    The vectors are F in the canonical frame: with F^T = Q R (QR
+    factorisation, rows of R signed so that its diagonal is non-negative),
+    they are R^T, so row i is zero beyond column i. R^T R = F F^T, so the
+    rotation changes neither the Gram matrix nor the rank, and for a definite
+    Gram matrix R^T is its Cholesky factor. Entries within n * eps of zero
+    (machine epsilon, the rounding level of a unit row) are set to exactly
+    0.0, which moves no vector by more than that.
+
     The vectors' Gram matrix V V^T differs from the target by exactly the
     dropped eigenvalues, ``||lambda_dropped||_2`` in Frobenius norm, in exact
-    arithmetic; each of them lies within ``PSD_TOL`` of zero. The check allows
-    that much plus ``PSD_TOL`` for rounding in the solve and the product
-    (at most 3e-14 in trials up to n = 96), and raises ``RuntimeError`` past it.
+    arithmetic; each of them lies within ``PSD_TOL`` of zero. The check, made
+    on the final vectors, allows that much plus ``PSD_TOL`` for rounding in the
+    solve, the rotation and the product (at most 3e-14 in trials up to
+    n = 96), and raises ``RuntimeError`` past it.
     """
     a = gram_matrix(g, tau)
     spectrum = eigenpairs(a)
@@ -91,7 +108,12 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
             f"{verdict.min_eigenvalue:.6e}"
         )
     k = verdict.rank
-    vectors = spectrum.eigenvectors[:, :k] * np.sqrt(evals[:k])
+    factor = spectrum.eigenvectors[:, :k] * np.sqrt(evals[:k])
+    # factor = R^T Q^T, so R^T has the same Gram matrix in the canonical frame.
+    r = np.linalg.qr(factor.T, mode="r")
+    r *= np.copysign(1.0, r.diagonal())[:, None]
+    vectors = np.ascontiguousarray(r.T)
+    vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
     allowed = float(np.linalg.norm(evals[k:])) + PSD_TOL
     if deviation > allowed:
@@ -158,14 +180,12 @@ def verify_configuration(
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
-    w = TauWeighting.of(tau)
-    target = gram_matrix(g, w)
+    i, j, t = _edge_arrays(g, TauWeighting.of(tau))
+    target = np.eye(g.n)
+    target[i, j] = target[j, i] = np.sqrt(t)
     v = config.vectors
     gram = v @ v.T
     sq = np.diag(gram)
-    edges = sorted(g.edges)
-    i, j = (np.array(edges, dtype=int).reshape(-1, 2) - 1).T
-    t = np.array([w.value(a, b) for a, b in edges])
     apart = ~np.eye(g.n, dtype=bool)
     apart[i, j] = apart[j, i] = False
     idem = np.max(np.abs(sq - 1.0) * sq)
@@ -237,13 +257,15 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
         raise ValueError(f"ambient_dim must be an integer, got {ambient!r}")
     if not vectors:
         raise ValueError("configuration document has no vectors")
-    try:
-        rows = np.asarray(vectors, dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"cannot read vectors: {exc}") from None
-    # Nothing reshapes the array first: a flat row or a bare number is rejected.
-    if rows.ndim != 2:
+    # ``type`` rules out a flat row, a bare number, and the strings and
+    # ``true`` that a float conversion would accept.
+    if (type(vectors) is not list or not all(type(row) is list for row in vectors)
+            or not set(map(type, chain.from_iterable(vectors))) <= {int, float}):
         raise ValueError("cannot read vectors: need a list of rows of numbers")
+    try:
+        rows = np.array(vectors, dtype=float)
+    except (ValueError, OverflowError) as exc:  # rows of unequal length, huge ints
+        raise ValueError(f"cannot read vectors: {exc}") from None
     config = SubspaceConfiguration(rows)
     if config.ambient_dim != ambient:
         raise ValueError(

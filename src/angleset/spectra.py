@@ -61,11 +61,13 @@ class Spectrum:
     ``eigenvectors`` is set only by :func:`eigenpairs`, which also solves a
     per-edge :func:`~angleset.admissible.gram_spectrum`, and holds the k-th
     eigenvector in column k; within a degenerate eigenspace the basis is
-    whatever LAPACK produces, so tests should only rely on subspace-level
-    statements. ``residual_bound`` bounds every eigenvalue error: for
-    :func:`eigen_symmetric` it is the final off-diagonal Frobenius norm, for
-    :func:`eigenpairs`, per-edge Gram spectra included, the a-posteriori
-    residual ``||m V - V Lambda||_F``.
+    whatever LAPACK produces, so tests of the eigenvectors themselves should
+    only rely on subspace-level statements. (The lines of
+    :func:`~angleset.configurations.construct_configuration` do not depend on
+    that basis: they are rotated into a canonical frame.) ``residual_bound``
+    bounds every eigenvalue error: for :func:`eigen_symmetric` it is the final
+    off-diagonal Frobenius norm, for :func:`eigenpairs`, per-edge Gram spectra
+    included, the a-posteriori residual ``||m V - V Lambda||_F``.
     """
 
     eigenvalues: np.ndarray

@@ -102,6 +102,16 @@ class TestGramMatrix:
 
     def test_edgeless(self):
         assert np.array_equal(gram_matrix(Graph(2, frozenset()), 0.7), np.eye(2))
+        assert np.array_equal(gram_matrix(Graph(2, frozenset()), {}), np.eye(2))
+
+    def test_matches_an_entry_by_entry_assembly(self, random_connected_corpus):
+        rng = np.random.default_rng(5)
+        for g in random_connected_corpus[:100]:
+            tau = {e: float(rng.uniform(0.05, 1.0)) for e in sorted(g.edges)}
+            want = np.eye(g.n)
+            for (i, j), t in tau.items():
+                want[i - 1, j - 1] = want[j - 1, i - 1] = math.sqrt(t)
+            assert np.array_equal(gram_matrix(g, tau), want)
 
 
 class TestExistence:

@@ -295,6 +295,34 @@ class TestConstructAndVerify:
         assert err == "error: cannot read vectors: need a list of rows of numbers\n"
 
     @pytest.mark.parametrize(
+        "vectors",
+        [[["1.0"], ["1.0"]], [["1.0", "0.0"], [1.0, 0.0]], [[1.0, "0.0"], [1.0, 0.0]],
+         [[True], [True]], [[True, False], [True, False]], [[1.0, 0.0], [True, 0.0]]],
+        ids=["string-rows", "all-string-row", "one-string", "booleans", "all-boolean-rows",
+             "one-true"],
+    )
+    def test_verify_rejects_non_numeric_entries(self, capsys, tmp_path, vectors):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": len(vectors[0]), "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
+        ))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read vectors: need a list of rows of numbers\n"
+
+    @pytest.mark.parametrize(
+        "vectors", [[[10 ** 400], [1.0]], [[1.0], [1.0, 0.0]]], ids=["huge-integer", "ragged"]
+    )
+    def test_verify_rejects_vectors_no_float_array_holds(self, capsys, tmp_path, vectors):
+        path = tmp_path / "unfit.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": 1, "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
+        ))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read vectors: ")
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"ambient_dim": 3.9, "vectors": [[1.0, 0.0, 0.0]], "tau": 0.5, "graph": []},

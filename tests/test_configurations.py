@@ -6,26 +6,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angleset import (
+    PSD_TOL,
     Graph,
     NamedFamily,
     SubspaceConfiguration,
     TauWeighting,
     configuration_document,
     construct_configuration,
+    eigenpairs,
     generate_named,
     graph_spectrum,
     gram_matrix,
     load_configuration,
+    parse_named_spec,
     sigma_tree,
     tree_from_pruefer,
     verify_configuration,
 )
+import angleset.configurations
 from angleset.configurations import VERIFY_TOL
-from corpus import CORPUS_SEED, pruefer_from_index
+from angleset.spectra import Spectrum
+from corpus import CORPUS_SEED, pruefer_from_index, random_connected_graphs
 
 
 def named(family, size=None):
     return generate_named(NamedFamily(family, size))
+
+
+def spec_graph(spec):
+    return generate_named(parse_named_spec(spec))
 
 
 class TestSubspaceConfiguration:
@@ -110,6 +119,91 @@ class TestConstruct:
         assert c.ambient_dim == 1 and c.size == 1
 
 
+def eigen_factor(g, tau):
+    """U_k sqrt(Lambda_k): the leading eigenpairs of the Gram matrix, scaled,
+    before the rotation into the canonical frame."""
+    s = eigenpairs(gram_matrix(g, tau))
+    k = int((s.eigenvalues > PSD_TOL).sum())
+    return s.eigenvectors[:, :k] * np.sqrt(s.eigenvalues[:k])
+
+
+def rotated_eigenpairs(m):
+    """:func:`eigenpairs` with every degenerate eigenspace's basis turned by
+    a random orthogonal matrix: another basis LAPACK could have returned."""
+    s = eigenpairs(m)
+    lam, vecs = s.eigenvalues, s.eigenvectors.copy()
+    rng = np.random.default_rng(CORPUS_SEED)
+    start = 0
+    while start < len(lam):
+        stop = start + 1
+        while stop < len(lam) and lam[start] - lam[stop] < 1e-9:
+            stop += 1
+        if stop - start > 1:
+            q, _ = np.linalg.qr(rng.standard_normal((stop - start, stop - start)))
+            vecs[:, start:stop] = vecs[:, start:stop] @ q
+        start = stop
+    return Spectrum(lam, s.residual_bound, vecs)
+
+
+FRAME_CASES = [("C8", 0.2), ("D~6", 0.2), ("E8", 0.2), ("A5", 1 / 3), ("D~4", 0.25), ("D96", 0.2)]
+
+
+class TestCanonicalFrame:
+    """``construct`` returns the lines in one frame: lower trapezoidal vectors
+    with a non-negative diagonal, for a definite Gram matrix its Cholesky
+    factor."""
+
+    @pytest.mark.parametrize("spec,tau", FRAME_CASES)
+    def test_lower_trapezoidal_with_non_negative_diagonal(self, spec, tau):
+        v = construct_configuration(spec_graph(spec), tau).vectors
+        assert np.all(np.triu(v, 1) == 0.0)
+        assert np.all(np.diagonal(v) >= 0.0)
+
+    def test_cholesky_factor_when_definite(self):
+        checked = 0
+        for g in random_connected_graphs(500, max_n=8):
+            for tau in (0.1, 0.2):
+                a = gram_matrix(g, tau)
+                if np.linalg.eigvalsh(a)[0] <= 1e-9:
+                    continue
+                v = construct_configuration(g, tau).vectors
+                assert np.max(np.abs(v - np.linalg.cholesky(a))) <= 1e-12, sorted(g.edges)
+                checked += 1
+        assert checked > 500
+
+    def test_tree_vectors_are_sparse(self):
+        v = construct_configuration(named("D", 96), 0.2).vectors
+        assert np.count_nonzero(v) <= 2 * 96
+
+    @pytest.mark.parametrize("spec", ["C8", "D~6"])
+    def test_independent_of_the_eigenspace_basis(self, monkeypatch, spec):
+        g = spec_graph(spec)
+        a = gram_matrix(g, 0.2)
+        # The turned basis really differs from LAPACK's ...
+        assert np.max(np.abs(rotated_eigenpairs(a).eigenvectors - eigenpairs(a).eigenvectors)) > 1e-3
+        before = construct_configuration(g, 0.2).vectors
+        monkeypatch.setattr(angleset.configurations, "eigenpairs", rotated_eigenpairs)
+        # ... and the lines do not move.
+        after = construct_configuration(g, 0.2).vectors
+        assert np.max(np.abs(after - before)) <= 1e-12
+
+    @pytest.mark.parametrize("spec,tau", FRAME_CASES)
+    def test_flush_moves_entries_by_at_most_rounding(self, spec, tau):
+        g = spec_graph(spec)
+        r = np.linalg.qr(eigen_factor(g, tau).T, mode="r")
+        unflushed = (r * np.copysign(1.0, np.diagonal(r))[:, None]).T
+        v = construct_configuration(g, tau).vectors
+        assert np.max(np.abs(v - unflushed)) <= g.n * np.finfo(float).eps
+
+    def test_document_is_at_most_half_the_eigen_factor(self):
+        g = named("D", 96)
+        c = construct_configuration(g, 0.2)
+        frame = json.dumps(configuration_document(c, g, 0.2))
+        dense = json.dumps(configuration_document(
+            SubspaceConfiguration.from_vectors(eigen_factor(g, 0.2)), g, 0.2))
+        assert 2 * len(frame) <= len(dense)
+
+
 class TestVerify:
     def test_report_fields_and_dict(self):
         g = named("A", 4)
@@ -157,6 +251,14 @@ class TestVerify:
         report = verify_configuration(c, pruned, 0.3)
         assert report.orthogonality > 1e-3
 
+    def test_per_edge_weighting_must_cover_the_graph(self):
+        g = named("A", 3)
+        c = construct_configuration(g, 0.3)
+        with pytest.raises(ValueError, match="misses edge 2-3"):
+            verify_configuration(c, g, {(1, 2): 0.3})
+        with pytest.raises(ValueError, match="non-edge 1-3"):
+            verify_configuration(c, g, {(1, 2): 0.3, (2, 3): 0.3, (1, 3): 0.3})
+
     def test_size_mismatch(self):
         c = construct_configuration(named("A", 3), 0.3)
         with pytest.raises(ValueError, match="covers 3 vertices"):
@@ -173,6 +275,17 @@ class TestVerify:
         stretched = SubspaceConfiguration.from_vectors(c.vectors * (1 + 1e-6))
         report = verify_configuration(stretched, g, 0.3)
         assert not report.passed and report.max_residual > VERIFY_TOL
+
+
+# Each as a JSON document with tau 1.0 on the edge 1-2.
+NON_NUMERIC_VECTORS = [
+    pytest.param([["1.0"], ["1.0"]], id="string-rows"),
+    pytest.param([["1.0", "0.0"], [1.0, 0.0]], id="all-string-row"),
+    pytest.param([[1.0, "0.0"], [1.0, 0.0]], id="one-string"),
+    pytest.param([[True], [True]], id="booleans"),
+    pytest.param([[True, False], [True, False]], id="all-boolean-rows"),
+    pytest.param([[1.0, 0.0], [True, 0.0]], id="one-true"),
+]
 
 
 class TestDocumentRoundTrip:
@@ -267,6 +380,20 @@ class TestDocumentRoundTrip:
         doc = {"ambient_dim": 1, "vectors": vectors, "tau": 0.5, "graph": []}
         with pytest.raises(ValueError):
             load_configuration(doc)
+
+    @pytest.mark.parametrize("vectors", NON_NUMERIC_VECTORS)
+    def test_non_numeric_entries(self, vectors):
+        """Strings and booleans convert to floats, and each of these documents
+        would then pass verification; they are rejected instead."""
+        doc = {"ambient_dim": len(vectors[0]), "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
+        with pytest.raises(ValueError, match="^cannot read vectors: need a list of rows of numbers$"):
+            load_configuration(doc)
+
+    def test_integer_entries_are_numbers(self):
+        doc = {"ambient_dim": 2, "vectors": [[1, 0], [1, 0]], "tau": 1.0, "graph": [[1, 2]]}
+        config, g, w = load_configuration(doc)
+        assert config.vectors.dtype == float
+        assert verify_configuration(config, g, w).passed
 
     @pytest.mark.parametrize(
         "graph", [5, "1 2", {"1": 2}, [5], [[1.9, 2]], [[1.0, 2]], [[True, 2]], [[1, 2, 3]], [["1", "2"]]]
