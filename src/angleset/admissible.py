@@ -24,12 +24,12 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
-from .graphs import Graph, is_tree
+from .graphs import Graph, edge_key, is_tree
 from .spectra import Spectrum, eigenpairs, graph_index, graph_spectrum
 
 __all__ = [
@@ -51,34 +51,31 @@ __all__ = [
 PSD_TOL = 1e-9
 
 
-def _check_tau_value(tau: float, edge: tuple[int, int] | None = None) -> float:
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        where = f" on edge {edge[0]}-{edge[1]}" if edge else ""
-        raise ValueError(f"tau{where} must lie in (0, 1], got {tau}")
-    return tau
-
-
-def _edge_weights(
-    items: Iterable[tuple[tuple[int, int], float]],
-) -> dict[tuple[int, int], float]:
-    """Canonical ``(i, j)``-keyed weights, ``i < j``, from ``((i, j), tau)``
-    pairs. An edge named twice, in either order, is an error."""
-    fixed: dict[tuple[int, int], float] = {}
-    for (i, j), value in items:
-        e = (i, j) if i < j else (j, i)
-        if e in fixed:
-            raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
-        fixed[e] = _check_tau_value(value, e)
-    return fixed
+def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
+    """``tau`` as a float in (0, 1]. ``bool`` and text are refused, though
+    ``float`` would read them."""
+    # A float passes without the isinstance walk, which costs more than the
+    # rest of the check.
+    if type(tau) is not float and isinstance(tau, (bool, np.bool_, str, bytes, bytearray)):
+        problem = f"must be a real number, got {tau!r}"
+    else:
+        tau = float(tau)
+        if 0.0 < tau <= 1.0:
+            return tau
+        problem = f"must lie in (0, 1], got {tau}"
+    where = f" on edge {edge[0]}-{edge[1]}" if edge else ""
+    raise ValueError(f"tau{where} {problem}")
 
 
 @dataclass(frozen=True)
 class TauWeighting:
     """Assignment of an angle parameter in (0, 1] to every edge.
 
-    Either a single constant for all edges, or a per-edge mapping keyed by
-    canonical ``(i, j)`` pairs with ``i < j``. Treat instances as immutable.
+    Either a single constant for all edges, stored as a float, or a per-edge
+    mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
+    pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
+    an iterable of ``((i, j), tau)`` pairs. An edge named twice, in either
+    order, is an error. Treat instances as immutable.
     """
 
     constant: float | None = None
@@ -88,9 +85,16 @@ class TauWeighting:
         if (self.constant is None) == (self.per_edge is None):
             raise ValueError("give exactly one of a constant or a per-edge mapping")
         if self.constant is not None:
-            _check_tau_value(self.constant)
-        else:
-            object.__setattr__(self, "per_edge", _edge_weights(self.per_edge.items()))
+            object.__setattr__(self, "constant", _check_tau_value(self.constant))
+            return
+        pairs = self.per_edge
+        fixed: dict[tuple[int, int], float] = {}
+        for (i, j), value in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            e = edge_key(i, j)
+            if e in fixed:
+                raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
+            fixed[e] = _check_tau_value(value, e)
+        object.__setattr__(self, "per_edge", fixed)
 
     @classmethod
     def of(cls, value: "TauLike") -> "TauWeighting":
@@ -101,53 +105,33 @@ class TauWeighting:
             return cls(per_edge=value)
         return cls(constant=value)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.constant is not None
-
-    def value(self, i: int, j: int) -> float:
+    def edge_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """0-based endpoints ``i < j`` of every edge of ``g`` and tau on each,
+        as three aligned arrays. A per-edge weighting must cover the edge set
+        exactly."""
+        edges = list(g.edges)
+        m = len(edges)
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * m) - 1
         if self.constant is not None:
-            return self.constant
-        e = (i, j) if i < j else (j, i)
-        try:
-            return self.per_edge[e]
-        except KeyError:
-            raise ValueError(f"no weight for edge {e[0]}-{e[1]}") from None
-
-    def validate_for(self, g: Graph) -> None:
-        """Per-edge weightings must cover the edge set exactly."""
-        if self.per_edge is None:
-            return
-        missing = g.edges - self.per_edge.keys()
-        if missing:
-            i, j = min(missing)
-            raise ValueError(f"per-edge weighting misses edge {i}-{j}")
-        extra = self.per_edge.keys() - g.edges
-        if extra:
-            i, j = min(extra)
-            raise ValueError(f"per-edge weighting names non-edge {i}-{j}")
+            t = np.full(m, self.constant)
+        else:
+            try:
+                t = np.fromiter(map(self.per_edge.__getitem__, edges), dtype=float, count=m)
+            except KeyError:
+                i, j = min(g.edges - self.per_edge.keys())
+                raise ValueError(f"per-edge weighting misses edge {i}-{j}") from None
+            if len(self.per_edge) != m:
+                i, j = min(self.per_edge.keys() - g.edges)
+                raise ValueError(f"per-edge weighting names non-edge {i}-{j}")
+        return ends[0::2], ends[1::2], t
 
 
 TauLike = Union[TauWeighting, float, Mapping[tuple[int, int], float]]
 
 
-def _edge_arrays(g: Graph, w: TauWeighting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0-based endpoints ``i < j`` of every edge of ``g`` and tau on each, as
-    three aligned arrays; ``w`` must cover the edge set exactly."""
-    w.validate_for(g)
-    edges = list(g.edges)
-    m = len(edges)
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * m) - 1
-    if w.constant is not None:
-        t = np.full(m, w.constant)
-    else:
-        t = np.fromiter(map(w.per_edge.__getitem__, edges), dtype=float, count=m)
-    return ends[0::2], ends[1::2], t
-
-
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere."""
-    i, j, t = _edge_arrays(g, TauWeighting.of(tau))
+    i, j, t = TauWeighting.of(tau).edge_arrays(g)
     a = np.eye(g.n)
     a[i, j] = a[j, i] = np.sqrt(t)
     return a
@@ -159,7 +143,7 @@ def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
     scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix by
     LAPACK, as :func:`construct_configuration` does."""
     w = TauWeighting.of(tau)
-    if not w.is_constant:
+    if w.constant is None:
         return eigenpairs(gram_matrix(g, w))
     root = math.sqrt(w.constant)
     adj = graph_spectrum(g)

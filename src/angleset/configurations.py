@@ -23,15 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .admissible import (
-    PSD_TOL,
-    ExistenceVerdict,
-    TauLike,
-    TauWeighting,
-    _edge_arrays,
-    _edge_weights,
-    gram_matrix,
-)
+from .admissible import PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, gram_matrix
 from .graphs import Graph
 from .spectra import eigenpairs
 
@@ -180,14 +172,13 @@ def verify_configuration(
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
-    i, j, t = _edge_arrays(g, TauWeighting.of(tau))
-    target = np.eye(g.n)
-    target[i, j] = target[j, i] = np.sqrt(t)
+    w = TauWeighting.of(tau)
+    i, j, t = w.edge_arrays(g)
+    target = gram_matrix(g, w)
     v = config.vectors
     gram = v @ v.T
     sq = np.diag(gram)
-    apart = ~np.eye(g.n, dtype=bool)
-    apart[i, j] = apart[j, i] = False
+    apart = target == 0.0  # off the diagonal and off the edges
     idem = np.max(np.abs(sq - 1.0) * sq)
     braid = np.max(np.abs(gram[i, j] ** 2 - t) * np.maximum(sq[i], sq[j]), initial=0.0)
     orth = np.max((np.abs(gram) * np.sqrt(np.outer(sq, sq)))[apart], initial=0.0)
@@ -210,9 +201,9 @@ def _labeled(item, length: int) -> bool:
 
 def _tau_from_json(data) -> TauWeighting:
     if type(data) in (int, float):
-        return TauWeighting(constant=float(data))
+        return TauWeighting(constant=data)
     if type(data) is list and all(_labeled(t, 3) and type(t[2]) in (int, float) for t in data):
-        return TauWeighting(per_edge=_edge_weights(((i, j), v) for i, j, v in data))
+        return TauWeighting(per_edge=[((i, j), v) for i, j, v in data])
     raise ValueError(f"cannot read tau from {data!r}: need a number or [i, j, tau] triples")
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "NamedFamily",
     "adjacency_matrix",
     "component_vertex_sets",
+    "edge_key",
     "generate_named",
     "induced_subgraph",
     "is_bipartite",
@@ -37,6 +38,22 @@ __all__ = [
 
 class GraphError(ValueError):
     """Malformed graph input or a violated structural constraint."""
+
+
+def edge_key(i, j) -> tuple[int, int]:
+    """The canonical key ``(min, max)`` of the vertex pair ``i``, ``j``.
+
+    Labels must be Python or numpy integers, not ``bool``; they come back as
+    Python ints. Anything else raises :class:`GraphError`.
+    """
+    # bool is an int subclass, so operator.index(True) would be 1.
+    if isinstance(i, bool) or isinstance(j, bool):
+        raise GraphError("vertex labels must be integers")
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise GraphError("vertex labels must be integers") from None
+    return (i, j) if i < j else (j, i)
 
 
 @dataclass(frozen=True)
@@ -65,23 +82,16 @@ class Graph:
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """Build a graph from unordered vertex pairs.
 
-        ``n`` defaults to the largest endpoint. Labels must be Python or numpy
-        integers, not ``bool``. Duplicate edges (in either orientation) are a
-        hard error, as are loops.
+        ``n`` defaults to the largest endpoint. Each pair goes through
+        :func:`edge_key`, so labels must be integers. Duplicate edges (in
+        either orientation) are a hard error, as are loops.
         """
         seen: set[tuple[int, int]] = set()
         top = 0
         for i, j in edges:
-            # bool is an int subclass, so operator.index(True) would be 1.
-            if isinstance(i, bool) or isinstance(j, bool):
-                raise GraphError("vertex labels must be integers")
-            try:
-                i, j = operator.index(i), operator.index(j)
-            except TypeError:
-                raise GraphError("vertex labels must be integers") from None
-            if i == j:
-                raise GraphError(f"loop edge {i}-{i}")
-            e = (i, j) if i < j else (j, i)
+            e = edge_key(i, j)
+            if e[0] == e[1]:
+                raise GraphError(f"loop edge {e[0]}-{e[0]}")
             if e in seen:
                 raise GraphError(f"duplicate edge {e[0]}-{e[1]}")
             seen.add(e)
@@ -113,9 +123,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in self.edges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -245,7 +252,7 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {lineno}: vertex labels start at 1")
         if i == j:
             raise GraphError(f"line {lineno}: loop edge {i}-{j}")
-        e = (i, j) if i < j else (j, i)
+        e = edge_key(i, j)
         if e in seen:
             raise GraphError(f"line {lineno}: duplicate edge {e[0]}-{e[1]}")
         seen.add(e)

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import angleset.admissible
 import angleset.spectra
 from angleset import graph_spectrum
 
@@ -52,6 +53,21 @@ def eig_calls(monkeypatch):
     for module in _holders("eigen_symmetric", real):
         monkeypatch.setattr(module, "eigen_symmetric", counted)
     return calls
+
+
+@pytest.fixture
+def tau_checks(monkeypatch):
+    """The edge of each tau value that ``TauWeighting`` range-checks, one
+    entry per check (``None`` for a constant)."""
+    checked = []
+    real = angleset.admissible._check_tau_value
+
+    def counted(value, edge=None):
+        checked.append(edge)
+        return real(value, edge)
+
+    monkeypatch.setattr(angleset.admissible, "_check_tau_value", counted)
+    return checked
 
 
 @pytest.fixture

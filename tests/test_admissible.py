@@ -28,6 +28,7 @@ from angleset import (
     sigma_tree,
     tree_from_pruefer,
     trichotomy,
+    verify_configuration,
 )
 from angleset.admissible import gram_spectrum
 from corpus import cycle, pruefer_from_index, shuffled
@@ -40,19 +41,12 @@ def named(tag_or_family, size=None):
 class TestTauWeighting:
     def test_constant(self):
         w = TauWeighting.of(0.3)
-        assert w.is_constant
-        assert w.value(5, 2) == 0.3
+        assert w.constant == 0.3 and w.per_edge is None
 
     def test_per_edge_keys_are_canonicalized(self):
         w = TauWeighting.of({(3, 1): 0.2, (2, 3): 0.4})
-        assert not w.is_constant
-        assert w.value(1, 3) == 0.2
-        assert w.value(3, 2) == 0.4
-
-    def test_per_edge_missing_edge_lookup(self):
-        w = TauWeighting.of({(1, 2): 0.5})
-        with pytest.raises(ValueError, match="no weight for edge 1-3"):
-            w.value(3, 1)
+        assert w.constant is None
+        assert w.per_edge == {(1, 3): 0.2, (2, 3): 0.4}
 
     def test_same_edge_twice(self):
         with pytest.raises(ValueError, match="weighted twice"):
@@ -74,16 +68,65 @@ class TestTauWeighting:
     def test_one_is_allowed(self):
         assert TauWeighting.of(1.0).constant == 1.0
 
-    def test_validate_for(self):
+    @pytest.mark.parametrize(
+        "raw", [np.float32(0.2), np.float64(0.2), 1, np.int64(1)],
+        ids=["float32", "float64", "int", "int64"],
+    )
+    def test_constant_is_stored_as_a_float(self, raw):
+        w = TauWeighting.of(raw)
+        assert type(w.constant) is float and w.constant == float(raw)
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, np.True_, "0.3", np.str_("0.3"), b"0.3", bytearray(b"0.3")],
+        ids=["true", "false", "np-true", "str", "np-str", "bytes", "bytearray"],
+    )
+    def test_bool_and_text_are_refused(self, bad):
+        with pytest.raises(ValueError, match="must be a real number"):
+            TauWeighting.of(bad)
+        with pytest.raises(ValueError, match="on edge 1-2 must be a real number"):
+            TauWeighting.of({(1, 2): bad})
+        with pytest.raises(ValueError, match="must be a real number"):
+            existence(named("A", 3), bad)
+
+    @pytest.mark.parametrize(
+        "key", [(True, 2), (1.0, 2), ("1", 2), (None, 2)], ids=["bool", "float", "str", "none"]
+    )
+    def test_per_edge_labels_must_be_integers(self, key):
+        with pytest.raises(ValueError, match="vertex labels must be integers"):
+            TauWeighting.of({key: 0.2, (2, 3): 0.3})
+
+    def test_numpy_integer_labels_become_python_ints(self):
+        w = TauWeighting.of({(np.int64(2), np.int32(1)): 0.2, (2, 3): 0.3})
+        assert w.per_edge == {(1, 2): 0.2, (2, 3): 0.3}
+        assert all(type(v) is int for e in w.per_edge for v in e)
+
+    def test_per_edge_must_cover_the_edge_set_exactly(self):
         g = named("A", 3)
-        TauWeighting.of({(1, 2): 0.5, (2, 3): 0.5}).validate_for(g)
+        assert existence(g, {(1, 2): 0.3, (2, 3): 0.3}).exists
         with pytest.raises(ValueError, match="misses edge 2-3"):
-            TauWeighting.of({(1, 2): 0.5}).validate_for(g)
+            gram_matrix(g, {(1, 2): 0.5})
+        with pytest.raises(ValueError, match="misses edge 2-3"):
+            existence(g, {(1, 2): 0.5})
         with pytest.raises(ValueError, match="non-edge 1-3"):
-            TauWeighting.of({(1, 2): 0.5, (2, 3): 0.5, (1, 3): 0.5}).validate_for(g)
+            gram_matrix(g, {(1, 2): 0.5, (2, 3): 0.5, (1, 3): 0.5})
+        with pytest.raises(ValueError, match="non-edge 1-3"):
+            existence(g, {(1, 2): 0.5, (2, 3): 0.5, (1, 3): 0.5})
 
     def test_constant_needs_no_validation(self):
-        TauWeighting.of(0.5).validate_for(named("A", 3))
+        g = named("A", 3)
+        assert existence(g, 0.3).exists
+        assert gram_matrix(g, 0.3)[0, 1] == math.sqrt(0.3)
+
+    @pytest.mark.parametrize("call", ["existence", "construct", "verify"])
+    def test_a_raw_mapping_is_resolved_once(self, tau_checks, call):
+        g = cycle(6)
+        tau = dict.fromkeys(g.edges, 0.2)
+        c = construct_configuration(g, tau)
+        tau_checks.clear()
+        {"existence": lambda: existence(g, tau),
+         "construct": lambda: construct_configuration(g, tau),
+         "verify": lambda: verify_configuration(c, g, tau)}[call]()
+        assert sorted(tau_checks) == sorted(g.edges)
 
 
 class TestGramMatrix:

@@ -338,6 +338,45 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError, match="missing field"):
             load_configuration({"vectors": [[1.0]]})
 
+    @pytest.mark.parametrize("tau", [np.float32(0.2), np.float64(0.2)], ids=["float32", "float64"])
+    def test_numpy_constant_tau(self, tau):
+        g = named("D", 5)
+        c = construct_configuration(g, tau)
+        doc = json.loads(json.dumps(configuration_document(c, g, tau)))
+        assert doc["tau"] == float(tau)
+        c2, g2, w2 = load_configuration(doc)
+        assert w2 == TauWeighting.of(tau) and type(w2.constant) is float
+        assert verify_configuration(c2, g2, w2).passed
+
+    def test_boolean_tau_is_refused(self):
+        g = named("A", 2)
+        c = construct_configuration(g, 1.0)
+        with pytest.raises(ValueError, match="must be a real number"):
+            configuration_document(c, g, True)
+
+    @pytest.mark.parametrize("key", [(True, 2), (1.0, 2)], ids=["bool", "float"])
+    def test_per_edge_labels_must_be_integers(self, key):
+        g = named("A", 3)
+        c = construct_configuration(g, 0.2)
+        with pytest.raises(ValueError, match="vertex labels must be integers"):
+            configuration_document(c, g, {key: 0.2, (2, 3): 0.3})
+
+    def test_numpy_integer_labels(self):
+        g = named("A", 3)
+        tau = {(np.int64(2), np.int32(1)): 0.2, (2, 3): 0.3}
+        c = construct_configuration(g, tau)
+        doc = json.loads(json.dumps(configuration_document(c, g, tau)))
+        assert doc["tau"] == [[1, 2, 0.2], [2, 3, 0.3]]
+        assert load_configuration(doc)[2].per_edge == {(1, 2): 0.2, (2, 3): 0.3}
+
+    def test_load_range_checks_each_value_once(self, tau_checks):
+        g = named("D", 6)
+        tau = {e: 0.1 + 0.01 * k for k, e in enumerate(sorted(g.edges))}
+        doc = configuration_document(construct_configuration(g, tau), g, tau)
+        tau_checks.clear()
+        assert load_configuration(doc)[2].per_edge == tau
+        assert sorted(tau_checks) == sorted(g.edges)
+
     @pytest.mark.parametrize(
         "ambient,vectors",
         [(3.9, [[1.0, 0.0, 0.0]]), ("3", [[1.0, 0.0, 0.0]]), (True, [[1.0]]),
@@ -422,19 +461,18 @@ def test_construct_then_verify_on_random_feasible_trees(n, data, scale):
 def pairwise_residuals(vectors, g, tau):
     """Reference for :func:`verify_configuration`: every relation recomputed
     from the d x d projection matrices, one vertex pair at a time."""
-    w = TauWeighting.of(tau)
     projs = [np.outer(row, row) for row in vectors]
     idem = max(float(np.linalg.norm(p @ p - p)) for p in projs)
     braid = 0.0
     for i, j in g.edges:
-        t = w.value(i, j)
+        t = tau[i, j] if isinstance(tau, dict) else tau
         pi, pj = projs[i - 1], projs[j - 1]
         braid = max(braid, float(np.linalg.norm(pi @ pj @ pi - t * pi)))
         braid = max(braid, float(np.linalg.norm(pj @ pi @ pj - t * pj)))
     orth = 0.0
     for i in range(1, g.n + 1):
         for j in range(i + 1, g.n + 1):
-            if g.has_edge(i, j):
+            if (i, j) in g.edges:
                 continue
             pi, pj = projs[i - 1], projs[j - 1]
             orth = max(orth, float(np.linalg.norm(pi @ pj)))

@@ -1,9 +1,11 @@
-"""The package's top-level surface, and no unused import in the repository's
-Python files (``src/``, ``tests/`` and ``bench/``, which are only read)."""
+"""The package's top-level surface, the README's library example, and no
+unused import in the repository's Python files (``src/``, ``tests/`` and
+``bench/``, which are only read)."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import angleset
@@ -93,3 +95,27 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def same_token(want: str, got: str) -> bool:
+    """Equal as numbers to 10 significant digits, or else as text."""
+    try:
+        return f"{float(want):.10g}" == f"{float(got):.10g}"
+    except ValueError:
+        return want == got
+
+
+def test_readme_library_example(capsys):
+    # Each print in the block writes one line; a ``# ...`` comment on it
+    # states what that line says.
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    claims = [line.partition("#")[2].split() for line in code.splitlines()
+              if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(claims)
+    checked = [(want, got.split()) for want, got in zip(claims, printed) if want]
+    assert checked
+    for want, got in checked:
+        assert len(want) == len(got) and all(map(same_token, want, got)), (want, got)
