@@ -57,6 +57,7 @@ from .spectra import (
     Spectrum,
     eigen_symmetric,
     eigenpairs,
+    eigenvalues,
     graph_index,
     graph_spectrum,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "construct_configuration",
     "eigen_symmetric",
     "eigenpairs",
+    "eigenvalues",
     "existence",
     "generate_named",
     "gram_matrix",

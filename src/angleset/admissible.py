@@ -10,11 +10,12 @@ is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 
 The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
 it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
-(see :func:`graph_spectrum`); a per-edge weighting solves its own Gram matrix
-with :func:`~angleset.spectra.eigenpairs`. :func:`existence` takes its verdict
-from it through :meth:`ExistenceVerdict.from_eigenvalues`;
-:func:`construct_configuration`, which also needs eigenvectors, takes the
-same verdict from the same LAPACK solve of the assembled Gram matrix, so a
+(see :func:`graph_spectrum`), which the Jacobi solver computes; a per-edge
+weighting solves its own Gram matrix with :func:`~angleset.spectra.eigenvalues`
+(LAPACK, no eigenvectors). :func:`existence` takes its verdict from it
+through :meth:`ExistenceVerdict.from_eigenvalues`;
+:func:`~angleset.configurations.construct_configuration` takes the same
+verdict from the same ``eigenvalues`` call on the assembled Gram matrix, so a
 per-edge ``existence`` and ``construct`` read identical eigenvalues.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, edge_key, is_tree
-from .spectra import Spectrum, eigenpairs, graph_index, graph_spectrum
+from .spectra import Spectrum, eigenvalues, graph_index, graph_spectrum
 
 __all__ = [
     "ExistenceVerdict",
@@ -131,8 +132,13 @@ TauLike = Union[TauWeighting, float, Mapping[tuple[int, int], float]]
 
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere."""
-    i, j, t = TauWeighting.of(tau).edge_arrays(g)
-    a = np.eye(g.n)
+    return _gram_from_arrays(g.n, *TauWeighting.of(tau).edge_arrays(g))
+
+
+def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The n x n Gram matrix of the aligned edge arrays of
+    :meth:`TauWeighting.edge_arrays`."""
+    a = np.eye(n)
     a[i, j] = a[j, i] = np.sqrt(t)
     return a
 
@@ -140,11 +146,12 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
 def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
     """Gram eigenvalues of ``(g, tau)``, descending. A constant tau shifts
     the adjacency spectrum to 1 + sqrt(tau) spec(A), with the residual bound
-    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix by
-    LAPACK, as :func:`construct_configuration` does."""
+    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix with
+    :func:`~angleset.spectra.eigenvalues`, as ``construct_configuration``
+    does."""
     w = TauWeighting.of(tau)
     if w.constant is None:
-        return eigenpairs(gram_matrix(g, w))
+        return eigenvalues(gram_matrix(g, w))
     root = math.sqrt(w.constant)
     adj = graph_spectrum(g)
     return Spectrum(1.0 + root * adj.eigenvalues, root * adj.residual_bound)

@@ -3,17 +3,19 @@
 A configuration assigns to each vertex a unit vector v_i (equivalently the
 rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
-ones are orthogonal. Construction takes the LAPACK eigenpairs of the Gram
-matrix, reaches the PSD verdict the way :func:`existence` does and factors the
-matrix through the kept eigenpairs; verification reads every defining relation
+ones are orthogonal. Construction takes the LAPACK eigenvalues of the Gram
+matrix (no eigenvectors), reaches the PSD verdict the way :func:`existence`
+does and factors the matrix: a positive definite one by Cholesky, a singular
+one through its kept eigenpairs. Verification reads every defining relation
 off the vectors' Gram matrix V V^T and reports worst-case Frobenius
 residuals.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
 and a non-negative i-th coordinate. For a positive definite Gram matrix that
-is its Cholesky factor, which is sparse on sparse graphs and does not depend
-on the basis LAPACK picks inside a repeated eigenvalue.
+is its Cholesky factor, which is sparse on sparse graphs; a singular one is
+rotated into the same frame by a QR factorisation, so it does not depend on
+the basis LAPACK picks inside a repeated eigenvalue.
 """
 
 from __future__ import annotations
@@ -23,9 +25,16 @@ from itertools import chain
 
 import numpy as np
 
-from .admissible import PSD_TOL, ExistenceVerdict, TauLike, TauWeighting, gram_matrix
+from .admissible import (
+    PSD_TOL,
+    ExistenceVerdict,
+    TauLike,
+    TauWeighting,
+    _gram_from_arrays,
+    gram_matrix,
+)
 from .graphs import Graph
-from .spectra import eigenpairs
+from .spectra import eigenpairs, eigenvalues
 
 __all__ = [
     "SubspaceConfiguration",
@@ -69,51 +78,69 @@ class SubspaceConfiguration:
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Assemble the Gram matrix once, take its eigenpairs from
-    :func:`~angleset.spectra.eigenpairs` and its verdict at ``PSD_TOL``, and
-    scale the leading ``rank`` eigenvectors by sqrt(lambda) into a factor F.
-    Raises ``ValueError`` when the matrix is not positive semidefinite (no
-    configuration exists).
+    Assemble the Gram matrix once and take its verdict at ``PSD_TOL`` from
+    :func:`~angleset.spectra.eigenvalues`, the call a per-edge
+    :func:`~angleset.admissible.existence` makes. Raises ``ValueError`` when
+    the matrix is not positive semidefinite (no configuration exists).
 
-    The vectors are F in the canonical frame: with F^T = Q R (QR
-    factorisation, rows of R signed so that its diagonal is non-negative),
-    they are R^T, so row i is zero beyond column i. R^T R = F F^T, so the
-    rotation changes neither the Gram matrix nor the rank, and for a definite
-    Gram matrix R^T is its Cholesky factor. Entries within n * eps of zero
-    (machine epsilon, the rounding level of a unit row) are set to exactly
-    0.0, which moves no vector by more than that.
+    The vectors come in the canonical frame: row i is zero beyond column i
+    and has a non-negative i-th entry. When the verdict's rank is n the
+    vectors are the Cholesky factor of the Gram matrix, and no eigenvectors
+    are computed. A singular Gram matrix (the endpoint cases), or a definite
+    one that Cholesky rejects in rounding, is factored through
+    :func:`~angleset.spectra.eigenpairs` and one QR factorisation. Entries
+    within n * eps of zero (machine epsilon, the rounding level of a unit
+    row) are set to exactly 0.0, which moves no vector by more than that.
 
     The vectors' Gram matrix V V^T differs from the target by exactly the
     dropped eigenvalues, ``||lambda_dropped||_2`` in Frobenius norm, in exact
-    arithmetic; each of them lies within ``PSD_TOL`` of zero. The check, made
-    on the final vectors, allows that much plus ``PSD_TOL`` for rounding in the
-    solve, the rotation and the product (at most 3e-14 in trials up to
-    n = 96), and raises ``RuntimeError`` past it.
+    arithmetic (none for Cholesky); each of them lies within ``PSD_TOL`` of
+    zero. The check, made on the final vectors, allows that much plus
+    ``PSD_TOL`` for rounding in the solve, the rotation and the product (at
+    most 3e-14 in trials up to n = 96), and raises ``RuntimeError`` past it.
     """
     a = gram_matrix(g, tau)
-    spectrum = eigenpairs(a)
-    evals = spectrum.eigenvalues
-    verdict = ExistenceVerdict.from_eigenvalues(evals)
+    verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
             f"{verdict.min_eigenvalue:.6e}"
         )
-    k = verdict.rank
-    factor = spectrum.eigenvectors[:, :k] * np.sqrt(evals[:k])
-    # factor = R^T Q^T, so R^T has the same Gram matrix in the canonical frame.
-    r = np.linalg.qr(factor.T, mode="r")
-    r *= np.copysign(1.0, r.diagonal())[:, None]
-    vectors = np.ascontiguousarray(r.T)
+    vectors, dropped = _canonical_factor(a, verdict.rank)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
-    allowed = float(np.linalg.norm(evals[k:])) + PSD_TOL
+    allowed = dropped + PSD_TOL
     if deviation > allowed:
         raise RuntimeError(
             f"Gram factorization off by {deviation:.3e}, above the dropped "
             f"eigenvalues plus rounding, {allowed:.3e}"
         )
     return SubspaceConfiguration.from_vectors(vectors)
+
+
+def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+    """Lower-trapezoidal V with a non-negative diagonal and ``rank`` columns
+    whose V V^T is the PSD matrix ``a`` up to its eigenvalues past ``rank``,
+    and the Frobenius norm of those dropped eigenvalues.
+
+    At full rank V is the Cholesky factor. Otherwise the leading ``rank``
+    eigenvectors scaled by sqrt(lambda) give a factor F, and with F^T = Q R
+    (QR factorisation, rows of R signed so that its diagonal is non-negative)
+    V is R^T: R^T R = F F^T, so the rotation changes neither the Gram matrix
+    nor the rank, and R^T does not depend on the basis LAPACK picks inside a
+    repeated eigenvalue.
+    """
+    if rank == a.shape[0]:
+        try:
+            return np.linalg.cholesky(a), 0.0
+        except np.linalg.LinAlgError:
+            pass  # definite at PSD_TOL but not to Cholesky's rounding
+    spectrum = eigenpairs(a)
+    evals = spectrum.eigenvalues
+    factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
+    r = np.linalg.qr(factor.T, mode="r")
+    r *= np.copysign(1.0, r.diagonal())[:, None]
+    return np.ascontiguousarray(r.T), float(np.linalg.norm(evals[rank:]))
 
 
 @dataclass(frozen=True)
@@ -172,9 +199,8 @@ def verify_configuration(
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
-    w = TauWeighting.of(tau)
-    i, j, t = w.edge_arrays(g)
-    target = gram_matrix(g, w)
+    i, j, t = TauWeighting.of(tau).edge_arrays(g)
+    target = _gram_from_arrays(g.n, i, j, t)
     v = config.vectors
     gram = v @ v.T
     sq = np.diag(gram)

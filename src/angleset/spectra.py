@@ -1,16 +1,18 @@
 """Dense symmetric eigensolvers and graph-spectrum quantities.
 
-Two solvers, one job each. Adjacency spectra come from
+Three routes, one job each. Adjacency spectra come from
 :func:`eigen_symmetric`, a cyclic Jacobi rotation scheme: rotations sweep the
 strict upper triangle in row order until the off-diagonal Frobenius norm drops
 below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). Gram matrices solved as matrices of their own, those of
-a per-edge :func:`~angleset.admissible.gram_spectrum` and of
-:func:`~angleset.configurations.construct_configuration`, go to LAPACK through
-:func:`eigenpairs`, so both read one eigenvalue array off one matrix.
+(``bench/README.md``). Every Gram matrix solved as a matrix of its own, in a
+per-edge :func:`~angleset.admissible.gram_spectrum` and in
+:func:`~angleset.configurations.construct_configuration`, takes its verdict
+from :func:`eigenvalues` (LAPACK, no eigenvectors), so both read one
+eigenvalue array off one matrix. Only a singular Gram matrix, which has no
+Cholesky factor, is factored through the eigenvectors of :func:`eigenpairs`.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
@@ -33,6 +35,7 @@ __all__ = [
     "Spectrum",
     "eigen_symmetric",
     "eigenpairs",
+    "eigenvalues",
     "graph_index",
     "graph_spectrum",
 ]
@@ -58,16 +61,18 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
-    ``eigenvectors`` is set only by :func:`eigenpairs`, which also solves a
-    per-edge :func:`~angleset.admissible.gram_spectrum`, and holds the k-th
-    eigenvector in column k; within a degenerate eigenspace the basis is
-    whatever LAPACK produces, so tests of the eigenvectors themselves should
-    only rely on subspace-level statements. (The lines of
-    :func:`~angleset.configurations.construct_configuration` do not depend on
-    that basis: they are rotated into a canonical frame.) ``residual_bound``
-    bounds every eigenvalue error: for :func:`eigen_symmetric` it is the final
-    off-diagonal Frobenius norm, for :func:`eigenpairs`, per-edge Gram spectra
-    included, the a-posteriori residual ``||m V - V Lambda||_F``.
+    ``eigenvectors`` is set only by :func:`eigenpairs`, which only the
+    singular route of
+    :func:`~angleset.configurations.construct_configuration` calls, and holds
+    the k-th eigenvector in column k; within a degenerate eigenspace the basis
+    is whatever LAPACK produces, so tests of the eigenvectors themselves
+    should only rely on subspace-level statements. (The lines of
+    ``construct_configuration`` do not depend on that basis: they are rotated
+    into a canonical frame.) ``residual_bound`` bounds every eigenvalue
+    error: for :func:`eigen_symmetric` it is the final off-diagonal Frobenius
+    norm, for the LAPACK routes :func:`eigenvalues` and :func:`eigenpairs`,
+    per-edge Gram spectra included, the a-priori bound
+    ``n * eps * ||m||_F``.
     """
 
     eigenvalues: np.ndarray
@@ -165,22 +170,43 @@ def eigen_symmetric(m) -> Spectrum:
     return Spectrum(eigenvalues, residual_bound=off)
 
 
+def _lapack_bound(mat: np.ndarray) -> float:
+    """A-priori error bound ``n * eps * ||mat||_F`` on every eigenvalue LAPACK
+    computes for the symmetric ``mat``.
+
+    Its symmetric solvers are backward stable: the computed eigenvalues are
+    exact for some mat + E with ``||E||_2`` a small multiple of
+    ``eps * ||mat||_2``, and by Weyl's inequality no eigenvalue moves by more
+    than ``||E||_2``. Taking n as the multiple and the Frobenius norm, which
+    is at least the spectral norm, gives a bound that costs O(n^2) and no
+    product.
+    """
+    return mat.shape[0] * np.finfo(float).eps * float(np.linalg.norm(mat))
+
+
+def eigenvalues(m) -> Spectrum:
+    """Eigenvalues of a dense symmetric matrix from LAPACK
+    (``np.linalg.eigvalsh``), descending, with no eigenvectors.
+
+    ``residual_bound`` is the a-priori bound ``n * eps * ||m||_F`` (see
+    :func:`_lapack_bound`). Raises ``ValueError`` for non-symmetric input.
+    """
+    mat = _symmetric(m)
+    return Spectrum(np.linalg.eigvalsh(mat)[::-1], residual_bound=_lapack_bound(mat))
+
+
 def eigenpairs(m) -> Spectrum:
     """Eigenvalues and orthonormal eigenvectors of a dense symmetric matrix,
     from LAPACK (``np.linalg.eigh``), eigenvalues descending and eigenvector
     k in column k.
 
-    ``residual_bound`` is the a-posteriori residual ``||m V - V Lambda||_F``.
-    With V orthonormal, m = V Lambda V^T + R V^T for that residual R, so by
-    Weyl's inequality every eigenvalue is off by at most ``||R||_2 <=
-    ||R||_F`` (plus the departure of V from orthonormality, at rounding
-    level). Raises ``ValueError`` for non-symmetric input.
+    ``residual_bound`` is the same a-priori bound as :func:`eigenvalues`
+    gives. Raises ``ValueError`` for non-symmetric input.
     """
     mat = _symmetric(m)
     evals, evecs = np.linalg.eigh(mat)
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    residual = float(np.linalg.norm(mat @ evecs - evecs * evals))
-    return Spectrum(evals, residual_bound=residual, eigenvectors=evecs)
+    return Spectrum(evals[::-1], residual_bound=_lapack_bound(mat),
+                    eigenvectors=evecs[:, ::-1])
 
 
 def graph_spectrum(g: Graph) -> Spectrum:

@@ -16,7 +16,7 @@ from angleset import (
     classify_index,
     construct_configuration,
     eigen_symmetric,
-    eigenpairs,
+    eigenvalues,
     existence,
     generate_named,
     graph_index,
@@ -236,23 +236,30 @@ class TestAdjacencySpectrumReuse:
 
     def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls, name_calls):
         """A per-edge weighting takes its Gram eigenvalues from the LAPACK
-        solve ``construct`` makes, never from Jacobi."""
+        ``eigenvalues`` call ``construct`` makes, never from Jacobi, and
+        computes no eigenvectors."""
         g = named("A", 4)
-        calls = name_calls("eigenpairs")
+        calls = name_calls("eigenvalues", "eigenpairs")
         existence(g, 0.2)
-        assert eig_calls == [4] and calls["eigenpairs"] == 0
+        assert eig_calls == [4] and calls["eigenvalues"] == calls["eigenpairs"] == 0
         weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
         first = existence(g, weights)
-        assert eig_calls == [4] and calls["eigenpairs"] == 1
+        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
         second = existence(g, weights)
-        assert eig_calls == [4] and calls["eigenpairs"] == 2
+        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (2, 0)
         assert first == second
         a = gram_matrix(g, weights)
-        lapack = eigenpairs(a)
+        lapack = eigenvalues(a)
         assert first.min_eigenvalue == lapack.eigenvalues[-1]
         jacobi = eigen_symmetric(a)
         band = jacobi.residual_bound + lapack.residual_bound
         assert abs(first.min_eigenvalue - jacobi.eigenvalues[-1]) <= band
+
+    def test_per_edge_existence_at_the_endpoint_computes_no_eigenvectors(self, name_calls):
+        g = named("A", 5)
+        calls = name_calls("eigenvalues", "eigenpairs")
+        assert existence(g, dict.fromkeys(g.edges, 1 / 3)).rank == 4
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
 
     def test_per_edge_tau_on_a_thousand_vertices(self, eig_calls):
         """The path's least Gram eigenvalue is 1 - 2 sqrt(tau) cos(pi/(n+1)).
@@ -266,12 +273,29 @@ class TestAdjacencySpectrumReuse:
         assert verdict.exists and verdict.rank == 1000
 
     def test_constant_tau_construct_solves_once(self, eig_calls, name_calls):
-        """``construct`` takes its one solve from LAPACK, not from Jacobi."""
+        """``construct`` takes its one solve from LAPACK, not from Jacobi, and
+        a definite Gram matrix needs no eigenvectors."""
         g = named("D", 6)
-        calls = name_calls("eigenpairs")
+        calls = name_calls("eigenvalues", "eigenpairs")
         config = construct_configuration(g, 0.2)
-        assert eig_calls == [] and calls["eigenpairs"] == 1
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
         assert config.ambient_dim == existence(g, 0.2).rank == 6
+
+    def test_definite_per_edge_construct_computes_no_eigenvectors(self, name_calls):
+        tau = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2, (4, 5): 0.1}
+        calls = name_calls("eigenvalues", "eigenpairs")
+        assert construct_configuration(named("A", 5), tau).ambient_dim == 5
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+
+    @pytest.mark.parametrize("weights", ["constant", "per-edge"])
+    def test_singular_construct_computes_eigenvectors_once(self, name_calls, weights):
+        """A5 at its endpoint 1/3 has a singular Gram matrix: one dimension
+        drops, and only the eigenvectors can factor it."""
+        g = named("A", 5)
+        tau = 1 / 3 if weights == "constant" else dict.fromkeys(g.edges, 1 / 3)
+        calls = name_calls("eigenvalues", "eigenpairs")
+        assert construct_configuration(g, tau).ambient_dim == 4
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
 
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
@@ -348,9 +372,10 @@ def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
     in ``rank`` dimensions.
 
     The same tau on every edge, given per edge, makes ``existence`` read the
-    LAPACK eigenvalues ``construct`` reads, so the dimension is the rank
-    exactly. A constant tau makes ``existence`` read Jacobi eigenvalues, so
-    an eigenvalue within the two solvers' summed error bounds of ``PSD_TOL``
+    ``spectra.eigenvalues`` array ``construct`` reads, so the dimension is
+    the rank exactly. A constant tau makes ``existence`` read Jacobi
+    eigenvalues while ``construct`` reads ``spectra.eigenvalues``, so an
+    eigenvalue within the two solvers' summed error bounds of ``PSD_TOL``
     may fall on either side of the rank cut; the dimension may then differ
     from the rank by the number of such eigenvalues, and by nothing else."""
     for n in sizes:
@@ -368,7 +393,7 @@ def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
                     unsure = 0
                     if weights is tau:
                         jacobi = gram_spectrum(g, tau)
-                        lapack = eigenpairs(gram_matrix(g, tau))
+                        lapack = eigenvalues(gram_matrix(g, tau))
                         band = jacobi.residual_bound + lapack.residual_bound
                         unsure = int(np.sum(np.abs(jacobi.eigenvalues - PSD_TOL) <= band))
                     assert abs(dim - verdict.rank) <= unsure, (family, n, weights is tau, tau)

@@ -177,23 +177,47 @@ class TestCanonicalFrame:
 
     @pytest.mark.parametrize("spec", ["C8", "D~6"])
     def test_independent_of_the_eigenspace_basis(self, monkeypatch, spec):
+        """At tau = 1/4 both Gram matrices are singular, so ``construct``
+        factors them through their eigenvectors."""
         g = spec_graph(spec)
-        a = gram_matrix(g, 0.2)
+        a = gram_matrix(g, 0.25)
         # The turned basis really differs from LAPACK's ...
         assert np.max(np.abs(rotated_eigenpairs(a).eigenvectors - eigenpairs(a).eigenvectors)) > 1e-3
-        before = construct_configuration(g, 0.2).vectors
+        before = construct_configuration(g, 0.25).vectors
+        assert before.shape == (g.n, g.n - 1)
         monkeypatch.setattr(angleset.configurations, "eigenpairs", rotated_eigenpairs)
         # ... and the lines do not move.
-        after = construct_configuration(g, 0.2).vectors
+        after = construct_configuration(g, 0.25).vectors
         assert np.max(np.abs(after - before)) <= 1e-12
 
     @pytest.mark.parametrize("spec,tau", FRAME_CASES)
     def test_flush_moves_entries_by_at_most_rounding(self, spec, tau):
         g = spec_graph(spec)
-        r = np.linalg.qr(eigen_factor(g, tau).T, mode="r")
-        unflushed = (r * np.copysign(1.0, np.diagonal(r))[:, None]).T
+        a = gram_matrix(g, tau)
+        if np.linalg.eigvalsh(a)[0] > PSD_TOL:
+            unflushed = np.linalg.cholesky(a)
+        else:
+            r = np.linalg.qr(eigen_factor(g, tau).T, mode="r")
+            unflushed = (r * np.copysign(1.0, np.diagonal(r))[:, None]).T
         v = construct_configuration(g, tau).vectors
         assert np.max(np.abs(v - unflushed)) <= g.n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("spec,tau", [(s, t) for s, t in FRAME_CASES if t == 0.2])
+    def test_eigen_route_when_cholesky_fails(self, monkeypatch, name_calls, spec, tau):
+        """A definite Gram matrix that Cholesky rejects in rounding still gets
+        its lines, through the eigenvectors, in the same frame."""
+        g = spec_graph(spec)
+        cholesky = construct_configuration(g, tau).vectors
+
+        def rejects(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", rejects)
+        calls = name_calls("eigenpairs")
+        eigen = construct_configuration(g, tau).vectors
+        assert calls["eigenpairs"] == 1
+        assert eigen.shape == cholesky.shape == (g.n, g.n)
+        assert np.max(np.abs(eigen - cholesky)) <= g.n * np.finfo(float).eps
 
     def test_document_is_at_most_half_the_eigen_factor(self):
         g = named("D", 96)
@@ -250,6 +274,23 @@ class TestVerify:
         pruned = Graph.from_edges([(1, 2)], n=3)
         report = verify_configuration(c, pruned, 0.3)
         assert report.orthogonality > 1e-3
+
+    @pytest.mark.parametrize("weights", ["constant", "per-edge"])
+    def test_one_alignment_per_verification(self, monkeypatch, weights):
+        """The braid term and the target read one ``edge_arrays`` result."""
+        g = named("D", 6)
+        tau = 0.2 if weights == "constant" else dict.fromkeys(g.edges, 0.2)
+        c = construct_configuration(g, tau)
+        aligned = []
+        real = TauWeighting.edge_arrays
+
+        def counted(self, graph):
+            aligned.append(graph)
+            return real(self, graph)
+
+        monkeypatch.setattr(TauWeighting, "edge_arrays", counted)
+        assert verify_configuration(c, g, tau).passed
+        assert aligned == [g]
 
     def test_per_edge_weighting_must_cover_the_graph(self):
         g = named("A", 3)

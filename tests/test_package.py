@@ -4,6 +4,7 @@ unused import in the repository's Python files (``src/``, ``tests/`` and
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -37,6 +38,22 @@ def test_every_all_entry_exists():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_traced_target_resolves():
+    # The per-layer benchmark run wraps these by name and would otherwise
+    # fail on a rename only when run with tracing on.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr in tracing.TARGETS.values():
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module_name}.{attr}")
+    assert tracing.TARGETS and missing == []
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:

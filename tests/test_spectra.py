@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from angleset import (
     adjacency_matrix,
     eigen_symmetric,
     eigenpairs,
+    eigenvalues,
     generate_named,
     graph_index,
     graph_spectrum,
@@ -120,6 +122,16 @@ class TestAgainstCharpolyOracle:
         for lam in graph_spectrum(g).eigenvalues:
             assert brackets_root(p, lam), f"{tag}: {lam} is not within 1e-8 of a root"
 
+    @pytest.mark.parametrize("tag", sorted(FROZEN_CHARPOLYS))
+    def test_lapack_eigenvalues_lie_within_their_bound_of_an_exact_root(self, tag):
+        g = graph_for(tag)
+        p = square_free(char_poly(adjacency_matrix(g).tolist()))
+        s = eigenvalues(adjacency_matrix(g))
+        radius = Fraction(s.residual_bound)
+        assert 0 < radius < Fraction(1, 10**13)
+        for lam in s.eigenvalues:
+            assert brackets_root(p, lam, radius), f"{tag}: {lam} is not within {radius} of a root"
+
 
 class TestEigenvectors:
     @pytest.mark.parametrize("tag", ["P4", "C4", "E6", "E~6", "K1,4"])
@@ -129,7 +141,7 @@ class TestEigenvectors:
         v = s.eigenvectors
         assert np.max(np.abs(m @ v - v * s.eigenvalues)) < 1e-10
         assert np.max(np.abs(v.T @ v - np.eye(m.shape[0]))) < 1e-12
-        assert s.residual_bound == np.linalg.norm(m @ v - v * s.eigenvalues)
+        assert np.linalg.norm(m @ v - v * s.eigenvalues) <= s.residual_bound
         assert s.residual_bound < 1e-13
 
     def test_input_matrix_not_mutated(self):
@@ -137,16 +149,30 @@ class TestEigenvectors:
         before = m.copy()
         eigen_symmetric(m)
         eigenpairs(m)
+        eigenvalues(m)
         assert np.array_equal(m, before)
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigenpairs(np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+        for solve in (eigenpairs, eigenvalues):
+            with pytest.raises(ValueError, match="symmetric"):
+                solve(np.array([[1.0, 2.0], [2.0 + 1e-14, 1.0]]))
+            with pytest.raises(ValueError, match="square"):
+                solve(np.zeros((2, 3)))
 
     def test_eigenvalues_only_from_jacobi(self):
         m = adjacency_matrix(graph_for("P4")).astype(float)
         assert eigen_symmetric(m).eigenvectors is None
         assert graph_spectrum(graph_for("P4")).eigenvectors is None
+
+    @pytest.mark.parametrize("tag", ["P4", "C4", "E~6", "K1,4"])
+    def test_eigenvalues_without_vectors_match_eigenpairs(self, tag):
+        m = adjacency_matrix(graph_for(tag)).astype(float)
+        values, pairs = eigenvalues(m), eigenpairs(m)
+        assert values.eigenvectors is None
+        assert np.all(np.diff(values.eigenvalues) <= 0)
+        bound = m.shape[0] * np.finfo(float).eps * np.linalg.norm(m)
+        assert values.residual_bound == pairs.residual_bound == bound
+        assert np.max(np.abs(values.eigenvalues - pairs.eigenvalues)) <= bound
 
     @pytest.mark.parametrize(
         "corpus_fixture", ["boundary_trees", "cycle_corpus", "random_connected_corpus"]
