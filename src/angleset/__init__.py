@@ -15,7 +15,6 @@ from .admissible import (
     TauWeighting,
     existence,
     gram_matrix,
-    sigma_bounds,
     sigma_cycle,
     sigma_tree,
     trichotomy,
@@ -103,7 +102,6 @@ __all__ = [
     "load_configuration",
     "parse_edge_list",
     "parse_named_spec",
-    "sigma_bounds",
     "sigma_cycle",
     "sigma_tree",
     "tree_from_pruefer",

@@ -14,9 +14,10 @@ it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
 weighting solves its own Gram matrix with :func:`~angleset.spectra.eigenvalues`
 (LAPACK, no eigenvectors). :func:`existence` takes its verdict from it
 through :meth:`ExistenceVerdict.from_eigenvalues`;
-:func:`~angleset.configurations.construct_configuration` takes the same
-verdict from the same ``eigenvalues`` call on the assembled Gram matrix, so a
-per-edge ``existence`` and ``construct`` read identical eigenvalues.
+:func:`~angleset.configurations.construct_configuration` reaches the verdict
+the same ``eigenvalues`` call gives on the assembled Gram matrix, by a
+Cholesky certificate or from its eigenpairs away from the cuts, so a
+per-edge ``existence`` and ``construct`` always agree.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "existence",
     "gram_matrix",
     "gram_spectrum",
-    "sigma_bounds",
     "sigma_cycle",
     "sigma_tree",
     "trichotomy",
@@ -231,24 +231,6 @@ def _coxeter_endpoint(h: int) -> float:
     Coxeter number ``h``; the path on n vertices has h = n + 1."""
     c = math.cos(math.pi / h)
     return min(1.0, 1.0 / (4.0 * c * c))
-
-
-def sigma_bounds(n: int) -> tuple[float, float]:
-    """Tight bounds ``(lower, upper)`` for the interval endpoint over all
-    trees on ``n >= 2`` vertices.
-
-    The lower bound ``1/(n-1)`` is attained by the star K1,n-1, whose index
-    ``sqrt(n-1)`` is the largest among trees (Lovasz-Pelikan); the upper
-    bound ``1/(4cos^2(pi/(n+1)))`` is attained by the path, whose index is
-    minimal among connected graphs.
-    """
-    if n < 2:
-        raise ValueError(f"bounds need n >= 2, got {n}")
-    if n <= 3:
-        # The star is the path. 4cos^2(pi/(n+1)) rounds just above 1 and 2,
-        # which would put the upper bound below the lower one.
-        return 1.0 / (n - 1), 1.0 / (n - 1)
-    return 1.0 / (n - 1), _coxeter_endpoint(n + 1)
 
 
 class QuarterPosition(enum.Enum):

@@ -44,7 +44,6 @@ from .graphs import Graph, GraphError, generate_named, parse_edge_list, parse_na
 from .spectra import graph_spectrum
 
 SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
-SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 # ``sweep`` lists its tau values before it computes any row.
 MAX_STEPS = 100_000
@@ -167,7 +166,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     config = construct_configuration(g, args.tau)
     report = verify_configuration(config, g, args.tau)
     doc = configuration_document(config, g, args.tau, report)
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
         print(f"wrote {args.out} (ambient_dim {config.ambient_dim}, "

@@ -3,12 +3,16 @@
 A configuration assigns to each vertex a unit vector v_i (equivalently the
 rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
-ones are orthogonal. Construction takes the LAPACK eigenvalues of the Gram
-matrix (no eigenvectors), reaches the PSD verdict the way :func:`existence`
-does and factors the matrix: a positive definite one by Cholesky, a singular
-one through its kept eigenpairs. Verification reads every defining relation
-off the vectors' Gram matrix V V^T and reports worst-case Frobenius
-residuals.
+ones are orthogonal. Construction reaches the PSD verdict that the LAPACK
+eigenvalues of the Gram matrix give, the one a per-edge :func:`existence`
+reads. A Cholesky factorisation of the matrix shifted down by a little more
+than ``PSD_TOL`` certifies it definite with no eigensolve, and the lines are
+then its own Cholesky factor. Any other matrix is solved once with
+eigenvectors; their eigenvalues give the verdict, except within twice the
+solver's error bound of a cut or when no configuration exists, where
+:func:`~angleset.spectra.eigenvalues` decides. A singular matrix is factored
+through the kept eigenpairs. Verification reads every defining relation off
+the vectors' Gram matrix V V^T and reports worst-case Frobenius residuals.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -34,7 +38,7 @@ from .admissible import (
     gram_matrix,
 )
 from .graphs import Graph
-from .spectra import eigenpairs, eigenvalues
+from .spectra import Spectrum, _cholesky_shift, eigenpairs, eigenvalues
 
 __all__ = [
     "SubspaceConfiguration",
@@ -78,17 +82,32 @@ class SubspaceConfiguration:
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Assemble the Gram matrix once and take its verdict at ``PSD_TOL`` from
-    :func:`~angleset.spectra.eigenvalues`, the call a per-edge
-    :func:`~angleset.admissible.existence` makes. Raises ``ValueError`` when
-    the matrix is not positive semidefinite (no configuration exists).
+    Assemble the Gram matrix A once and reach the verdict at ``PSD_TOL``
+    that :func:`~angleset.spectra.eigenvalues` gives on it, the call a
+    per-edge :func:`~angleset.admissible.existence` makes: with no
+    eigensolve for a definite matrix that Cholesky certifies, one for any
+    other, and a second only near a cut or when no configuration exists.
+    Raises ``ValueError`` when the matrix is not positive semidefinite (no
+    configuration exists), with eigvalsh's least eigenvalue in the message.
+
+    First A - s I is factored by Cholesky, with s from
+    :func:`~angleset.spectra._cholesky_shift`: ``PSD_TOL`` plus eigvalsh's
+    a-priori error bound plus twice Cholesky's backward-error bound. If that
+    succeeds, every eigenvalue eigvalsh would compute lies above
+    ``PSD_TOL``, so the verdict is rank n and no eigensolve is made. If it
+    fails, :func:`~angleset.spectra.eigenpairs` solves A once. Its
+    eigenvalues and eigvalsh's each lie within the a-priori bound b of the
+    true ones, so they give the same verdict unless one lies within 2b of
+    ``PSD_TOL`` or the least lies below 2b - ``PSD_TOL``; only then (near a
+    cut, or when no configuration exists) is ``eigenvalues`` called too, and
+    its verdict taken. The verdicts, the vectors and the error texts are
+    those of eigvalsh first, then Cholesky or the eigenvectors.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
-    vectors are the Cholesky factor of the Gram matrix, and no eigenvectors
-    are computed. A singular Gram matrix (the endpoint cases), or a definite
-    one that Cholesky rejects in rounding, is factored through
-    :func:`~angleset.spectra.eigenpairs` and one QR factorisation. Entries
+    vectors are the Cholesky factor of A. A singular Gram matrix (the
+    endpoint cases), or a definite one that Cholesky rejects in rounding, is
+    factored through the same eigenpairs and one QR factorisation. Entries
     within n * eps of zero (machine epsilon, the rounding level of a unit
     row) are set to exactly 0.0, which moves no vector by more than that.
 
@@ -100,13 +119,18 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     most 3e-14 in trials up to n = 96), and raises ``RuntimeError`` past it.
     """
     a = gram_matrix(g, tau)
-    verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
-    if not verdict.exists:
-        raise ValueError(
-            "no configuration exists: Gram matrix has negative eigenvalue "
-            f"{verdict.min_eigenvalue:.6e}"
-        )
-    vectors, dropped = _canonical_factor(a, verdict.rank)
+    if _certified_definite(a):
+        rank, pairs = g.n, None
+    else:
+        pairs = eigenpairs(a)
+        verdict = _verdict(a, pairs)
+        if not verdict.exists:
+            raise ValueError(
+                "no configuration exists: Gram matrix has negative eigenvalue "
+                f"{verdict.min_eigenvalue:.6e}"
+            )
+        rank = verdict.rank
+    vectors, dropped = _canonical_factor(a, rank, pairs)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     deviation = float(np.linalg.norm(vectors @ vectors.T - a))
     allowed = dropped + PSD_TOL
@@ -118,16 +142,51 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     return SubspaceConfiguration.from_vectors(vectors)
 
 
-def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+def _certified_definite(a: np.ndarray) -> bool:
+    """Whether Cholesky certifies that every eigenvalue of ``a``, and every
+    one :func:`~angleset.spectra.eigenvalues` computes for it, lies above
+    ``PSD_TOL``: the verdict is then rank n. The factorisation of
+    ``a - s I``, with s from :func:`~angleset.spectra._cholesky_shift`, is
+    the proof; a failed one proves nothing."""
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] -= _cholesky_shift(a, PSD_TOL)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _verdict(a: np.ndarray, pairs: Spectrum) -> ExistenceVerdict:
+    """The verdict :func:`~angleset.spectra.eigenvalues` gives on ``a``, read
+    off the eigenvalues of ``pairs`` where they must give the same one.
+
+    ``eigh`` and ``eigvalsh`` each put every eigenvalue within the bound b of
+    ``pairs`` of the truth, so the two arrays agree to within 2b. An
+    eigenvalue within 2b of ``PSD_TOL`` may fall on either side of the rank
+    cut, and a least eigenvalue below 2b - ``PSD_TOL`` on either side of the
+    existence cut or into an error text that prints it; only then is
+    ``eigenvalues`` called.
+    """
+    evals = pairs.eigenvalues
+    band = 2.0 * pairs.residual_bound
+    if evals[-1] < band - PSD_TOL or np.any(np.abs(evals - PSD_TOL) <= band):
+        evals = eigenvalues(a).eigenvalues
+    return ExistenceVerdict.from_eigenvalues(evals)
+
+
+def _canonical_factor(a: np.ndarray, rank: int,
+                      pairs: Spectrum | None) -> tuple[np.ndarray, float]:
     """Lower-trapezoidal V with a non-negative diagonal and ``rank`` columns
     whose V V^T is the PSD matrix ``a`` up to its eigenvalues past ``rank``,
     and the Frobenius norm of those dropped eigenvalues.
 
     At full rank V is the Cholesky factor. Otherwise the leading ``rank``
-    eigenvectors scaled by sqrt(lambda) give a factor F, and with F^T = Q R
-    (QR factorisation, rows of R signed so that its diagonal is non-negative)
-    V is R^T: R^T R = F F^T, so the rotation changes neither the Gram matrix
-    nor the rank, and R^T does not depend on the basis LAPACK picks inside a
+    eigenvectors, from ``pairs`` or else one :func:`eigenpairs` call, scaled
+    by sqrt(lambda) give a factor F, and with F^T = Q R (QR factorisation,
+    rows of R signed so that its diagonal is non-negative) V is R^T:
+    R^T R = F F^T, so the rotation changes neither the Gram matrix nor the
+    rank, and R^T does not depend on the basis LAPACK picks inside a
     repeated eigenvalue.
     """
     if rank == a.shape[0]:
@@ -135,7 +194,7 @@ def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
             return np.linalg.cholesky(a), 0.0
         except np.linalg.LinAlgError:
             pass  # definite at PSD_TOL but not to Cholesky's rounding
-    spectrum = eigenpairs(a)
+    spectrum = pairs if pairs is not None else eigenpairs(a)
     evals = spectrum.eigenvalues
     factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
     r = np.linalg.qr(factor.T, mode="r")

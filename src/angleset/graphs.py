@@ -326,12 +326,6 @@ class NamedFamily:
             return self.size + 1
         return self.size
 
-    @property
-    def spec_string(self) -> str:
-        if self.family in E_ARMS:
-            return self.family
-        return f"{_SIZED[self.family][0]}{self.size}"
-
 
 def parse_named_spec(text: str) -> NamedFamily:
     """Parse a family spec string such as ``A5``, ``D~4``, ``E~8``, ``C6``,

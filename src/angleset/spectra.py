@@ -7,12 +7,13 @@ below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). Every Gram matrix solved as a matrix of its own, in a
-per-edge :func:`~angleset.admissible.gram_spectrum` and in
-:func:`~angleset.configurations.construct_configuration`, takes its verdict
-from :func:`eigenvalues` (LAPACK, no eigenvectors), so both read one
-eigenvalue array off one matrix. Only a singular Gram matrix, which has no
-Cholesky factor, is factored through the eigenvectors of :func:`eigenpairs`.
+(``bench/README.md``). A per-edge :func:`~angleset.admissible.gram_spectrum`
+solves its Gram matrix with :func:`eigenvalues` (LAPACK, no eigenvectors).
+:func:`~angleset.configurations.construct_configuration` reaches the verdict
+those eigenvalues give, with no solve for a Gram matrix that a Cholesky
+factorisation, shifted by :func:`_cholesky_shift`, certifies definite. Any
+other is solved once by :func:`eigenpairs`, whose eigenvalues give the same
+verdict unless one lies near a cut, where :func:`eigenvalues` decides.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
@@ -61,9 +62,9 @@ class ConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
-    ``eigenvectors`` is set only by :func:`eigenpairs`, which only the
-    singular route of
-    :func:`~angleset.configurations.construct_configuration` calls, and holds
+    ``eigenvectors`` is set only by :func:`eigenpairs`, which only
+    :func:`~angleset.configurations.construct_configuration` calls, for a
+    Gram matrix that Cholesky does not certify definite, and holds
     the k-th eigenvector in column k; within a degenerate eigenspace the basis
     is whatever LAPACK produces, so tests of the eigenvectors themselves
     should only rely on subspace-level statements. (The lines of
@@ -182,6 +183,29 @@ def _lapack_bound(mat: np.ndarray) -> float:
     product.
     """
     return mat.shape[0] * np.finfo(float).eps * float(np.linalg.norm(mat))
+
+
+def _cholesky_shift(mat: np.ndarray, floor: float) -> float:
+    """Shift s such that a Cholesky factorisation of ``mat - s I`` that runs
+    to completion proves every eigenvalue of the symmetric ``mat`` exceeds
+    ``floor`` by more than :func:`_lapack_bound`, so that every eigenvalue
+    :func:`eigenvalues` would compute for ``mat`` lies above ``floor``.
+
+    s is ``floor + _lapack_bound(mat)`` plus twice Cholesky's backward-error
+    bound. A Cholesky factor R that LAPACK completes for M = mat - s I is
+    exact for some M + dM with |dM| <= gamma_{n+1} |R^T| |R| entrywise,
+    gamma_k = k eps / (1 - k eps) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 10). So M + dM is PSD and no eigenvalue of M
+    lies below -||dM||_2 >= -gamma_{n+1} ||R||_F^2. The squared column norms
+    of R are the diagonal of M + dM, so ||R||_F^2 is at most trace(mat) up to
+    a factor 1 / (1 - gamma_{n+1}): n for a unit-diagonal Gram matrix, whose
+    rows have norm at most 1. Twice gamma_{n+1} trace(mat) covers that factor
+    and the blocking of LAPACK's factorisation.
+    """
+    k = mat.shape[0] + 1
+    eps = np.finfo(float).eps
+    gamma = k * eps / (1.0 - k * eps)
+    return floor + _lapack_bound(mat) + 2.0 * gamma * float(np.trace(mat))
 
 
 def eigenvalues(m) -> Spectrum:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import angleset.classify
 from angleset import (
     PSD_TOL,
+    ExistenceVerdict,
     Graph,
     NamedFamily,
     QuarterPosition,
@@ -16,6 +17,7 @@ from angleset import (
     classify_index,
     construct_configuration,
     eigen_symmetric,
+    eigenpairs,
     eigenvalues,
     existence,
     generate_named,
@@ -23,7 +25,6 @@ from angleset import (
     graph_spectrum,
     gram_matrix,
     parse_named_spec,
-    sigma_bounds,
     sigma_cycle,
     sigma_tree,
     tree_from_pruefer,
@@ -273,29 +274,30 @@ class TestAdjacencySpectrumReuse:
         assert verdict.exists and verdict.rank == 1000
 
     def test_constant_tau_construct_solves_once(self, eig_calls, name_calls):
-        """``construct`` takes its one solve from LAPACK, not from Jacobi, and
-        a definite Gram matrix needs no eigenvectors."""
+        """``construct`` makes at most one solve, from LAPACK, not from
+        Jacobi; a Gram matrix that Cholesky certifies definite needs none."""
         g = named("D", 6)
         calls = name_calls("eigenvalues", "eigenpairs")
         config = construct_configuration(g, 0.2)
-        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
         assert config.ambient_dim == existence(g, 0.2).rank == 6
 
     def test_definite_per_edge_construct_computes_no_eigenvectors(self, name_calls):
         tau = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2, (4, 5): 0.1}
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(named("A", 5), tau).ambient_dim == 5
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
 
     @pytest.mark.parametrize("weights", ["constant", "per-edge"])
     def test_singular_construct_computes_eigenvectors_once(self, name_calls, weights):
         """A5 at its endpoint 1/3 has a singular Gram matrix: one dimension
-        drops, and only the eigenvectors can factor it."""
+        drops, and only the eigenvectors can factor it. Their eigenvalues
+        give the verdict too: none lies near a cut."""
         g = named("A", 5)
         tau = 1 / 3 if weights == "constant" else dict.fromkeys(g.edges, 1 / 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == 4
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 1)
 
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
@@ -399,6 +401,79 @@ def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
                     assert abs(dim - verdict.rank) <= unsure, (family, n, weights is tau, tau)
 
 
+def _reference_construct(g, tau):
+    """The construction before the Cholesky certificate, as an oracle: the
+    verdict from ``eigenvalues``, then the Cholesky factor at full rank, or
+    else the leading eigenpairs turned into the canonical frame by QR, with
+    entries within n * eps of zero flushed. Returns the vectors, or the
+    error text when no configuration exists."""
+    a = gram_matrix(g, tau)
+    verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
+    if not verdict.exists:
+        return ("no configuration exists: Gram matrix has negative eigenvalue "
+                f"{verdict.min_eigenvalue:.6e}")
+    v = None
+    if verdict.rank == g.n:
+        try:
+            v = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+    if v is None:
+        pairs = eigenpairs(a)
+        k = verdict.rank
+        factor = pairs.eigenvectors[:, :k] * np.sqrt(pairs.eigenvalues[:k])
+        r = np.linalg.qr(factor.T, mode="r")
+        r *= np.copysign(1.0, r.diagonal())[:, None]
+        v = np.ascontiguousarray(r.T)
+    v[np.abs(v) <= g.n * np.finfo(float).eps] = 0.0
+    return v
+
+
+def _matches_the_reference(g, tau):
+    """``construct`` gives the reference's vectors bit for bit, or raises its
+    error text; returns whether a configuration exists."""
+    want = _reference_construct(g, tau)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as info:
+            construct_configuration(g, tau)
+        assert str(info.value) == want
+        return False
+    got = construct_configuration(g, tau).vectors
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (g.n, tau)
+    return True
+
+
+@pytest.mark.parametrize("weights", ["constant", "per-edge"])
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_construct_matches_the_eigvalsh_reference_at_the_endpoint(family, weights):
+    """Across the endpoint band, where the certificate fails and the verdict
+    comes from the eigenpairs or from ``eigenvalues``, the lines and the
+    error texts are those of the eigvalsh-first construction."""
+    outcomes = set()
+    for n in (*range(5, 12), *range(12, 97, 7)):
+        g = generate_named(NamedFamily(family, n))
+        end = _psd_endpoint(g)
+        for delta in (*ENDPOINT_SHRINKS, -2e-9, -1e-6):
+            for tau in (end * (1 - delta), round(end * (1 - delta), 10)):
+                if tau <= 1.0:
+                    outcomes.add(_matches_the_reference(
+                        g, tau if weights == "constant" else dict.fromkeys(g.edges, tau)))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("corpus_fixture", ["cycle_corpus", "random_connected_corpus"])
+def test_construct_matches_the_eigvalsh_reference_on_graphs_with_cycles(
+    request, corpus_fixture
+):
+    outcomes = set()
+    for g in request.getfixturevalue(corpus_fixture):
+        end = _psd_endpoint(g)
+        for tau in (0.5 * end, end, min(1.0, end * (1 + 1e-9)), min(1.0, 1.5 * end)):
+            outcomes.add(_matches_the_reference(g, tau))
+            outcomes.add(_matches_the_reference(g, dict.fromkeys(g.edges, tau)))
+    assert outcomes == {True, False}
+
+
 class TestSigmaInterval:
     def test_membership(self):
         s = SigmaInterval(0.25)
@@ -440,7 +515,10 @@ class TestSigmaFormulas:
         assert sigma_tree(g).upper == pytest.approx(0.25, abs=1e-12)
 
     def test_star_endpoint_is_one_over_leaf_count(self):
-        assert sigma_tree(named("star", 5)).upper == pytest.approx(0.2, abs=1e-12)
+        for leaves in range(1, 30):
+            assert sigma_tree(named("star", leaves)).upper == pytest.approx(
+                1 / leaves, abs=1e-12
+            ), leaves
 
     def test_rejects_non_trees_and_single_vertices(self):
         with pytest.raises(ValueError, match="trees only"):
@@ -474,40 +552,30 @@ class TestSigmaFormulas:
         assert existence(g, 0.25).exists
 
 
-class TestSigmaBounds:
-    def test_two_vertices(self):
-        assert sigma_bounds(2) == (1.0, 1.0)
+def test_every_corpus_tree_lies_between_the_star_and_the_path(boundary_trees):
+    """Over the trees on n >= 2 vertices the endpoint 1/r^2 is least for the
+    star K1,n-1, whose index sqrt(n-1) is the largest among trees
+    (Lovasz-Pelikan), and greatest for the path, whose index 2cos(pi/(n+1))
+    is the least among connected graphs. The corpus holds every labeled tree
+    on up to 6 vertices, so there both extremes are attained. The slack
+    absorbs solver rounding: Jacobi puts the endpoint of K1,5 at
+    0.19999999999999996, just under its exact 1/5."""
+    def star(n):
+        return 1 / (n - 1)
 
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_all_trees_fall_inside(self, n):
-        lo, hi = sigma_bounds(n)
-        assert lo <= hi
-        for family, size in [("A", n), ("star", n - 1)] + (
-            [("D", n)] if n >= 4 else []
-        ):
-            upper = sigma_tree(named(family, size)).upper
-            assert lo - 1e-12 <= upper <= hi + 1e-12
+    def path(n):
+        return min(1.0, 1 / (4 * math.cos(math.pi / (n + 1)) ** 2))
 
-    def test_path_attains_the_upper_bound(self):
-        lo, hi = sigma_bounds(7)
-        assert sigma_tree(named("A", 7)).upper == pytest.approx(hi, abs=1e-15)
-
-    def test_star_attains_the_lower_bound(self):
-        for n in range(2, 31):
-            lo, _ = sigma_bounds(n)
-            star = sigma_tree(named("star", n - 1)).upper
-            assert star == pytest.approx(lo, abs=1e-12), n
-
-    def test_every_corpus_tree_lies_inside(self, boundary_trees):
-        # The slack absorbs solver rounding: Jacobi puts the endpoint of K1,5
-        # at 0.19999999999999996, just under its exact 1/5.
-        for g, _, _ in boundary_trees:
-            lo, hi = sigma_bounds(g.n)
-            assert lo - 1e-12 <= sigma_tree(g).upper <= hi + 1e-12, sorted(g.edges)
-
-    def test_rejects_single_vertex(self):
-        with pytest.raises(ValueError, match="n >= 2"):
-            sigma_bounds(1)
+    extremes = {}
+    for g, _, _ in boundary_trees:
+        upper = sigma_tree(g).upper
+        assert star(g.n) - 1e-12 <= upper <= path(g.n) + 1e-12, sorted(g.edges)
+        lo, hi = extremes.get(g.n, (upper, upper))
+        extremes[g.n] = (min(lo, upper), max(hi, upper))
+    for n in range(2, 7):
+        lo, hi = extremes[n]
+        assert lo == pytest.approx(star(n), abs=1e-12), n
+        assert hi == pytest.approx(path(n), abs=1e-12), n
 
 
 class TestTrichotomy:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import angleset.cli
-from angleset.cli import MAX_STEPS, MAX_VERTICES, SWEEP_HEADER, build_parser, main
+from angleset.cli import MAX_STEPS, MAX_VERTICES, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +233,16 @@ class TestConstructAndVerify:
         assert doc["ambient_dim"] == 2  # boundary point: one dimension drops
         assert len(doc["vectors"]) == 3
 
+    def test_construct_writes_one_compact_line(self, capsys, tmp_path):
+        """The document is ``json.dumps``'s default rendering, with no indent,
+        whether printed or written."""
+        path = tmp_path / "config.json"
+        _, printed, _ = run(capsys, "construct", "--graph", "E8", "--tau", "0.2")
+        run(capsys, "construct", "--graph", "E8", "--tau", "0.2", "--out", str(path))
+        text = path.read_text()
+        assert text == printed and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_construct_infeasible(self, capsys):
         code, _, err = run(capsys, "construct", "--graph", "A3", "--tau", "0.9")
         assert code == 1
@@ -360,7 +370,7 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--graph", "D4")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == SWEEP_HEADER
+        assert lines[0] == "tau,min_eigenvalue,exists,rank"
         assert len(lines) == 101  # default 100 steps
         flags = [row.split(",")[2] for row in lines[1:]]
         assert flags[0] == "true" and flags[-1] == "false"
@@ -372,7 +382,7 @@ class TestSweep:
     def test_single_step(self, capsys):
         code, out, _ = run(capsys, "sweep", "--graph", "A2", "--steps", "1",
                            "--tau-min", "0.5", "--tau-max", "0.5")
-        assert out.splitlines() == [SWEEP_HEADER, "0.5,0.2928932188,true,2"]
+        assert out.splitlines() == ["tau,min_eigenvalue,exists,rank", "0.5,0.2928932188,true,2"]
 
     def test_endpoints_inclusive(self, capsys):
         _, out, _ = run(capsys, "sweep", "--graph", "A2", "--steps", "5",

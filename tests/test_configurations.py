@@ -14,6 +14,7 @@ from angleset import (
     configuration_document,
     construct_configuration,
     eigenpairs,
+    existence,
     generate_named,
     graph_spectrum,
     gram_matrix,
@@ -25,7 +26,7 @@ from angleset import (
 )
 import angleset.configurations
 from angleset.configurations import VERIFY_TOL
-from angleset.spectra import Spectrum
+from angleset.spectra import Spectrum, _cholesky_shift
 from corpus import CORPUS_SEED, pruefer_from_index, random_connected_graphs
 
 
@@ -117,6 +118,79 @@ class TestConstruct:
     def test_single_vertex(self):
         c = construct_configuration(Graph(1, frozenset()), 0.7)
         assert c.ambient_dim == 1 and c.size == 1
+
+
+def path_at_least_eigenvalue(n, target):
+    """A_n with the one tau at which its least Gram eigenvalue,
+    1 - 2 sqrt(tau) cos(pi/(n+1)), is ``target``."""
+    root = (1.0 - target) / (2.0 * math.cos(math.pi / (n + 1)))
+    return named("A", n), root * root
+
+
+class TestCholeskyCertificate:
+    """``construct`` first factors A - s I by Cholesky, with s from
+    ``spectra._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
+    and of Cholesky. Success proves rank n and costs no eigensolve; failure
+    leads to one ``eigenpairs`` call, and to ``eigenvalues`` only near a
+    cut."""
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_verdict_on_either_side_of_the_shift(self, name_calls, side):
+        """Just above s the certificate holds; just below it, between
+        PSD_TOL and s, it fails and the eigenpairs give the verdict. Either
+        way ``construct`` keeps the dimension eigvalsh's rank gives."""
+        g, tau = path_at_least_eigenvalue(96, 1e-9)
+        shift = _cholesky_shift(gram_matrix(g, tau), PSD_TOL)
+        gap = (shift - PSD_TOL) / 2
+        g, tau = path_at_least_eigenvalue(96, shift + gap if side == "above" else shift - gap)
+        a = gram_matrix(g, tau)
+        lam = np.linalg.eigvalsh(a)
+        assert _cholesky_shift(a, PSD_TOL) == pytest.approx(shift, rel=1e-6)
+        assert (lam[0] > shift) == (side == "above") and lam[0] > PSD_TOL
+        calls = name_calls("eigenvalues", "eigenpairs")
+        assert construct_configuration(g, tau).ambient_dim == int((lam > PSD_TOL).sum()) == 96
+        expected = (0, 0) if side == "above" else (0, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == expected
+
+    def test_near_cut_takes_the_eigenvalues_fallback_once(self, name_calls):
+        """Per-edge A96 at this tau has a least Gram eigenvalue of about
+        1e-9, within the band of PSD_TOL where eigh and eigvalsh may
+        disagree on the rank, so the verdict is ``eigenvalues``', the one a
+        per-edge ``existence`` reads."""
+        g = named("A", 96)
+        tau = dict.fromkeys(g.edges, 0.250262421391915)
+        evals = eigenpairs(gram_matrix(g, tau)).eigenvalues
+        assert abs(evals[-1] - PSD_TOL) <= 1e-12
+        calls = name_calls("eigenvalues", "eigenpairs")
+        dim = construct_configuration(g, tau).ambient_dim
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        assert dim == existence(g, tau).rank
+
+    def test_infeasible_error_text_comes_from_eigenvalues(self, name_calls):
+        """The least eigenvalue an error prints is eigvalsh's, as ever."""
+        g = named("A", 3)
+        calls = name_calls("eigenvalues", "eigenpairs")
+        with pytest.raises(ValueError) as info:
+            construct_configuration(g, 0.6)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        lam = np.linalg.eigvalsh(gram_matrix(g, 0.6))[0]
+        assert str(info.value).endswith(f"negative eigenvalue {lam:.6e}")
+
+    def test_twice_psd_tol_needs_no_eigensolve(self, name_calls):
+        """The shift exceeds PSD_TOL by only rounding, so every tree whose
+        least Gram eigenvalue is 2 PSD_TOL or more is certified."""
+        calls = name_calls("eigenvalues", "eigenpairs")
+        for family in ("A", "D"):
+            for n in (5, 12, 40, 96):
+                g = named(family, n)
+                lam = np.linalg.eigvalsh(gram_matrix(g, 0.2))[0]
+                # 1 - sqrt(tau) q = 2 PSD_TOL, with q = (1 - lam) / sqrt(0.2)
+                root = (1.0 - 2 * PSD_TOL) * math.sqrt(0.2) / (1.0 - lam)
+                tau = root * root
+                least = np.linalg.eigvalsh(gram_matrix(g, tau))[0]
+                assert least == pytest.approx(2 * PSD_TOL, abs=1e-13)
+                assert construct_configuration(g, tau).ambient_dim == n
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
 
 
 def eigen_factor(g, tau):
