@@ -12,11 +12,15 @@ The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
 it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
 (see :func:`graph_spectrum`), which the Jacobi solver computes; a per-edge
 weighting solves its own Gram matrix with :func:`~angleset.spectra.eigenvalues`
-(LAPACK, no eigenvectors). :func:`existence` takes its verdict from it
-through :meth:`ExistenceVerdict.from_eigenvalues`;
-:func:`~angleset.configurations.construct_configuration` reaches the verdict
-the same ``eigenvalues`` call gives on the assembled Gram matrix, by a
-Cholesky certificate or from its eigenpairs away from the cuts, so a
+(LAPACK, no eigenvectors). Every :class:`ExistenceVerdict` is the one those
+eigenvalues give. :func:`existence` reads them when a constant tau finds the
+adjacency spectrum memoised; otherwise it first tries the Cholesky
+certificate :func:`~angleset.spectra._certified_definite`, whose floor covers
+the error of the route it replaces, and solves only if that fails. A
+certified verdict solves for its least eigenvalue when that is first read.
+:func:`~angleset.configurations.construct_configuration` runs the same
+certificate on the same matrix and otherwise reaches the verdict the same
+``eigenvalues`` call gives, from its eigenpairs away from the cuts, so a
 per-edge ``existence`` and ``construct`` always agree.
 """
 
@@ -24,15 +28,25 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, edge_key, is_tree
-from .spectra import Spectrum, eigenvalues, graph_index, graph_spectrum
+from .spectra import (
+    Spectrum,
+    _certified_definite,
+    _cholesky_shift,
+    _jacobi_bound,
+    _memoised_spectrum,
+    eigenvalues,
+    graph_index,
+    graph_spectrum,
+)
 
 __all__ = [
     "ExistenceVerdict",
@@ -135,12 +149,32 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     return _gram_from_arrays(g.n, *TauWeighting.of(tau).edge_arrays(g))
 
 
-def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
+                      shift: float = 0.0) -> np.ndarray:
     """The n x n Gram matrix of the aligned edge arrays of
-    :meth:`TauWeighting.edge_arrays`."""
-    a = np.eye(n)
+    :meth:`TauWeighting.edge_arrays`, less ``shift`` times the identity."""
+    a = np.zeros((n, n))
+    a.flat[::n + 1] = 1.0 - shift
     a[i, j] = a[j, i] = np.sqrt(t)
     return a
+
+
+def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
+                    floor: float) -> tuple[bool, np.ndarray]:
+    """Whether the Cholesky certificate of
+    :func:`~angleset.spectra._certified_definite` proves every eigenvalue
+    of the Gram matrix of the aligned edge arrays above ``floor`` by more
+    than LAPACK's error bound, and that Gram matrix.
+
+    The matrix is assembled already shifted and its unit diagonal restored
+    after the factorisation, so it is built once and never copied. Its
+    Frobenius norm is sqrt(n + 2 sum(t)), up to rounding.
+    """
+    fro = math.sqrt(n + 2.0 * float(t.sum()))
+    a = _gram_from_arrays(n, i, j, t, _cholesky_shift(n, fro, floor))
+    certified = _certified_definite(a)
+    a.flat[::n + 1] = 1.0
+    return certified, a
 
 
 def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
@@ -157,25 +191,37 @@ def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
     return Spectrum(1.0 + root * adj.eigenvalues, root * adj.residual_bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExistenceVerdict:
     """Outcome of the semidefiniteness test.
 
     ``exists`` means the least Gram eigenvalue is at least ``-PSD_TOL``, i.e.
     the configuration is realizable by unit vectors (for trees this is exact
     existence). ``rank`` counts eigenvalues above ``PSD_TOL``: the ambient
-    dimension of the minimal realization.
+    dimension of the minimal realization. Both are what the eigen route of
+    :func:`gram_spectrum` gives, also when a Cholesky certificate decided
+    them without it.
+
+    ``min_eigenvalue`` is the least eigenvalue that route computes. A
+    verdict the certificate decided solves for it, by calling ``_least``,
+    the first time it is read, and keeps it. Verdicts compare by identity,
+    since comparing their values could cost a solve.
     """
 
     exists: bool
-    min_eigenvalue: float
     rank: int
+    _least: Callable[[], float] = field(repr=False)
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        """Least Gram eigenvalue, solved on first read if not yet known."""
+        return self._least()
 
     @classmethod
     def from_eigenvalues(cls, evals: np.ndarray) -> "ExistenceVerdict":
         """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
         lam_min = float(evals[-1])
-        return cls(lam_min >= -PSD_TOL, lam_min, int((evals > PSD_TOL).sum()))
+        return cls(lam_min >= -PSD_TOL, int((evals > PSD_TOL).sum()), lambda: lam_min)
 
 
 def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
@@ -185,8 +231,36 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     For trees this decides whether a configuration with the prescribed angles
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
+
+    The verdict is always the one the eigenvalues of :func:`gram_spectrum`
+    give, reached by the cheapest proof at hand:
+
+    - a constant tau on a graph whose adjacency spectrum is memoised reads
+      it, as ``sigma``, ``trichotomy`` and ``classify`` leave it;
+    - otherwise the Gram matrix, shifted, is factored by Cholesky
+      (:func:`~angleset.spectra._certified_definite`). If that completes,
+      every eigenvalue the eigen route computes lies above ``PSD_TOL``: the
+      verdict is rank n, and no eigensolve runs until ``min_eigenvalue`` is
+      read. The shift's floor covers that route's error: ``PSD_TOL`` per
+      edge, as in ``construct_configuration``, where LAPACK solves the Gram
+      matrix, and ``PSD_TOL`` plus sqrt(tau) times Jacobi's a-priori bound
+      (:func:`~angleset.spectra._jacobi_bound`) for a constant tau, whose
+      spectrum is 1 + sqrt(tau) spec(A). The shift's own LAPACK term,
+      n * eps * ||G||_F, covers the rounding of that sum;
+    - any other query is solved by that route.
     """
-    return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues)
+    w = TauWeighting.of(tau)
+    if w.constant is not None and _memoised_spectrum(g) is not None:
+        return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, w).eigenvalues)
+    i, j, t = w.edge_arrays(g)
+    floor = PSD_TOL
+    if w.constant is not None:  # A has 2m unit entries: ||A||_F = sqrt(2m)
+        floor += math.sqrt(w.constant) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
+    certified, a = _certified_gram(g.n, i, j, t, floor)
+    if certified:
+        return ExistenceVerdict(True, g.n, lambda: gram_spectrum(g, w).min_eigenvalue)
+    spectrum = eigenvalues(a) if w.constant is None else gram_spectrum(g, w)
+    return ExistenceVerdict.from_eigenvalues(spectrum.eigenvalues)
 
 
 @dataclass(frozen=True)

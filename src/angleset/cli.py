@@ -140,6 +140,9 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    # The least eigenvalue is printed, so solve the spectrum first: existence
+    # then reads its verdict off it, with no certificate to discard.
+    graph_spectrum(g)
     verdict = existence(g, args.tau)
     _emit(args, {"exists": verdict.exists, "min_eigenvalue": verdict.min_eigenvalue,
                  "rank": verdict.rank})
@@ -198,6 +201,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lo + (hi - lo) * k / (args.steps - 1) if args.steps > 1 else lo
         for k in range(args.steps)
     ]
+    graph_spectrum(g)  # as in cmd_exists: every row prints the least eigenvalue
     rows = []
     for tau in taus:
         v = existence(g, tau)

@@ -5,14 +5,17 @@ rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
 ones are orthogonal. Construction reaches the PSD verdict that the LAPACK
 eigenvalues of the Gram matrix give, the one a per-edge :func:`existence`
-reads. A Cholesky factorisation of the matrix shifted down by a little more
-than ``PSD_TOL`` certifies it definite with no eigensolve, and the lines are
-then its own Cholesky factor. Any other matrix is solved once with
+reads. The Cholesky certificate that ``existence`` tries first,
+:func:`~angleset.spectra._certified_definite` with the per-edge floor
+``PSD_TOL``, proves a definite matrix so with no eigensolve, and the lines
+are then its own Cholesky factor. Any other matrix is solved once with
 eigenvectors; their eigenvalues give the verdict, except within twice the
 solver's error bound of a cut or when no configuration exists, where
 :func:`~angleset.spectra.eigenvalues` decides. A singular matrix is factored
 through the kept eigenpairs. Verification reads every defining relation off
-the vectors' Gram matrix V V^T and reports worst-case Frobenius residuals.
+the vectors' Gram matrix V V^T and reports worst-case Frobenius residuals;
+the vectors of a construction come read-only with that product, so
+verifying them forms it no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -24,7 +27,7 @@ the basis LAPACK picks inside a repeated eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -34,11 +37,11 @@ from .admissible import (
     ExistenceVerdict,
     TauLike,
     TauWeighting,
+    _certified_gram,
     _gram_from_arrays,
-    gram_matrix,
 )
 from .graphs import Graph
-from .spectra import Spectrum, _cholesky_shift, eigenpairs, eigenvalues
+from .spectra import Spectrum, eigenpairs, eigenvalues
 
 __all__ = [
     "SubspaceConfiguration",
@@ -60,9 +63,14 @@ class SubspaceConfiguration:
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
+    ``_gram`` is V V^T when :func:`construct_configuration` formed it for its
+    own check; it makes ``vectors`` read-only then, so the product cannot go
+    stale, and :func:`verify_configuration` reads it instead of forming it
+    again.
     """
 
     vectors: np.ndarray
+    _gram: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def from_vectors(cls, vectors) -> "SubspaceConfiguration":
@@ -92,15 +100,17 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     First A - s I is factored by Cholesky, with s from
     :func:`~angleset.spectra._cholesky_shift`: ``PSD_TOL`` plus eigvalsh's
-    a-priori error bound plus twice Cholesky's backward-error bound. If that
-    succeeds, every eigenvalue eigvalsh would compute lies above
-    ``PSD_TOL``, so the verdict is rank n and no eigensolve is made. If it
-    fails, :func:`~angleset.spectra.eigenpairs` solves A once. Its
-    eigenvalues and eigvalsh's each lie within the a-priori bound b of the
-    true ones, so they give the same verdict unless one lies within 2b of
-    ``PSD_TOL`` or the least lies below 2b - ``PSD_TOL``; only then (near a
-    cut, or when no configuration exists) is ``eigenvalues`` called too, and
-    its verdict taken. The verdicts, the vectors and the error texts are
+    a-priori error bound plus twice Cholesky's backward-error bound. This is
+    the certificate a per-edge ``existence`` tries, on a matrix assembled
+    shifted, its diagonal then restored. If that succeeds, every eigenvalue
+    eigvalsh would compute lies above ``PSD_TOL``, so the verdict is rank n
+    and no eigensolve is made. If it fails,
+    :func:`~angleset.spectra.eigenpairs` solves A once. Its eigenvalues and
+    eigvalsh's each lie within the a-priori bound b of the true ones, so
+    they give the same verdict unless one lies within 2b of ``PSD_TOL`` or
+    the least lies below 2b - ``PSD_TOL``; only then (near a cut, or when no
+    configuration exists) is ``eigenvalues`` called too, and its verdict
+    taken. The verdicts, the vectors and the error texts are
     those of eigvalsh first, then Cholesky or the eigenvectors.
 
     The vectors come in the canonical frame: row i is zero beyond column i
@@ -117,9 +127,11 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     zero. The check, made on the final vectors, allows that much plus
     ``PSD_TOL`` for rounding in the solve, the rotation and the product (at
     most 3e-14 in trials up to n = 96), and raises ``RuntimeError`` past it.
+    The vectors are returned read-only, with that product, which
+    :func:`verify_configuration` reads instead of forming it again.
     """
-    a = gram_matrix(g, tau)
-    if _certified_definite(a):
+    certified, a = _certified_gram(g.n, *TauWeighting.of(tau).edge_arrays(g), PSD_TOL)
+    if certified:
         rank, pairs = g.n, None
     else:
         pairs = eigenpairs(a)
@@ -132,29 +144,16 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
         rank = verdict.rank
     vectors, dropped = _canonical_factor(a, rank, pairs)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
-    deviation = float(np.linalg.norm(vectors @ vectors.T - a))
+    gram = vectors @ vectors.T
+    vectors.flags.writeable = gram.flags.writeable = False
+    deviation = float(np.linalg.norm(gram - a))
     allowed = dropped + PSD_TOL
     if deviation > allowed:
         raise RuntimeError(
             f"Gram factorization off by {deviation:.3e}, above the dropped "
             f"eigenvalues plus rounding, {allowed:.3e}"
         )
-    return SubspaceConfiguration.from_vectors(vectors)
-
-
-def _certified_definite(a: np.ndarray) -> bool:
-    """Whether Cholesky certifies that every eigenvalue of ``a``, and every
-    one :func:`~angleset.spectra.eigenvalues` computes for it, lies above
-    ``PSD_TOL``: the verdict is then rank n. The factorisation of
-    ``a - s I``, with s from :func:`~angleset.spectra._cholesky_shift`, is
-    the proof; a failed one proves nothing."""
-    shifted = a.copy()
-    shifted.flat[::a.shape[0] + 1] -= _cholesky_shift(a, PSD_TOL)
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return SubspaceConfiguration(vectors, gram)
 
 
 def _verdict(a: np.ndarray, pairs: Spectrum) -> ExistenceVerdict:
@@ -252,7 +251,8 @@ def verify_configuration(
     - ||P_i P_j|| = ||P_j P_i|| = |g_ij| sqrt(g_ii g_jj)
 
     so the one product G gives the whole report, judged against the fixed
-    ``VERIFY_TOL``.
+    ``VERIFY_TOL``. A configuration from :func:`construct_configuration`
+    brings G along.
     """
     if config.size != g.n:
         raise ValueError(
@@ -260,8 +260,9 @@ def verify_configuration(
         )
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
     target = _gram_from_arrays(g.n, i, j, t)
-    v = config.vectors
-    gram = v @ v.T
+    gram = config._gram
+    if gram is None:
+        gram = config.vectors @ config.vectors.T
     sq = np.diag(gram)
     apart = target == 0.0  # off the diagonal and off the edges
     idem = np.max(np.abs(sq - 1.0) * sq)

@@ -1,4 +1,5 @@
-"""Dense symmetric eigensolvers and graph-spectrum quantities.
+"""Dense symmetric eigensolvers, the Cholesky certificate that spares them,
+and graph-spectrum quantities.
 
 Three routes, one job each. Adjacency spectra come from
 :func:`eigen_symmetric`, a cyclic Jacobi rotation scheme: rotations sweep the
@@ -7,17 +8,25 @@ below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). A per-edge :func:`~angleset.admissible.gram_spectrum`
-solves its Gram matrix with :func:`eigenvalues` (LAPACK, no eigenvectors).
-:func:`~angleset.configurations.construct_configuration` reaches the verdict
-those eigenvalues give, with no solve for a Gram matrix that a Cholesky
-factorisation, shifted by :func:`_cholesky_shift`, certifies definite. Any
-other is solved once by :func:`eigenpairs`, whose eigenvalues give the same
-verdict unless one lies near a cut, where :func:`eigenvalues` decides.
+(``bench/README.md``). A per-edge Gram matrix is solved by
+:func:`eigenvalues` (LAPACK, no eigenvectors), and a singular one that
+:func:`~angleset.configurations.construct_configuration` must factor by
+:func:`eigenpairs`.
+
+One certificate, :func:`_certified_definite`, decides a definite Gram
+matrix for :func:`~angleset.admissible.existence` and ``construct`` alike
+with no solve: a Cholesky factorisation of the matrix less the shift of
+:func:`_cholesky_shift` that runs to completion proves every eigenvalue
+above a floor by more than LAPACK's error bound. The floor covers the error
+of the route it stands in for: ``PSD_TOL`` where LAPACK solves the Gram
+matrix, and ``PSD_TOL`` plus sqrt(tau) times :func:`_jacobi_bound` where a
+constant tau reads 1 + sqrt(tau) spec(A) off Jacobi. A failed certificate
+proves nothing, and the route decides.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
-spectrum ``1 + sqrt(tau) * spec(A)`` of that graph share one solve.
+spectrum ``1 + sqrt(tau) * spec(A)`` of that graph share one solve;
+``existence`` reads it, with no certificate, whenever it is there.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+_EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
@@ -182,30 +192,64 @@ def _lapack_bound(mat: np.ndarray) -> float:
     is at least the spectral norm, gives a bound that costs O(n^2) and no
     product.
     """
-    return mat.shape[0] * np.finfo(float).eps * float(np.linalg.norm(mat))
+    return mat.shape[0] * _EPS * float(np.linalg.norm(mat))
 
 
-def _cholesky_shift(mat: np.ndarray, floor: float) -> float:
-    """Shift s such that a Cholesky factorisation of ``mat - s I`` that runs
-    to completion proves every eigenvalue of the symmetric ``mat`` exceeds
-    ``floor`` by more than :func:`_lapack_bound`, so that every eigenvalue
-    :func:`eigenvalues` would compute for ``mat`` lies above ``floor``.
+def _jacobi_bound(n: int, fro: float) -> float:
+    """A-priori error bound on every eigenvalue :func:`eigen_symmetric`
+    computes for a symmetric n x n matrix of Frobenius norm ``fro``, known
+    before any solve.
 
-    s is ``floor + _lapack_bound(mat)`` plus twice Cholesky's backward-error
-    bound. A Cholesky factor R that LAPACK completes for M = mat - s I is
-    exact for some M + dM with |dM| <= gamma_{n+1} |R^T| |R| entrywise,
-    gamma_k = k eps / (1 - k eps) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 10). So M + dM is PSD and no eigenvalue of M
-    lies below -||dM||_2 >= -gamma_{n+1} ||R||_F^2. The squared column norms
-    of R are the diagonal of M + dM, so ||R||_F^2 is at most trace(mat) up to
-    a factor 1 / (1 - gamma_{n+1}): n for a unit-diagonal Gram matrix, whose
-    rows have norm at most 1. Twice gamma_{n+1} trace(mat) covers that factor
-    and the blocking of LAPACK's factorisation.
+    Sweeps stop once the off-diagonal part is at most ``DEFAULT_TOL * fro``
+    in Frobenius norm, and by Weyl's inequality the diagonal then lies
+    within that of the spectrum of the rotated matrix. Each rotation is
+    backward stable (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 19): its rounded result is an exact rotation of a
+    matrix within c * eps * fro of the one it turned, and exact rotations
+    keep the spectrum and the Frobenius norm. Take c = 12, which covers the
+    two one-sided updates, the diagonal update and the zeroed pair with room
+    to spare, and at most ``MAX_SWEEPS`` sweeps of n(n - 1)/2 rotations
+    (past that, :class:`ConvergenceError` is raised and there is no
+    eigenvalue to bound). The rounding then adds at most
+    ``6 * MAX_SWEEPS * n * (n - 1) * eps * fro``, to first order: the
+    product of the rotation count and c * eps stays below 1e-6 up to the
+    2000 vertices of the CLI's ``MAX_VERTICES``.
     """
-    k = mat.shape[0] + 1
-    eps = np.finfo(float).eps
-    gamma = k * eps / (1.0 - k * eps)
-    return floor + _lapack_bound(mat) + 2.0 * gamma * float(np.trace(mat))
+    return (DEFAULT_TOL + 6.0 * MAX_SWEEPS * n * (n - 1) * _EPS) * fro
+
+
+def _cholesky_shift(n: int, fro: float, floor: float) -> float:
+    """Shift s such that a Cholesky factorisation of ``M - s I`` that runs to
+    completion proves every eigenvalue of a symmetric n x n matrix M with
+    unit diagonal and Frobenius norm ``fro`` exceeds ``floor`` by more than
+    :func:`_lapack_bound`, so that every eigenvalue :func:`eigenvalues`
+    would compute for M lies above ``floor``.
+
+    s is ``floor + n * eps * fro`` plus twice Cholesky's backward-error
+    bound. A Cholesky factor R that LAPACK completes for S = M - s I is
+    exact for some S + dS with |dS| <= gamma_{n+1} |R^T| |R| entrywise,
+    gamma_k = k eps / (1 - k eps) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 10). So S + dS is PSD and no eigenvalue of S
+    lies below -||dS||_2 >= -gamma_{n+1} ||R||_F^2. The squared column norms
+    of R are the diagonal of S + dS, so ||R||_F^2 is at most trace(M) = n up
+    to a factor 1 / (1 - gamma_{n+1}). Twice gamma_{n+1} n covers that
+    factor and the blocking of LAPACK's factorisation.
+    """
+    k = n + 1
+    gamma = k * _EPS / (1.0 - k * _EPS)
+    return floor + n * _EPS * fro + 2.0 * gamma * n
+
+
+def _certified_definite(shifted: np.ndarray) -> bool:
+    """The Cholesky certificate: whether a factorisation of ``shifted``,
+    a unit-diagonal M less s I with s from :func:`_cholesky_shift`, runs to
+    completion, which proves every eigenvalue of M above that shift's
+    floor. A failed one proves nothing."""
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def eigenvalues(m) -> Spectrum:
@@ -239,13 +283,18 @@ def graph_spectrum(g: Graph) -> Spectrum:
     The spectrum is memoised on ``g`` itself, like its neighbour sets, and its
     eigenvalue array is read-only; it lives and dies with the graph.
     """
-    memo = g.__dict__
-    spectrum = memo.get("_spectrum")
+    spectrum = _memoised_spectrum(g)
     if spectrum is None:
         spectrum = eigen_symmetric(adjacency_matrix(g))
         spectrum.eigenvalues.flags.writeable = False
-        memo["_spectrum"] = spectrum
+        g.__dict__["_spectrum"] = spectrum
     return spectrum
+
+
+def _memoised_spectrum(g: Graph) -> Spectrum | None:
+    """The adjacency spectrum :func:`graph_spectrum` keeps on ``g``, if it
+    has solved it."""
+    return g.__dict__.get("_spectrum")
 
 
 def graph_index(g: Graph) -> float:

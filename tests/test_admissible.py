@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import angleset.admissible
 import angleset.classify
 from angleset import (
     PSD_TOL,
@@ -231,24 +232,25 @@ class TestAdjacencySpectrumReuse:
         g = named("E7")
         twin = Graph(g.n, g.edges)
         assert twin == g
-        existence(g, 0.2)
-        existence(twin, 0.2)
+        assert existence(g, 0.2).min_eigenvalue == existence(twin, 0.2).min_eigenvalue
         assert eig_calls == [7, 7]
 
     def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls, name_calls):
         """A per-edge weighting takes its Gram eigenvalues from the LAPACK
         ``eigenvalues`` call ``construct`` makes, never from Jacobi, and
-        computes no eigenvectors."""
+        computes no eigenvectors. A definite one solves only when its least
+        eigenvalue is read."""
         g = named("A", 4)
         calls = name_calls("eigenvalues", "eigenpairs")
-        existence(g, 0.2)
+        assert existence(g, 0.2).min_eigenvalue > 0.0
         assert eig_calls == [4] and calls["eigenvalues"] == calls["eigenpairs"] == 0
         weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
         first = existence(g, weights)
-        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
         second = existence(g, weights)
+        assert (second.exists, second.rank, second.min_eigenvalue) == \
+            (first.exists, first.rank, first.min_eigenvalue)
         assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (2, 0)
-        assert first == second
         a = gram_matrix(g, weights)
         lapack = eigenvalues(a)
         assert first.min_eigenvalue == lapack.eigenvalues[-1]
@@ -352,7 +354,9 @@ def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
             worst = max(worst, abs(verdict.min_eigenvalue - lam_min))
             seen.add(verdict.exists)
             if corpus_fixture != "boundary_trees":
-                assert _construct_agrees(g, tau) == verdict
+                again = _construct_agrees(g, tau)
+                assert (again.exists, again.rank, again.min_eigenvalue) == \
+                    (verdict.exists, verdict.rank, verdict.min_eigenvalue)
                 per_edge = _construct_agrees(g, dict.fromkeys(g.edges, tau))
                 assert (per_edge.exists, per_edge.rank) == (verdict.exists, verdict.rank)
     assert worst <= 1e-12
@@ -472,6 +476,134 @@ def test_construct_matches_the_eigvalsh_reference_on_graphs_with_cycles(
             outcomes.add(_matches_the_reference(g, tau))
             outcomes.add(_matches_the_reference(g, dict.fromkeys(g.edges, tau)))
     assert outcomes == {True, False}
+
+
+def _eigen_route(g, tau, adjacency):
+    """The verdict's fields, ``(exists, rank, min_eigenvalue)``, as the eigen
+    route computes them, with no certificate: 1 + sqrt(tau) times the
+    Jacobi spectrum ``adjacency`` of A for a constant tau, and eigvalsh on
+    the Gram matrix for a per-edge one."""
+    if isinstance(tau, dict):
+        evals = np.linalg.eigvalsh(gram_matrix(g, tau))[::-1]
+    else:
+        evals = 1.0 + math.sqrt(tau) * adjacency
+    return bool(evals[-1] >= -PSD_TOL), int((evals > PSD_TOL).sum()), float(evals[-1])
+
+
+class TestCertifiedExistence:
+    """``existence`` tries a Cholesky certificate before any eigensolve. Its
+    verdict must be the eigen route's, bit for bit, on a fresh graph and on
+    one whose adjacency spectrum is memoised; a certified verdict makes no
+    solve until ``min_eigenvalue`` is read, and then exactly one."""
+
+    @pytest.fixture
+    def check(self, eig_calls, name_calls):
+        """``check(g, taus)`` compares every tau on ``g`` against the eigen
+        route and returns how many verdicts were certified."""
+        lapack = name_calls("eigenvalues")
+
+        def solves():
+            return len(eig_calls) + lapack["eigenvalues"]
+
+        def run(g, taus):
+            adjacency = eigen_symmetric(adjacency_matrix(g)).eigenvalues
+            certified = 0
+            for tau in taus:
+                want = _eigen_route(g, tau, adjacency)
+                fresh = Graph(g.n, g.edges)
+                before = solves()
+                verdict = existence(fresh, tau)
+                made = solves() - before
+                assert made in (0, 1), (g, tau)
+                if made == 0:
+                    certified += 1
+                    assert (verdict.exists, verdict.rank) == (True, g.n)
+                assert (verdict.exists, verdict.rank) == want[:2], (g, tau)
+                assert verdict.min_eigenvalue == want[2], (g, tau)
+                assert verdict.min_eigenvalue == want[2]  # kept: no second solve
+                assert solves() - before == 1, (g, tau)
+                graph_spectrum(fresh)
+                memo = existence(fresh, tau)
+                assert (memo.exists, memo.rank, memo.min_eigenvalue) == want, (g, tau)
+            return certified
+
+        return run
+
+    @pytest.mark.parametrize("weights", ["constant", "per-edge"])
+    @pytest.mark.parametrize("family", ["A", "D"])
+    def test_trees_at_the_endpoint(self, check, family, weights):
+        certified = 0
+        for n in (5, 8, 13, 21, 34):
+            g = generate_named(NamedFamily(family, n))
+            end = _psd_endpoint(g)
+            taus = [end * (1 - delta) for delta in (*ENDPOINT_SHRINKS, 1e-2, 0.5, -1e-6)]
+            if weights == "per-edge":
+                taus = [dict.fromkeys(g.edges, tau) for tau in taus]
+            certified += check(g, taus)
+        assert certified >= 2 * 5  # at least the two interior taus of every size
+
+    def test_cycles_at_multiples_of_their_endpoint(self, check):
+        certified = 0
+        for n in range(3, 30):
+            g = cycle(n)
+            end = _psd_endpoint(g)
+            taus = [c * end for c in (0.5, 0.9, 0.99, 1 - 1e-9, 1.0, 1 + 1e-9, 1.01, 1.5)]
+            taus = [tau for tau in taus if tau <= 1.0]
+            certified += check(g, taus + [dict.fromkeys(g.edges, tau) for tau in taus])
+        assert certified >= 3 * 2 * 27  # every tau up to 0.99 times the endpoint
+
+    def test_random_connected_graphs(self, check, random_connected_corpus):
+        rng = np.random.default_rng(17)
+        certified = 0
+        for g in random_connected_corpus[:150]:
+            end = _psd_endpoint(g)
+            taus = [min(1.0, c * end) for c in (0.5, 0.999, 1.0, 1.001)]
+            taus += [{e: min(1.0, c * end * float(rng.uniform(0.5, 1.5))) for e in sorted(g.edges)}
+                     for c in (0.5, 1.0)]
+            certified += check(g, taus)
+        assert certified >= 3 * 150  # the half-way taus and the 0.999 one
+
+    @pytest.mark.parametrize("weights", ["constant", "per-edge"])
+    def test_a_definite_query_solves_only_when_its_least_eigenvalue_is_read(
+        self, eig_calls, name_calls, weights
+    ):
+        g = named("A", 20)
+        tau = 0.2 if weights == "constant" else dict.fromkeys(g.edges, 0.2)
+        calls = name_calls("eigenvalues", "eigenpairs")
+        verdict = existence(g, tau)
+        assert (verdict.exists, verdict.rank) == (True, 20)
+        assert eig_calls == [] and calls["eigenvalues"] == calls["eigenpairs"] == 0
+        lam = verdict.min_eigenvalue
+        assert lam == pytest.approx(1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 21), abs=1e-12)
+        assert verdict.min_eigenvalue == lam
+        solved = (eig_calls, calls["eigenvalues"], calls["eigenpairs"])
+        assert solved == (([20], 0, 0) if weights == "constant" else ([], 1, 0))
+
+    def test_the_constant_tau_floor_covers_the_jacobi_bound(self, eig_calls, name_calls):
+        """On A64 with least Gram eigenvalue 2 PSD_TOL the per-edge shift,
+        PSD_TOL plus rounding, is certified. A constant tau adds sqrt(tau)
+        times Jacobi's a-priori bound, about 3e-9 here, to the floor, so
+        the same matrix goes to Jacobi, which agrees on rank 64."""
+        root = (1.0 - 2 * PSD_TOL) / (2.0 * math.cos(math.pi / 65))
+        g, tau = named("A", 64), root * root
+        calls = name_calls("eigenvalues")
+        per_edge = existence(g, dict.fromkeys(g.edges, tau))
+        assert (per_edge.rank, calls["eigenvalues"], eig_calls) == (64, 0, [])
+        assert existence(g, tau).rank == 64
+        assert eig_calls == [64]
+
+    def test_a_memoised_spectrum_needs_no_certificate(self, monkeypatch, eig_calls):
+        """With the adjacency spectrum on the graph, a constant tau reads it
+        and factors nothing."""
+        g = named("D", 12)
+        graph_spectrum(g)
+
+        def refuses(*args):
+            raise AssertionError("certificate attempted")
+
+        monkeypatch.setattr(angleset.admissible, "_certified_gram", refuses)
+        verdict = existence(g, 0.2)
+        assert (verdict.exists, verdict.rank, eig_calls) == (True, 12, [12])
 
 
 class TestSigmaInterval:
