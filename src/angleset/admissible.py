@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -122,26 +121,29 @@ class TauWeighting:
 
     def edge_arrays(self, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """0-based endpoints ``i < j`` of every edge of ``g`` and tau on each,
-        as three aligned arrays. A per-edge weighting must cover the edge set
-        exactly."""
-        edges = list(g.edges)
+        as three aligned arrays. The endpoint arrays are the graph's
+        read-only edge index, so its edges are walked once per graph. A
+        per-edge weighting must cover the edge set exactly."""
+        edges, i, j = g._edge_index
         m = len(edges)
-        ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * m) - 1
         if self.constant is not None:
             t = np.full(m, self.constant)
         else:
             try:
                 t = np.fromiter(map(self.per_edge.__getitem__, edges), dtype=float, count=m)
             except KeyError:
-                i, j = min(g.edges - self.per_edge.keys())
-                raise ValueError(f"per-edge weighting misses edge {i}-{j}") from None
+                a, b = min(g.edges - self.per_edge.keys())
+                raise ValueError(f"per-edge weighting misses edge {a}-{b}") from None
             if len(self.per_edge) != m:
-                i, j = min(self.per_edge.keys() - g.edges)
-                raise ValueError(f"per-edge weighting names non-edge {i}-{j}")
-        return ends[0::2], ends[1::2], t
+                a, b = min(self.per_edge.keys() - g.edges)
+                raise ValueError(f"per-edge weighting names non-edge {a}-{b}")
+        return i, j, t
 
 
-TauLike = Union[TauWeighting, float, Mapping[tuple[int, int], float]]
+# A ``|`` union, not ``typing.Union``: typing memoises its unions, and the
+# memo would keep this module's class, and with it every module of this
+# import of the package, alive after a fresh import replaces them.
+TauLike = TauWeighting | float | Mapping[tuple[int, int], float]
 
 
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:

@@ -13,9 +13,9 @@ eigenvectors; their eigenvalues give the verdict, except within twice the
 solver's error bound of a cut or when no configuration exists, where
 :func:`~angleset.spectra.eigenvalues` decides. A singular matrix is factored
 through the kept eigenpairs. Verification reads every defining relation off
-the vectors' Gram matrix V V^T and reports worst-case Frobenius residuals;
-the vectors of a construction come read-only with that product, so
-verifying them forms it no second time.
+the vectors' Gram matrix V V^T, through one residual matrix, and reports
+worst-case Frobenius residuals; the vectors of a construction come read-only
+with that product, so verifying them forms it no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -38,7 +38,6 @@ from .admissible import (
     TauLike,
     TauWeighting,
     _certified_gram,
-    _gram_from_arrays,
 )
 from .graphs import Graph
 from .spectra import Spectrum, eigenpairs, eigenvalues
@@ -252,23 +251,39 @@ def verify_configuration(
 
     so the one product G gives the whole report, judged against the fixed
     ``VERIFY_TOL``. A configuration from :func:`construct_configuration`
-    brings G along.
+    brings G along, read-only.
+
+    Every residual is read from one matrix R, a copy of G less 1 on its
+    diagonal and less sqrt(tau_ij) on its edges, and from G's diagonal and
+    edge entries: ``gram`` is ||R||, the diagonal of R is g_ii - 1, and R
+    scaled by sqrt(g_ii g_jj) in place, its diagonal and edges then zeroed,
+    holds the orthogonality residuals. No target matrix is built.
     """
     if config.size != g.n:
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
-    target = _gram_from_arrays(g.n, i, j, t)
     gram = config._gram
     if gram is None:
         gram = config.vectors @ config.vectors.T
-    sq = np.diag(gram)
-    apart = target == 0.0  # off the diagonal and off the edges
-    idem = np.max(np.abs(sq - 1.0) * sq)
-    braid = np.max(np.abs(gram[i, j] ** 2 - t) * np.maximum(sq[i], sq[j]), initial=0.0)
-    orth = np.max((np.abs(gram) * np.sqrt(np.outer(sq, sq)))[apart], initial=0.0)
-    gram_dev = np.linalg.norm(gram - target)
+    sq = gram.diagonal()
+    on_edges = gram[i, j]
+    res = gram.copy()
+    diag = res.ravel()[::g.n + 1]  # a view: the copy is C-contiguous
+    diag -= 1.0
+    root = np.sqrt(t)
+    res[i, j] = on_edges - root
+    res[j, i] -= root
+    gram_dev = np.linalg.norm(res)
+    idem = (np.abs(diag) * sq).max()
+    braid = (np.abs(on_edges ** 2 - t) * np.maximum(sq[i], sq[j])).max(initial=0.0)
+    scale = sq[:, None] * sq
+    np.abs(res, out=res)
+    res *= np.sqrt(scale, out=scale)
+    diag[:] = 0.0
+    res[i, j] = res[j, i] = 0.0
+    orth = res.max(initial=0.0)
     return VerificationReport(float(idem), float(braid), float(orth), float(gram_dev))
 
 
@@ -291,6 +306,38 @@ def _tau_from_json(data) -> TauWeighting:
     if type(data) is list and all(_labeled(t, 3) and type(t[2]) in (int, float) for t in data):
         return TauWeighting(per_edge=[((i, j), v) for i, j, v in data])
     raise ValueError(f"cannot read tau from {data!r}: need a number or [i, j, tau] triples")
+
+
+_MALFORMED_GRAPH = "graph must be a list of [i, j] integer label pairs"
+
+
+def _graph_from_json(data, n: int) -> Graph:
+    """The graph on ``n`` vertices of a document's ``graph`` list, its pairs
+    checked and keyed in one walk.
+
+    A malformed pair anywhere in the list is reported before a loop or a
+    repeated edge; :meth:`Graph.from_edges` then names the first of those in
+    list order.
+    """
+    if type(data) is not list:
+        raise ValueError(_MALFORMED_GRAPH)
+    keys = set()
+    loop = False
+    for e in data:
+        if type(e) is not list or len(e) != 2:
+            raise ValueError(_MALFORMED_GRAPH)
+        i, j = e
+        if type(i) is not int or type(j) is not int:  # ``type`` refuses true, 1.0
+            raise ValueError(_MALFORMED_GRAPH)
+        if i < j:
+            keys.add((i, j))
+        elif j < i:
+            keys.add((j, i))
+        else:
+            loop = True
+    if loop or len(keys) != len(data):
+        return Graph.from_edges(data, n=n)
+    return Graph(n, frozenset(keys))
 
 
 def configuration_document(
@@ -348,7 +395,4 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
         raise ValueError(
             f"ambient_dim {ambient} does not match vector length {config.ambient_dim}"
         )
-    if not (type(edge_data) is list and all(_labeled(e, 2) for e in edge_data)):
-        raise ValueError("graph must be a list of [i, j] integer label pairs")
-    g = Graph.from_edges(edge_data, n=config.size)
-    return config, g, _tau_from_json(tau_data)
+    return config, _graph_from_json(edge_data, config.size), _tau_from_json(tau_data)

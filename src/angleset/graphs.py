@@ -14,6 +14,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,6 +63,14 @@ class Graph:
 
     Edges are stored canonically as pairs ``(i, j)`` with ``i < j``. Loops and
     parallel edges are rejected; vertices without incident edges are allowed.
+
+    A graph memoises three things it derives from its edges, each the first
+    time it is needed: the neighbour sets (``_adjacency``), the edge index
+    (``_edge_index``: the edges in one fixed order with their read-only
+    0-based endpoint arrays) and the adjacency spectrum
+    (:func:`~angleset.spectra.graph_spectrum`, solved from the edge index).
+    Neither of the last two builds the neighbour sets. Each memo lives and
+    dies with its ``Graph`` object.
     """
 
     n: int
@@ -116,6 +125,16 @@ class Graph:
             nbrs[j].add(i)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def _edge_index(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+        """Every edge once, in one fixed order, and the read-only 0-based
+        endpoint arrays ``i < j`` aligned to it."""
+        edges = list(self.edges)
+        ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+        ends -= 1
+        ends.flags.writeable = False
+        return edges, ends[0::2], ends[1::2]
+
     def neighbors(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
             raise GraphError(f"vertex {v} out of range 1..{self.n}")
@@ -130,10 +149,9 @@ class Graph:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix of ``g`` (symmetric, zero diagonal)."""
+    _, i, j = g._edge_index
     a = np.zeros((g.n, g.n), dtype=int)
-    for i, j in g.edges:
-        a[i - 1, j - 1] = 1
-        a[j - 1, i - 1] = 1
+    a[i, j] = a[j, i] = 1
     return a
 
 

@@ -280,8 +280,9 @@ def eigenpairs(m) -> Spectrum:
 def graph_spectrum(g: Graph) -> Spectrum:
     """Adjacency spectrum of ``g``, eigenvalues sorted descending.
 
-    The spectrum is memoised on ``g`` itself, like its neighbour sets, and its
-    eigenvalue array is read-only; it lives and dies with the graph.
+    The spectrum is memoised on ``g`` itself, like its neighbour sets and its
+    edge index, and its eigenvalue array is read-only; it lives and dies with
+    the graph.
     """
     spectrum = _memoised_spectrum(g)
     if spectrum is None:

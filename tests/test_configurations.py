@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,7 @@ from angleset import (
 )
 import angleset.admissible
 import angleset.configurations
-from angleset.configurations import VERIFY_TOL
+from angleset.configurations import VERIFY_TOL, VerificationReport
 from angleset.spectra import Spectrum, _cholesky_shift
 from corpus import CORPUS_SEED, pruefer_from_index, random_connected_graphs
 
@@ -42,7 +43,7 @@ def spec_graph(spec):
 @pytest.fixture
 def assemblies(monkeypatch):
     """The size of every Gram matrix assembled from edge arrays, one entry
-    per assembly, whichever module assembles it."""
+    per assembly. Only ``admissible`` assembles them."""
     built = []
     real = angleset.admissible._gram_from_arrays
 
@@ -50,8 +51,7 @@ def assemblies(monkeypatch):
         built.append(n)
         return real(n, *args, **kwargs)
 
-    for module in (angleset.admissible, angleset.configurations):
-        monkeypatch.setattr(module, "_gram_from_arrays", counted)
+    monkeypatch.setattr(angleset.admissible, "_gram_from_arrays", counted)
     return built
 
 
@@ -573,6 +573,24 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError, match="graph must be a list of"):
             load_configuration(doc)
 
+    @pytest.mark.parametrize(
+        "graph,message",
+        [
+            ([[1, 2], [2, 2]], "^loop edge 2-2$"),
+            ([[2, 2], [1, 2], [2, 1]], "^loop edge 2-2$"),
+            ([[1, 2], [2, 1], [3, 3]], "^duplicate edge 1-2$"),
+            ([[1, 3]], "^edge 1-3 out of vertex range 1..2$"),
+            ([[2, 2], [1, 2.0]], "^graph must be a list of"),
+            ([[1, 2], [2, 1], ["1", 2]], "^graph must be a list of"),
+        ],
+    )
+    def test_graph_errors_in_list_order(self, graph, message):
+        """A malformed pair anywhere wins; otherwise the first loop or
+        repeated edge in the list is named, then an edge out of range."""
+        doc = {"ambient_dim": 1, "vectors": [[1.0], [0.0]], "tau": 0.5, "graph": graph}
+        with pytest.raises(ValueError, match=message):
+            load_configuration(doc)
+
 
 @given(
     st.integers(min_value=2, max_value=7),
@@ -655,5 +673,41 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
             assert abs(getattr(report, field) - value) <= 1e-12, (kind, field, sorted(g.edges))
         assert report.passed == (max(want.values()) <= VERIFY_TOL)
         assert report.passed == (kind == "clean"), (kind, report.as_dict())
+        if kind == "clean":
+            # The construction brings its own read-only V V^T, so a verify
+            # that wrote into it would raise; its report must match bit for bit.
+            built = construct_configuration(g, tau)
+            assert not built._gram.flags.writeable
+            assert np.array_equal(built.vectors, v)
+            assert same_bits(verify_configuration(built, g, tau), report), kind
         reports += 1
     assert reports == 5 * len(random_connected_corpus)
+
+
+def same_bits(a: VerificationReport, b: VerificationReport) -> bool:
+    return all(
+        float.hex(getattr(a, f.name)) == float.hex(getattr(b, f.name))
+        for f in dataclasses.fields(VerificationReport)
+    )
+
+
+class CountedEdges(frozenset):
+    """An edge set that counts the walks over it."""
+
+    walks = 0
+
+    def __iter__(self):
+        type(self).walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("per_edge", [False, True], ids=["constant", "per-edge"])
+def test_construct_and_verify_align_the_edges_once(monkeypatch, per_edge):
+    base = named("D", 9)
+    g = Graph(base.n, CountedEdges(base.edges))
+    tau = {e: 0.2 for e in base.edges} if per_edge else 0.2
+    monkeypatch.setattr(CountedEdges, "walks", 0)
+    report = verify_configuration(construct_configuration(g, tau), g, tau)
+    assert report.passed
+    assert CountedEdges.walks == 1
+    assert "_adjacency" not in g.__dict__

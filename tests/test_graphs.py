@@ -319,6 +319,22 @@ class TestAdjacencyMatrix:
         assert [int(s) for s in a.sum(axis=0)] == [g.degree(v) for v in g.vertices]
 
 
+class TestEdgeIndex:
+    def test_aligned_read_only_and_kept(self):
+        g = Graph.from_edges([(4, 2), (1, 2), (3, 4), (5, 1)], n=6)
+        edges, i, j = index = g._edge_index
+        assert sorted(edges) == sorted(g.edges)
+        assert list(zip(i + 1, j + 1)) == edges
+        assert not i.flags.writeable and not j.flags.writeable
+        adjacency_matrix(g)
+        assert g._edge_index is index
+        assert "_adjacency" not in g.__dict__
+
+    def test_no_edges(self):
+        edges, i, j = Graph(3, frozenset())._edge_index
+        assert edges == [] and i.size == j.size == 0
+
+
 class TestTreeEnumeration:
     def test_known_pruefer_decode(self):
         g = tree_from_pruefer(6, (4, 4, 4, 5))

@@ -5,8 +5,11 @@ unused import in the repository's Python files (``src/``, ``tests/`` and
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import angleset
@@ -54,6 +57,34 @@ def test_every_traced_target_resolves():
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
     assert tracing.TARGETS and missing == []
+
+
+# Imports the package afresh three times, as the benchmark's set-up and
+# ``importlib.reload`` do, then counts the classes that survive collection.
+FRESH_IMPORTS = """
+import gc, importlib, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m.partition(".")[0] == "angleset"]:
+        del sys.modules[name]
+    importlib.import_module("angleset")
+gc.collect()
+print(sum(isinstance(o, type) and o.__name__ == "TauWeighting" for o in gc.get_objects()))
+"""
+
+
+def test_a_fresh_import_frees_the_previous_one():
+    # A typing.Union over TauWeighting is memoised by typing, and through the
+    # class it kept every earlier import's functions and module dicts alive.
+    # A child interpreter leaves this process's own import untouched.
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORTS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
