@@ -12,12 +12,14 @@ The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
 it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
 (see :func:`graph_spectrum`), which the Jacobi solver computes; a per-edge
 weighting solves its own Gram matrix with :func:`~angleset.spectra.eigenvalues`
-(LAPACK, no eigenvectors). Every :class:`ExistenceVerdict` is the one those
-eigenvalues give. :func:`existence` reads them when a constant tau finds the
-adjacency spectrum memoised; otherwise it first tries the Cholesky
-certificate :func:`~angleset.spectra._certified_definite`, whose floor covers
-the error of the route it replaces, and solves only if that fails. A
-certified verdict solves for its least eigenvalue when that is first read.
+(LAPACK, no eigenvectors). Every :class:`ExistenceVerdict` has the
+``exists`` and ``rank`` those eigenvalues give. :func:`existence` reads them
+when a constant tau finds the adjacency spectrum memoised; otherwise it first
+tries the Cholesky certificate :func:`~angleset.spectra._certified_definite`,
+whose floor covers the error of the route it replaces, and solves only if
+that fails. A certified verdict, constant or per-edge, solves for its least
+eigenvalue when that is first read, by ``eigenvalues`` on the Gram matrix,
+so no certified query ever runs Jacobi.
 :func:`~angleset.configurations.construct_configuration` runs the same
 certificate on the same matrix and otherwise reaches the verdict the same
 ``eigenvalues`` call gives, from its eigenpairs away from the cuts, so a
@@ -204,10 +206,13 @@ class ExistenceVerdict:
     :func:`gram_spectrum` gives, also when a Cholesky certificate decided
     them without it.
 
-    ``min_eigenvalue`` is the least eigenvalue that route computes. A
-    verdict the certificate decided solves for it, by calling ``_least``,
-    the first time it is read, and keeps it. Verdicts compare by identity,
-    since comparing their values could cost a solve.
+    ``min_eigenvalue`` is the least eigenvalue that route computes, except
+    for a verdict the certificate decided: that one solves its Gram matrix,
+    assembled again, with :func:`~angleset.spectra.eigenvalues` (LAPACK) by
+    calling ``_least`` the first time it is read, and keeps the result. For a
+    constant tau the two routes' values differ by at most their a-priori
+    error bounds. Verdicts compare by identity, since comparing their values
+    could cost a solve.
     """
 
     exists: bool
@@ -234,21 +239,25 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
 
-    The verdict is always the one the eigenvalues of :func:`gram_spectrum`
-    give, reached by the cheapest proof at hand:
+    ``exists`` and ``rank`` are always the ones the eigenvalues of
+    :func:`gram_spectrum` give, reached by the cheapest proof at hand:
 
     - a constant tau on a graph whose adjacency spectrum is memoised reads
       it, as ``sigma``, ``trichotomy`` and ``classify`` leave it;
     - otherwise the Gram matrix, shifted, is factored by Cholesky
       (:func:`~angleset.spectra._certified_definite`). If that completes,
-      every eigenvalue the eigen route computes lies above ``PSD_TOL``: the
-      verdict is rank n, and no eigensolve runs until ``min_eigenvalue`` is
-      read. The shift's floor covers that route's error: ``PSD_TOL`` per
-      edge, as in ``construct_configuration``, where LAPACK solves the Gram
-      matrix, and ``PSD_TOL`` plus sqrt(tau) times Jacobi's a-priori bound
-      (:func:`~angleset.spectra._jacobi_bound`) for a constant tau, whose
-      spectrum is 1 + sqrt(tau) spec(A). The shift's own LAPACK term,
-      n * eps * ||G||_F, covers the rounding of that sum;
+      every eigenvalue the eigen route computes lies above ``PSD_TOL``, and
+      the verdict is rank n. The shift's floor covers that route's error:
+      ``PSD_TOL`` per edge, as in ``construct_configuration``, where LAPACK
+      solves the Gram matrix, and ``PSD_TOL`` plus sqrt(tau) times Jacobi's
+      a-priori bound (:func:`~angleset.spectra._jacobi_bound`) for a
+      constant tau, whose spectrum is 1 + sqrt(tau) spec(A). The shift's
+      own LAPACK term, n * eps * ||G||_F, covers the rounding of that sum.
+      No eigensolve runs until ``min_eigenvalue`` is read; that read
+      assembles the Gram matrix again from ``g`` and the weighting and
+      solves it by :func:`~angleset.spectra.eigenvalues`, for a constant
+      tau too, so the verdict pins no n x n matrix and the adjacency
+      spectrum stays unsolved;
     - any other query is solved by that route.
     """
     w = TauWeighting.of(tau)
@@ -260,7 +269,8 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
         floor += math.sqrt(w.constant) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
     certified, a = _certified_gram(g.n, i, j, t, floor)
     if certified:
-        return ExistenceVerdict(True, g.n, lambda: gram_spectrum(g, w).min_eigenvalue)
+        return ExistenceVerdict(
+            True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
     spectrum = eigenvalues(a) if w.constant is None else gram_spectrum(g, w)
     return ExistenceVerdict.from_eigenvalues(spectrum.eigenvalues)
 

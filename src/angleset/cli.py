@@ -140,9 +140,9 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    # The least eigenvalue is printed, so solve the spectrum first: existence
-    # then reads its verdict off it, with no certificate to discard.
-    graph_spectrum(g)
+    # One query, so existence solves only what it needs: a verdict the
+    # certificate decides reads its least eigenvalue from LAPACK on the Gram
+    # matrix, and only a query it leaves open solves the adjacency spectrum.
     verdict = existence(g, args.tau)
     _emit(args, {"exists": verdict.exists, "min_eigenvalue": verdict.min_eigenvalue,
                  "rank": verdict.rank})
@@ -201,7 +201,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lo + (hi - lo) * k / (args.steps - 1) if args.steps > 1 else lo
         for k in range(args.steps)
     ]
-    graph_spectrum(g)  # as in cmd_exists: every row prints the least eigenvalue
+    # Rows cross the endpoint, where the certificate fails and a constant tau
+    # solves the adjacency spectrum by Jacobi: solve it once first, so every
+    # row reads its verdict and least eigenvalue off that one memo.
+    graph_spectrum(g)
     rows = []
     for tau in taus:
         v = existence(g, tau)

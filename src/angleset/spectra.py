@@ -8,7 +8,8 @@ below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). A per-edge Gram matrix is solved by
+(``bench/README.md``). A per-edge Gram matrix, and the Gram matrix of any
+verdict the certificate below decides, constant tau included, is solved by
 :func:`eigenvalues` (LAPACK, no eigenvectors), and a singular one that
 :func:`~angleset.configurations.construct_configuration` must factor by
 :func:`eigenpairs`.
@@ -26,7 +27,8 @@ proves nothing, and the route decides.
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
 spectrum ``1 + sqrt(tau) * spec(A)`` of that graph share one solve;
-``existence`` reads it, with no certificate, whenever it is there.
+``existence`` reads it, with no certificate, whenever it is there. A
+constant-tau verdict the certificate decides neither solves nor keeps it.
 """
 
 from __future__ import annotations

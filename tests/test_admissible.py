@@ -33,6 +33,7 @@ from angleset import (
     verify_configuration,
 )
 from angleset.admissible import gram_spectrum
+from angleset.spectra import _lapack_bound, _memoised_spectrum
 from corpus import cycle, pruefer_from_index, shuffled
 
 
@@ -229,28 +230,32 @@ class TestAdjacencySpectrumReuse:
         assert eig_calls == [7]
 
     def test_the_memo_belongs_to_the_instance(self, eig_calls):
+        """tau = 0.5 lies above E7's endpoint, so the certificate fails and
+        each twin solves its own adjacency spectrum."""
         g = named("E7")
         twin = Graph(g.n, g.edges)
         assert twin == g
-        assert existence(g, 0.2).min_eigenvalue == existence(twin, 0.2).min_eigenvalue
+        assert existence(g, 0.5).min_eigenvalue == existence(twin, 0.5).min_eigenvalue
         assert eig_calls == [7, 7]
 
     def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls, name_calls):
         """A per-edge weighting takes its Gram eigenvalues from the LAPACK
         ``eigenvalues`` call ``construct`` makes, never from Jacobi, and
         computes no eigenvectors. A definite one solves only when its least
-        eigenvalue is read."""
+        eigenvalue is read, and so does a definite constant tau, from the
+        same call, leaving the adjacency spectrum unsolved."""
         g = named("A", 4)
         calls = name_calls("eigenvalues", "eigenpairs")
         assert existence(g, 0.2).min_eigenvalue > 0.0
-        assert eig_calls == [4] and calls["eigenvalues"] == calls["eigenpairs"] == 0
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert _memoised_spectrum(g) is None
         weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
         first = existence(g, weights)
-        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
         second = existence(g, weights)
         assert (second.exists, second.rank, second.min_eigenvalue) == \
             (first.exists, first.rank, first.min_eigenvalue)
-        assert eig_calls == [4] and (calls["eigenvalues"], calls["eigenpairs"]) == (2, 0)
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (3, 0)
         a = gram_matrix(g, weights)
         lapack = eigenvalues(a)
         assert first.min_eigenvalue == lapack.eigenvalues[-1]
@@ -482,19 +487,26 @@ def _eigen_route(g, tau, adjacency):
     """The verdict's fields, ``(exists, rank, min_eigenvalue)``, as the eigen
     route computes them, with no certificate: 1 + sqrt(tau) times the
     Jacobi spectrum ``adjacency`` of A for a constant tau, and eigvalsh on
-    the Gram matrix for a per-edge one."""
+    the Gram matrix for a per-edge one; and the route's error bound on the
+    least eigenvalue beyond LAPACK's, sqrt(tau) times Jacobi's residual
+    bound for a constant tau and 0 for a per-edge one."""
     if isinstance(tau, dict):
-        evals = np.linalg.eigvalsh(gram_matrix(g, tau))[::-1]
+        evals, bound = np.linalg.eigvalsh(gram_matrix(g, tau))[::-1], 0.0
     else:
-        evals = 1.0 + math.sqrt(tau) * adjacency
-    return bool(evals[-1] >= -PSD_TOL), int((evals > PSD_TOL).sum()), float(evals[-1])
+        root = math.sqrt(tau)
+        evals, bound = 1.0 + root * adjacency.eigenvalues, root * adjacency.residual_bound
+    verdict = bool(evals[-1] >= -PSD_TOL), int((evals > PSD_TOL).sum()), float(evals[-1])
+    return verdict, bound
 
 
 class TestCertifiedExistence:
     """``existence`` tries a Cholesky certificate before any eigensolve. Its
-    verdict must be the eigen route's, bit for bit, on a fresh graph and on
-    one whose adjacency spectrum is memoised; a certified verdict makes no
-    solve until ``min_eigenvalue`` is read, and then exactly one."""
+    ``exists`` and ``rank`` must be the eigen route's, bit for bit, on a
+    fresh graph and on one whose adjacency spectrum is memoised; a certified
+    verdict makes no solve until ``min_eigenvalue`` is read, and then exactly
+    one, by eigvalsh on the Gram matrix, within the two routes' error bounds
+    of the eigen route's value. Every other verdict's least eigenvalue is
+    the eigen route's, bit for bit."""
 
     @pytest.fixture
     def check(self, eig_calls, name_calls):
@@ -506,22 +518,28 @@ class TestCertifiedExistence:
             return len(eig_calls) + lapack["eigenvalues"]
 
         def run(g, taus):
-            adjacency = eigen_symmetric(adjacency_matrix(g)).eigenvalues
+            adjacency = eigen_symmetric(adjacency_matrix(g))
             certified = 0
             for tau in taus:
-                want = _eigen_route(g, tau, adjacency)
+                want, route_bound = _eigen_route(g, tau, adjacency)
                 fresh = Graph(g.n, g.edges)
                 before = solves()
                 verdict = existence(fresh, tau)
                 made = solves() - before
                 assert made in (0, 1), (g, tau)
+                assert (verdict.exists, verdict.rank) == want[:2], (g, tau)
+                lam = verdict.min_eigenvalue
+                assert verdict.min_eigenvalue == lam  # kept: no second solve
+                assert solves() - before == 1, (g, tau)
                 if made == 0:
                     certified += 1
                     assert (verdict.exists, verdict.rank) == (True, g.n)
-                assert (verdict.exists, verdict.rank) == want[:2], (g, tau)
-                assert verdict.min_eigenvalue == want[2], (g, tau)
-                assert verdict.min_eigenvalue == want[2]  # kept: no second solve
-                assert solves() - before == 1, (g, tau)
+                    assert _memoised_spectrum(fresh) is None, (g, tau)
+                    lapack = eigenvalues(gram_matrix(g, tau))
+                    assert lam == lapack.eigenvalues[-1], (g, tau)
+                    assert abs(lam - want[2]) <= route_bound + lapack.residual_bound, (g, tau)
+                else:
+                    assert lam == want[2], (g, tau)
                 graph_spectrum(fresh)
                 memo = existence(fresh, tau)
                 assert (memo.exists, memo.rank, memo.min_eigenvalue) == want, (g, tau)
@@ -576,8 +594,9 @@ class TestCertifiedExistence:
         lam = verdict.min_eigenvalue
         assert lam == pytest.approx(1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 21), abs=1e-12)
         assert verdict.min_eigenvalue == lam
-        solved = (eig_calls, calls["eigenvalues"], calls["eigenpairs"])
-        assert solved == (([20], 0, 0) if weights == "constant" else ([], 1, 0))
+        assert (eig_calls, calls["eigenvalues"], calls["eigenpairs"]) == ([], 1, 0)
+        assert lam == eigenvalues(gram_matrix(g, tau)).eigenvalues[-1]
+        assert _memoised_spectrum(g) is None
 
     def test_the_constant_tau_floor_covers_the_jacobi_bound(self, eig_calls, name_calls):
         """On A64 with least Gram eigenvalue 2 PSD_TOL the per-edge shift,
@@ -783,3 +802,35 @@ def test_existence_is_monotone_in_tau(n, data, tau, shrink):
     g = tree_from_pruefer(n, pruefer_from_index(n, idx))
     if existence(g, tau).exists:
         assert existence(g, tau * shrink).exists
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A uniform-labelled spanning tree from a Pruefer sequence plus any set
+    of extra edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    seq = draw(st.lists(st.integers(min_value=1, max_value=n), min_size=n - 2, max_size=n - 2))
+    edges = set(tree_from_pruefer(n, seq).edges)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in edges]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    return Graph(n, frozenset(edges))
+
+
+@given(connected_graphs(), st.floats(min_value=0.5, max_value=0.99))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_a_certified_constant_tau_reads_its_least_eigenvalue_from_lapack(g, scale):
+    """Strictly inside the PSD interval the certificate decides a constant
+    tau, the read solves no adjacency spectrum, and the least eigenvalue is
+    1 + sqrt(tau) lambda_min(A) to within the LAPACK a-priori bounds of the
+    Gram and the adjacency solve."""
+    tau = scale * _psd_endpoint(g)
+    verdict = existence(g, tau)
+    assert (verdict.exists, verdict.rank) == (True, g.n)
+    lam = verdict.min_eigenvalue
+    assert _memoised_spectrum(g) is None
+    assert lam > PSD_TOL
+    a = adjacency_matrix(g)
+    root = math.sqrt(tau)
+    band = _lapack_bound(gram_matrix(g, tau)) + root * _lapack_bound(a)
+    assert abs(lam - (1.0 + root * np.linalg.eigvalsh(a)[0])) <= band

@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import angleset.cli
+from angleset import generate_named, gram_matrix, parse_named_spec
 from angleset.cli import MAX_STEPS, MAX_VERTICES, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,6 +180,29 @@ class TestExists:
         with pytest.raises(SystemExit) as exc:
             main(["exists", "--graph", "A3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("spec,lines", [
+        ("E8", ["exists: true", "min_eigenvalue: 0.1104725747", "rank: 8"]),
+        ("A40", ["exists: true", "min_eigenvalue: 0.1081972362", "rank: 40"]),
+    ], ids=["E8", "A40"])
+    def test_a_definite_query_runs_no_jacobi(self, capsys, eig_calls, spec, lines):
+        """The certificate decides tau = 0.2 on both, and the least eigenvalue
+        comes from eigvalsh on the Gram matrix: the text lines are those the
+        Jacobi route printed, and the JSON value is eigvalsh's."""
+        code, out, _ = run(capsys, "exists", "--graph", spec, "--tau", "0.2")
+        assert code == 0 and out.splitlines() == lines
+        _, out, _ = run(capsys, "exists", "--graph", spec, "--tau", "0.2", "--format", "json")
+        assert eig_calls == []
+        g = generate_named(parse_named_spec(spec))
+        assert json.loads(out)["min_eigenvalue"] == np.linalg.eigvalsh(gram_matrix(g, 0.2))[0]
+
+    def test_a_query_at_the_endpoint_solves_jacobi_once(self, capsys, eig_calls):
+        """At A12's endpoint the Gram matrix is singular, the certificate
+        fails, and the adjacency spectrum is solved once."""
+        tau = 1.0 / (4.0 * math.cos(math.pi / 13) ** 2)
+        code, out, _ = run(capsys, "exists", "--graph", "A12", "--tau", repr(tau))
+        assert code == 0 and out.splitlines()[::2] == ["exists: true", "rank: 11"]
+        assert eig_calls == [12]
 
 
 class TestClassify:
@@ -398,9 +423,13 @@ class TestSweep:
         assert rows[0]["exists"] is True and rows[-1]["exists"] is False
 
     def test_one_eigensolve_for_every_row(self, capsys, eig_calls):
-        code, out, _ = run(capsys, "sweep", "--graph", "E8", "--steps", "40")
-        assert code == 0 and len(out.splitlines()) == 41
-        assert eig_calls == [8]
+        """Both sweeps cross their endpoint; one adjacency solve answers the
+        rows on either side, the definite ones included."""
+        for spec, steps in (("E8", 40), ("E7", 100)):
+            code, out, _ = run(capsys, "sweep", "--graph", spec, "--steps", str(steps))
+            assert code == 0 and len(out.splitlines()) == steps + 1
+            assert {row.split(",")[2] for row in out.splitlines()[1:]} == {"true", "false"}
+        assert eig_calls == [8, 7]
 
     @pytest.mark.parametrize(
         "flags",
