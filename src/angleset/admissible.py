@@ -192,7 +192,13 @@ def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
         return eigenvalues(gram_matrix(g, w))
     root = math.sqrt(w.constant)
     adj = graph_spectrum(g)
-    return Spectrum(1.0 + root * adj.eigenvalues, root * adj.residual_bound)
+    return Spectrum(_shifted(adj, root), root * adj.residual_bound)
+
+
+def _shifted(adj: Spectrum, root: float) -> np.ndarray:
+    """The Gram eigenvalues 1 + sqrt(tau) spec(A) of a constant tau, given
+    the adjacency spectrum and ``root`` = sqrt(tau)."""
+    return 1.0 + root * adj.eigenvalues
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,8 +267,10 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     - any other query is solved by that route.
     """
     w = TauWeighting.of(tau)
-    if w.constant is not None and _memoised_spectrum(g) is not None:
-        return ExistenceVerdict.from_eigenvalues(gram_spectrum(g, w).eigenvalues)
+    if w.constant is not None:
+        adj = _memoised_spectrum(g)
+        if adj is not None:  # the eigenvalues gram_spectrum gives
+            return ExistenceVerdict.from_eigenvalues(_shifted(adj, math.sqrt(w.constant)))
     i, j, t = w.edge_arrays(g)
     floor = PSD_TOL
     if w.constant is not None:  # A has 2m unit entries: ||A||_F = sqrt(2m)

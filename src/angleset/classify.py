@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import E_ARMS, Graph, component_vertex_sets, induced_subgraph
+from .graphs import E_ARMS, Graph, component_vertex_sets
 from .spectra import graph_index
 
 __all__ = [
@@ -118,36 +118,39 @@ class GraphClass:
         return IndexKind.SUBCRITICAL
 
 
-def _arm(g: Graph, branch: int, first: int) -> tuple[int, int]:
-    """Walk from ``branch`` through ``first`` along degree-2 vertices.
+def _arm(nbrs: list[list[int]], degree: list[int], branch: int,
+         first: int) -> tuple[int, int]:
+    """Walk from ``branch`` through ``first`` along degree-2 vertices, given
+    the neighbour lists and degrees indexed by vertex.
 
     Returns ``(length_in_edges, endpoint)`` where the endpoint is the first
     vertex that is not a through-vertex (a leaf or another branch vertex).
     """
     prev, cur = branch, first
     length = 1
-    while g.degree(cur) == 2:
-        nxt = next(u for u in g.neighbors(cur) if u != prev)
+    while degree[cur] == 2:
+        nxt = next(u for u in nbrs[cur] if u != prev)
         prev, cur = cur, nxt
         length += 1
     return length, cur
 
 
-def _component_shape(g: Graph) -> tuple[str, int | None]:
-    """Shape of a connected graph as ``(family, size)``."""
-    n, m = g.n, g.num_edges
-    degrees = [g.degree(v) for v in g.vertices]
+def _component_shape(nbrs: list[list[int]], degree: list[int],
+                     verts: tuple[int, ...]) -> tuple[str, int | None]:
+    """Shape as ``(family, size)`` of the connected component on ``verts``,
+    given the whole graph's neighbour lists and degrees indexed by vertex."""
+    n, m = len(verts), sum(degree[v] for v in verts) // 2
     if m != n - 1:
         # Connected with an extra edge: only the plain cycle stays at index 2.
-        if all(d == 2 for d in degrees):
+        if all(degree[v] == 2 for v in verts):
             return "A~", n - 1
         return "supercritical", None
-    branches = [v for v in g.vertices if g.degree(v) >= 3]
+    branches = [v for v in verts if degree[v] >= 3]
     if not branches:
         return "A", n
     if len(branches) == 1:
         b = branches[0]
-        arms = sorted(_arm(g, b, u)[0] for u in g.neighbors(b))
+        arms = sorted(_arm(nbrs, degree, b, u)[0] for u in nbrs[b])
         if len(arms) == 3:
             if arms[0] == arms[1] == 1:
                 return "D", arms[2] + 3
@@ -157,11 +160,11 @@ def _component_shape(g: Graph) -> tuple[str, int | None]:
         elif len(arms) == 4 and arms == [1, 1, 1, 1]:
             return "D~", 4
         return "supercritical", None
-    if len(branches) == 2 and all(g.degree(b) == 3 for b in branches):
+    if len(branches) == 2 and all(degree[b] == 3 for b in branches):
         for b in branches:
             outward = []
-            for u in g.neighbors(b):
-                length, end = _arm(g, b, u)
+            for u in nbrs[b]:
+                length, end = _arm(nbrs, degree, b, u)
                 if end not in branches:
                     outward.append(length)
             if sorted(outward) != [1, 1]:
@@ -171,12 +174,19 @@ def _component_shape(g: Graph) -> tuple[str, int | None]:
 
 
 def classify_structure(g: Graph) -> GraphClass:
-    """Label every connected component by exact shape recognition."""
-    labeled = []
-    for verts in component_vertex_sets(g):
-        family, size = _component_shape(induced_subgraph(g, verts))
-        labeled.append(ComponentClass(family, size, verts))
-    return GraphClass(tuple(labeled))
+    """Label every connected component by exact shape recognition, each
+    shaped in place from ``g``'s neighbour lists, with no subgraph copy."""
+    # Local lists, not the memo g._adjacency: a classified graph then pins no
+    # neighbour sets (about 2 KB on an 8-vertex tree).
+    nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]  # slot 0: vertex 0
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    degree = [len(s) for s in nbrs]
+    return GraphClass(tuple(
+        ComponentClass(*_component_shape(nbrs, degree, verts), verts)
+        for verts in component_vertex_sets(g)
+    ))
 
 
 def classify_index(g: Graph) -> IndexClass:

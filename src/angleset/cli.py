@@ -11,9 +11,9 @@ negative answer (no configuration exists, verification failed) is still 0.
 Malformed arguments (a missing ``--tau``, ``--tau abc``, an unknown option)
 exit 2 with argparse's usage and ``angleset <cmd>: error: ...``, or
 ``angleset: error: ...`` for an unknown subcommand or option. Bad input exits
-1 with ``error: ...``: graphs with more than ``MAX_VERTICES`` vertices are
-rejected before any matrix is allocated, and sweeps of more than ``MAX_STEPS``
-values before any value is listed.
+1 with ``error: ...``: graphs with more than ``graphs.MAX_VERTICES`` vertices
+are rejected before any matrix is allocated, and sweeps of more than
+``MAX_STEPS`` values before any value is listed.
 
 No subcommand takes a tolerance. ``exists`` and ``sweep`` judge
 semidefiniteness and rank at ``PSD_TOL``, ``classify`` the index class at
@@ -40,16 +40,20 @@ from .configurations import (
     load_configuration,
     verify_configuration,
 )
-from .graphs import Graph, GraphError, generate_named, parse_edge_list, parse_named_spec
+from .graphs import (
+    Graph,
+    GraphError,
+    check_vertex_count,
+    generate_named,
+    parse_edge_list,
+    parse_named_spec,
+)
 from .spectra import graph_spectrum
 
 SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
 
 # ``sweep`` lists its tau values before it computes any row.
 MAX_STEPS = 100_000
-
-# Dense n x n matrices of this size take 32 MB each.
-MAX_VERTICES = 2000
 
 
 def _fmt(x) -> str:
@@ -62,20 +66,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise GraphError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     if (args.graph is None) == (args.file is None):
         raise GraphError("give exactly one graph source: --graph or --file")
     if args.graph is not None:
         spec = parse_named_spec(args.graph)
-        _check_size(spec.vertex_count)
+        check_vertex_count(spec.vertex_count)
         return generate_named(spec)
     g = parse_edge_list(Path(args.file).read_text())
-    _check_size(g.n)
+    check_vertex_count(g.n)
     return g
 
 
@@ -182,7 +181,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = json.loads(Path(getattr(args, "in")).read_text())
     config, g, w = load_configuration(doc)
-    _check_size(g.n)
     report = verify_configuration(config, g, w)
     _emit(args, report.as_dict(), ("idempotency", "braid", "orthogonality", "gram", "passed"))
     return 0

@@ -39,7 +39,7 @@ from .admissible import (
     TauWeighting,
     _certified_gram,
 )
-from .graphs import Graph
+from .graphs import Graph, check_vertex_count
 from .spectra import Spectrum, eigenpairs, eigenvalues
 
 __all__ = [
@@ -364,7 +364,9 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
     The graph's vertex count is the number of vectors. ``doc`` must be an
     object, ``ambient_dim`` an integer, ``graph`` a list of integer pairs,
     ``vectors`` a list of rows of numbers and a per-edge ``tau`` a list of
-    ``[i, j, tau]`` triples; anything else raises ``ValueError``.
+    ``[i, j, tau]`` triples; anything else raises ``ValueError``. More than
+    ``MAX_VERTICES`` vectors raise :class:`~angleset.graphs.GraphError`
+    before any row is read.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -381,6 +383,8 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
         raise ValueError(f"ambient_dim must be an integer, got {ambient!r}")
     if not vectors:
         raise ValueError("configuration document has no vectors")
+    if type(vectors) is list:
+        check_vertex_count(len(vectors))
     # ``type`` rules out a flat row, a bare number, and the strings and
     # ``true`` that a float conversion would accept.
     if (type(vectors) is not list or not all(type(row) is list for row in vectors)

@@ -22,8 +22,10 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphError",
+    "MAX_VERTICES",
     "NamedFamily",
     "adjacency_matrix",
+    "check_vertex_count",
     "component_vertex_sets",
     "edge_key",
     "generate_named",
@@ -41,20 +43,39 @@ class GraphError(ValueError):
     """Malformed graph input or a violated structural constraint."""
 
 
+# Dense n x n matrices of this size take 32 MB each. The command line builds
+# no larger graph, and load_configuration reads no larger document.
+MAX_VERTICES = 2000
+
+
+def check_vertex_count(n: int) -> None:
+    """:class:`GraphError` if ``n`` vertices are more than ``MAX_VERTICES``."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
+
+
 def edge_key(i, j) -> tuple[int, int]:
     """The canonical key ``(min, max)`` of the vertex pair ``i``, ``j``.
 
     Labels must be Python or numpy integers, not ``bool``; they come back as
     Python ints. Anything else raises :class:`GraphError`.
     """
-    # bool is an int subclass, so operator.index(True) would be 1.
-    if isinstance(i, bool) or isinstance(j, bool):
-        raise GraphError("vertex labels must be integers")
-    try:
-        i, j = operator.index(i), operator.index(j)
-    except TypeError:
-        raise GraphError("vertex labels must be integers") from None
+    if type(i) is not int or type(j) is not int:
+        i = _integer(i, "vertex labels must be integers")
+        j = _integer(j, "vertex labels must be integers")
     return (i, j) if i < j else (j, i)
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer other
+    than ``bool``; otherwise :class:`GraphError` with ``message``."""
+    # bool is an int subclass, so operator.index(True) would be 1.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise GraphError(message)
 
 
 @dataclass(frozen=True)
@@ -64,19 +85,27 @@ class Graph:
     Edges are stored canonically as pairs ``(i, j)`` with ``i < j``. Loops and
     parallel edges are rejected; vertices without incident edges are allowed.
 
-    A graph memoises three things it derives from its edges, each the first
+    The vertex count must be an integer, not ``bool``; a numpy integer is
+    stored as a Python int.
+
+    A graph memoises four things it derives from its edges, each the first
     time it is needed: the neighbour sets (``_adjacency``), the edge index
     (``_edge_index``: the edges in one fixed order with their read-only
-    0-based endpoint arrays) and the adjacency spectrum
-    (:func:`~angleset.spectra.graph_spectrum`, solved from the edge index).
-    Neither of the last two builds the neighbour sets. Each memo lives and
-    dies with its ``Graph`` object.
+    0-based endpoint arrays), the component roots (``_component_roots``,
+    found by union-find over the edge set, which :func:`is_connected`,
+    :func:`is_tree` and :func:`component_vertex_sets` read) and the
+    adjacency spectrum (:func:`~angleset.spectra.graph_spectrum`, solved
+    from the edge index). None of the last three builds the neighbour sets.
+    Each memo lives and dies with its ``Graph`` object.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", _integer(
+                self.n, f"vertex count must be an integer, got {self.n!r}"))
         if self.n < 1:
             raise GraphError("vertex count must be at least 1")
         for i, j in self.edges:
@@ -135,6 +164,12 @@ class Graph:
         ends.flags.writeable = False
         return edges, ends[0::2], ends[1::2]
 
+    @cached_property
+    def _component_roots(self) -> tuple[int, ...]:
+        """Smallest member of each vertex's component, indexed by vertex
+        (slot 0 holds 0), from :func:`_union_find_roots`."""
+        return _union_find_roots(self)
+
     def neighbors(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
             raise GraphError(f"vertex {v} out of range 1..{self.n}")
@@ -155,13 +190,14 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _component_roots(g: Graph) -> list[int]:
+def _union_find_roots(g: Graph) -> tuple[int, ...]:
     """Smallest member of each vertex's component, indexed by vertex (slot 0
-    unused).
+    holds 0).
 
     Union-find over the edge set, each union hanging the larger root under
     the smaller, so a root is always its component's least vertex. It leaves
-    the per-vertex neighbour sets of ``g`` unbuilt.
+    the per-vertex neighbour sets of ``g`` unbuilt. Call it through the
+    memo ``g._component_roots``.
     """
     root = list(range(g.n + 1))
 
@@ -177,11 +213,13 @@ def _component_roots(g: Graph) -> list[int]:
             root[b] = a
         elif b < a:
             root[a] = b
-    return [find(v) for v in range(g.n + 1)]
+    return tuple(find(v) for v in range(g.n + 1))
 
 
 def is_connected(g: Graph) -> bool:
-    return all(r == 1 for r in _component_roots(g)[1:])
+    # Every root is its component's least vertex, so vertex 1 roots them all
+    # exactly when one component holds every vertex.
+    return max(g._component_roots) == 1
 
 
 def is_tree(g: Graph) -> bool:
@@ -211,7 +249,7 @@ def component_vertex_sets(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending,
     ordered by smallest member. Together they partition ``1..n``."""
     members: dict[int, list[int]] = {}
-    roots = _component_roots(g)
+    roots = g._component_roots
     for v in g.vertices:
         members.setdefault(roots[v], []).append(v)
     return [tuple(vs) for vs in members.values()]

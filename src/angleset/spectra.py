@@ -215,7 +215,7 @@ def _jacobi_bound(n: int, fro: float) -> float:
     eigenvalue to bound). The rounding then adds at most
     ``6 * MAX_SWEEPS * n * (n - 1) * eps * fro``, to first order: the
     product of the rotation count and c * eps stays below 1e-6 up to the
-    2000 vertices of the CLI's ``MAX_VERTICES``.
+    2000 vertices of ``graphs.MAX_VERTICES``.
     """
     return (DEFAULT_TOL + 6.0 * MAX_SWEEPS * n * (n - 1) * _EPS) * fro
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import angleset.admissible
 import angleset.classify
+import angleset.graphs
 from angleset import (
     PSD_TOL,
     ExistenceVerdict,
@@ -16,6 +17,8 @@ from angleset import (
     TauWeighting,
     adjacency_matrix,
     classify_index,
+    classify_structure,
+    component_vertex_sets,
     construct_configuration,
     eigen_symmetric,
     eigenpairs,
@@ -25,6 +28,8 @@ from angleset import (
     graph_index,
     graph_spectrum,
     gram_matrix,
+    is_connected,
+    is_tree,
     parse_named_spec,
     sigma_cycle,
     sigma_tree,
@@ -625,6 +630,51 @@ class TestCertifiedExistence:
         assert (verdict.exists, verdict.rank, eig_calls) == (True, 12, [12])
 
 
+class TestOnePassPerGraphFact:
+    """A tree query derives each structural fact of its graph once."""
+
+    @pytest.mark.parametrize("tag", ["A2", "A7", "D6", "E8", "D~6", "K1,5"])
+    def test_one_union_find_per_graph(self, monkeypatch, tag):
+        runs = []
+        real = angleset.graphs._union_find_roots
+        monkeypatch.setattr(angleset.graphs, "_union_find_roots",
+                            lambda g: runs.append(g) or real(g))
+        g = generate_named(parse_named_spec(tag))
+        sigma_tree(g)
+        trichotomy(g)
+        classify_structure(g)
+        assert is_tree(g) and is_connected(g)
+        assert component_vertex_sets(g) == [tuple(g.vertices)]
+        assert len(runs) == 1 and runs[0] is g
+        twin = Graph(g.n, g.edges)
+        trichotomy(twin)
+        assert len(runs) == 2 and runs[1] is twin
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+    def test_memo_route_verdicts_are_the_gram_spectrum_verdicts(
+        self, monkeypatch, boundary_trees, c
+    ):
+        """With the adjacency spectrum memoised, every field equals, bit for
+        bit, the verdict on the eigenvalues gram_spectrum gives."""
+
+        def refuses(*args):
+            raise AssertionError("certificate attempted")
+
+        monkeypatch.setattr(angleset.admissible, "_certified_gram", refuses)
+        checked = 0
+        for g, r, _ in boundary_trees:
+            assert _memoised_spectrum(g) is not None
+            tau = min(1.0, 1.0 / (r * r)) if c == 1.0 else c / (r * r)
+            if tau > 1.0:
+                continue
+            got = existence(g, tau)
+            want = ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues)
+            assert (got.exists, got.rank) == (want.exists, want.rank)
+            assert got.min_eigenvalue == want.min_eigenvalue
+            checked += 1
+        assert checked >= len(boundary_trees) - 1
+
+
 class TestSigmaInterval:
     def test_membership(self):
         s = SigmaInterval(0.25)
@@ -760,6 +810,13 @@ class TestTrichotomy:
     def test_rejects_cycles(self):
         with pytest.raises(ValueError, match="trees only"):
             trichotomy(named("cycle", 5))
+
+    def test_rejects_disconnected_graphs(self):
+        # A triangle and an isolated vertex: 3 = n - 1 edges, not a tree.
+        for g in (Graph.from_edges([(1, 2), (3, 4)]),
+                  Graph.from_edges([(1, 2), (2, 3), (1, 3)], n=4)):
+            with pytest.raises(ValueError, match="trichotomy applies to trees only"):
+                trichotomy(g)
 
     @pytest.mark.parametrize(
         "family,size,index",

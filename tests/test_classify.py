@@ -11,6 +11,7 @@ from angleset import (
     classify_index,
     classify_structure,
     generate_named,
+    parse_named_spec,
 )
 from corpus import (
     dynkin_family_graphs,
@@ -129,6 +130,23 @@ class TestMultiComponent:
         g = Graph.from_edges([(1, 4), (4, 6), (2, 5)], n=6)
         assert len(classify_structure(g).components) == 3
         assert calls == [g]
+
+    def test_no_graph_is_copied(self, monkeypatch):
+        """Every component, of a connected graph or not, is shaped in place:
+        classify_structure builds no Graph."""
+        built = []
+        real = Graph.__post_init__
+        monkeypatch.setattr(Graph, "__post_init__",
+                            lambda self: built.append(self) or real(self))
+        graphs = [generate_named(parse_named_spec(tag))
+                  for tag in ("A1", "A7", "D~6", "E~8", "C6", "K1,5")]
+        g = Graph.from_edges([(1, 4), (4, 6), (2, 5), (7, 8), (8, 9), (7, 9)], n=9)
+        built.clear()
+        for h in graphs:
+            classify_structure(h)
+        labels = [c.label for c in classify_structure(g).components]
+        assert labels == ["A3", "A2", "A1", "A~2"]
+        assert built == []
 
     def test_prediction_takes_the_worst_component(self):
         a3 = [(1, 2), (2, 3)]

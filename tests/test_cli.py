@@ -12,7 +12,8 @@ import pytest
 
 import angleset.cli
 from angleset import generate_named, gram_matrix, parse_named_spec
-from angleset.cli import MAX_STEPS, MAX_VERTICES, build_parser, main
+from angleset.cli import MAX_STEPS, build_parser, main
+from angleset.graphs import MAX_VERTICES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -299,14 +300,17 @@ class TestConstructAndVerify:
         assert code == 1 and err.startswith("error:")
 
     def test_verify_rejects_an_oversized_document(self, capsys, tmp_path):
+        """The vector count is checked before any row is read: rows that are
+        not lists would otherwise be reported as unreadable vectors."""
         n = MAX_VERTICES + 1
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(
-            {"ambient_dim": 1, "vectors": [[1.0]] * n, "tau": 0.5, "graph": []}
-        ))
-        code, out, err = run(capsys, "verify", "--in", str(path))
-        assert code == 1 and out == ""
-        assert err.startswith(f"error: graph has {n} vertices")
+        for row in ([1.0], "x"):
+            path.write_text(json.dumps(
+                {"ambient_dim": 1, "vectors": [row] * n, "tau": 0.5, "graph": []}
+            ))
+            code, out, err = run(capsys, "verify", "--in", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: graph has {n} vertices")
 
     @pytest.mark.parametrize("field,value", [("graph", 5), ("tau", [5])])
     def test_verify_rejects_malformed_fields(self, capsys, tmp_path, field, value):

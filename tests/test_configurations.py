@@ -28,6 +28,7 @@ from angleset import (
 import angleset.admissible
 import angleset.configurations
 from angleset.configurations import VERIFY_TOL, VerificationReport
+from angleset.graphs import MAX_VERTICES, GraphError
 from angleset.spectra import Spectrum, _cholesky_shift
 from corpus import CORPUS_SEED, pruefer_from_index, random_connected_graphs
 
@@ -522,6 +523,14 @@ class TestDocumentRoundTrip:
     def test_document_must_be_an_object(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):
             load_configuration(doc)
+
+    def test_more_vectors_than_max_vertices_are_refused_first(self):
+        """The vector count is checked before any row is read."""
+        n = MAX_VERTICES + 1
+        for row in ([1.0], "x"):
+            doc = {"ambient_dim": 1, "vectors": [row] * n, "tau": 0.5, "graph": []}
+            with pytest.raises(GraphError, match=f"graph has {n} vertices"):
+                load_configuration(doc)
 
     def test_ambient_mismatch(self):
         doc = {"ambient_dim": 5, "vectors": [[1.0, 0.0]], "tau": 0.5, "graph": []}

@@ -60,6 +60,15 @@ class TestGraphConstruction:
         assert g.n == 3 and g.edges == {(1, 3)}
         assert all(type(v) is int for e in g.edges for v in e)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.True_, "3", None])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(GraphError, match="vertex count must be an integer"):
+            Graph(n, frozenset())
+
+    def test_numpy_integer_vertex_count_becomes_a_python_int(self):
+        g = Graph(np.int64(3), frozenset({(1, 3)}))
+        assert type(g.n) is int and g.n == 3
+
     def test_explicit_n_allows_isolated_vertices(self):
         g = Graph.from_edges([(1, 2)], n=5)
         assert g.n == 5
