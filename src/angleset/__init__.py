@@ -44,7 +44,6 @@ from .graphs import (
     adjacency_matrix,
     component_vertex_sets,
     generate_named,
-    is_bipartite,
     is_connected,
     is_tree,
     parse_edge_list,
@@ -96,7 +95,6 @@ __all__ = [
     "gram_matrix",
     "graph_index",
     "graph_spectrum",
-    "is_bipartite",
     "is_connected",
     "is_tree",
     "load_configuration",

@@ -234,7 +234,7 @@ class ExistenceVerdict:
     def from_eigenvalues(cls, evals: np.ndarray) -> "ExistenceVerdict":
         """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
         lam_min = float(evals[-1])
-        return cls(lam_min >= -PSD_TOL, int((evals > PSD_TOL).sum()), lambda: lam_min)
+        return cls(lam_min >= -PSD_TOL, int(np.count_nonzero(evals > PSD_TOL)), lambda: lam_min)
 
 
 def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:

@@ -175,9 +175,8 @@ def _component_shape(nbrs: list[list[int]], degree: list[int],
 
 def classify_structure(g: Graph) -> GraphClass:
     """Label every connected component by exact shape recognition, each
-    shaped in place from ``g``'s neighbour lists, with no subgraph copy."""
-    # Local lists, not the memo g._adjacency: a classified graph then pins no
-    # neighbour sets (about 2 KB on an 8-vertex tree).
+    shaped in place, with no subgraph copy, from neighbour lists built for
+    this call and dropped with it."""
     nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]  # slot 0: vertex 0
     for i, j in g.edges:
         nbrs[i].append(j)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -29,8 +28,6 @@ __all__ = [
     "component_vertex_sets",
     "edge_key",
     "generate_named",
-    "induced_subgraph",
-    "is_bipartite",
     "is_connected",
     "is_tree",
     "parse_edge_list",
@@ -88,15 +85,16 @@ class Graph:
     The vertex count must be an integer, not ``bool``; a numpy integer is
     stored as a Python int.
 
-    A graph memoises four things it derives from its edges, each the first
-    time it is needed: the neighbour sets (``_adjacency``), the edge index
-    (``_edge_index``: the edges in one fixed order with their read-only
-    0-based endpoint arrays), the component roots (``_component_roots``,
-    found by union-find over the edge set, which :func:`is_connected`,
-    :func:`is_tree` and :func:`component_vertex_sets` read) and the
-    adjacency spectrum (:func:`~angleset.spectra.graph_spectrum`, solved
-    from the edge index). None of the last three builds the neighbour sets.
-    Each memo lives and dies with its ``Graph`` object.
+    A graph memoises three things it derives from its edges, each the first
+    time it is needed: the edge index (``_edge_index``: the edges in one
+    fixed order with their read-only 0-based endpoint arrays), the component
+    roots (``_component_roots``, found by union-find over the edge set,
+    which :func:`is_connected`, :func:`is_tree` and
+    :func:`component_vertex_sets` read) and the adjacency spectrum
+    (:func:`~angleset.spectra.graph_spectrum`, solved from the edge index).
+    Each memo lives and dies with its ``Graph`` object. It keeps no
+    neighbour sets: :func:`~angleset.classify.classify_structure` builds
+    the only neighbour lists, for one call.
     """
 
     n: int
@@ -147,14 +145,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _adjacency(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
     def _edge_index(self) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
         """Every edge once, in one fixed order, and the read-only 0-based
         endpoint arrays ``i < j`` aligned to it."""
@@ -169,14 +159,6 @@ class Graph:
         """Smallest member of each vertex's component, indexed by vertex
         (slot 0 holds 0), from :func:`_union_find_roots`."""
         return _union_find_roots(self)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 1 <= v <= self.n:
-            raise GraphError(f"vertex {v} out of range 1..{self.n}")
-        return self._adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -195,9 +177,8 @@ def _union_find_roots(g: Graph) -> tuple[int, ...]:
     holds 0).
 
     Union-find over the edge set, each union hanging the larger root under
-    the smaller, so a root is always its component's least vertex. It leaves
-    the per-vertex neighbour sets of ``g`` unbuilt. Call it through the
-    memo ``g._component_roots``.
+    the smaller, so a root is always its component's least vertex. Call it
+    through the memo ``g._component_roots``.
     """
     root = list(range(g.n + 1))
 
@@ -227,24 +208,6 @@ def is_tree(g: Graph) -> bool:
     return g.num_edges == g.n - 1 and is_connected(g)
 
 
-def is_bipartite(g: Graph) -> bool:
-    color: dict[int, int] = {}
-    for start in g.vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def component_vertex_sets(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted ascending,
     ordered by smallest member. Together they partition ``1..n``."""
@@ -253,16 +216,6 @@ def component_vertex_sets(g: Graph) -> list[tuple[int, ...]]:
     for v in g.vertices:
         members.setdefault(roots[v], []).append(v)
     return [tuple(vs) for vs in members.values()]
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced on ``vertices``, renumbered ``1..k`` in ascending
-    order of their labels."""
-    relabel = {v: k for k, v in enumerate(sorted(set(vertices)), start=1)}
-    edges = frozenset(
-        (relabel[i], relabel[j]) for i, j in g.edges if i in relabel and j in relabel
-    )
-    return Graph(len(relabel), edges)
 
 
 def parse_edge_list(text: str) -> Graph:

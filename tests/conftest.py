@@ -3,12 +3,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import angleset.admissible
 import angleset.spectra
 from angleset import graph_spectrum
 
 import corpus
+
+# Every property test draws its examples from a seed fixed by the test
+# itself, so a run repeats the last one's examples for the same Hypothesis
+# and Python versions. A per-test @settings keeps this unless it says
+# otherwise.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -875,7 +875,7 @@ def connected_graphs(draw, max_n=12):
 
 
 @given(connected_graphs(), st.floats(min_value=0.5, max_value=0.99))
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None)
 def test_a_certified_constant_tau_reads_its_least_eigenvalue_from_lapack(g, scale):
     """Strictly inside the PSD interval the certificate decides a constant
     tau, the read solves no adjacency spectrum, and the least eigenvalue is

@@ -719,4 +719,3 @@ def test_construct_and_verify_align_the_edges_once(monkeypatch, per_edge):
     report = verify_configuration(construct_configuration(g, tau), g, tau)
     assert report.passed
     assert CountedEdges.walks == 1
-    assert "_adjacency" not in g.__dict__

@@ -16,6 +16,10 @@ import angleset
 from angleset import admissible, classify, configurations
 
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = [angleset] + [
+    importlib.import_module(f"angleset.{info.name}")
+    for info in pkgutil.iter_modules(angleset.__path__)
+]
 
 
 def test_every_fixed_cut_is_exported():
@@ -30,17 +34,33 @@ def test_every_fixed_cut_is_exported():
 def test_every_all_entry_exists():
     # A name left in __all__ after its definition is gone breaks
     # ``from angleset.<module> import *`` for users.
-    modules = [angleset] + [
-        importlib.import_module(f"angleset.{info.name}")
-        for info in pkgutil.iter_modules(angleset.__path__)
-    ]
     missing = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in MODULES
         for name in getattr(module, "__all__", ())
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_every_export_has_a_caller():
+    # An export that nothing in the library or the benchmark reads, as a
+    # name or an attribute, is kept alive only by its own tests.
+    read = set()
+    for top in ("src", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    unread = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name in getattr(module, "__all__", ())
+        if name not in read
+    ]
+    assert unread == []
 
 
 def test_every_traced_target_resolves():

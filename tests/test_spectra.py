@@ -16,7 +16,6 @@ from angleset import (
     generate_named,
     graph_index,
     graph_spectrum,
-    is_bipartite,
     parse_named_spec,
 )
 from charpoly import brackets_root, char_poly, square_free
@@ -230,12 +229,18 @@ def test_eigenpairs_reconstruct_the_matrix(m):
     assert np.max(np.abs(v.T @ v - np.eye(m.shape[0]))) < 1e-12
 
 
-def test_bipartite_spectrum_is_symmetric(random_connected_corpus):
-    seen = 0
-    for g in random_connected_corpus:
-        if not is_bipartite(g):
-            continue
-        seen += 1
+def complete_bipartite(p, q):
+    """K_{p,q}: parts ``1..p`` and ``p+1..p+q``."""
+    return Graph.from_edges((i, p + j) for i in range(1, p + 1) for j in range(1, q + 1))
+
+
+def test_bipartite_spectrum_is_symmetric(boundary_trees):
+    # Bipartite by construction: trees, even cycles and complete bipartite
+    # graphs.
+    bipartite = [g for g, _r, _q in boundary_trees]
+    bipartite += [generate_named(parse_named_spec(f"C{n}")) for n in range(4, 13, 2)]
+    bipartite += [complete_bipartite(p, q) for p in range(1, 5) for q in range(p, 6)]
+    for g in bipartite:
         ev = graph_spectrum(g).eigenvalues
         assert np.allclose(ev, -ev[::-1], atol=1e-10)
-    assert seen > 20  # the corpus should not silently lose its bipartite members
+    assert len(bipartite) > 20  # the corpus should not silently lose its members
