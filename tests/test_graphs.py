@@ -90,6 +90,13 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="canonical"):
             Graph(3, frozenset({(3, 1)}))
 
+    def test_star_neighbours_read_from_the_adjacency_matrix(self):
+        g = Graph.from_edges([(1, 2), (1, 3), (1, 4)])
+        a = adjacency_matrix(g)
+        assert [int(v) for v in np.flatnonzero(a[0]) + 1] == [2, 3, 4]
+        assert [int(v) for v in np.flatnonzero(a[1]) + 1] == [1]
+        assert degrees(g) == [3, 1, 1, 1]
+
 
 class TestParseEdgeList:
     def test_basic(self):
@@ -286,6 +293,29 @@ class TestComponentsByUnionFind:
             disconnected += len(want) > 1
             isolated += any(len(c) == 1 for c in want) and n > 1
         assert disconnected > 100 and isolated > 100
+
+    @pytest.mark.parametrize(
+        "query", [is_tree, is_connected, component_vertex_sets]
+    )
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate_named(NamedFamily("E~8")),
+            generate_named(NamedFamily("cycle", 6)),
+            Graph.from_edges([(2, 5), (3, 4)], n=6),
+        ],
+        ids=["tree", "cycle", "disconnected"],
+    )
+    def test_structural_queries_build_only_the_component_roots(self, query, g):
+        # A structural query reads at most the union-find roots: it neither
+        # lays out the edge index nor solves the spectrum. is_tree reads
+        # nothing when the edge count already rules a tree out.
+        g = Graph(g.n, g.edges)
+        query(g)
+        assert set(g.__dict__) <= {"n", "edges", "_component_roots"}
+        want = _bfs_component_sets(g)
+        assert component_vertex_sets(g) == want
+        assert is_connected(g) == (len(want) == 1)
 
 
 class TestAdjacencyMatrix:

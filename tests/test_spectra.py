@@ -17,6 +17,7 @@ from angleset import (
     graph_index,
     graph_spectrum,
     parse_named_spec,
+    tree_from_pruefer,
 )
 from charpoly import brackets_root, char_poly, square_free
 
@@ -244,3 +245,24 @@ def test_bipartite_spectrum_is_symmetric(boundary_trees):
         ev = graph_spectrum(g).eigenvalues
         assert np.allclose(ev, -ev[::-1], atol=1e-10)
     assert len(bipartite) > 20  # the corpus should not silently lose its members
+
+
+def test_odd_cycle_spectrum_is_not_symmetric():
+    # The converse of the bipartite symmetry: an odd cycle has index 2 and
+    # least eigenvalue 2 cos(4 pi / 5), so the symmetry check can fail.
+    ev = graph_spectrum(generate_named(parse_named_spec("C5"))).eigenvalues
+    assert not np.allclose(ev, -ev[::-1], atol=1e-10)
+    assert math.isclose(min(ev), 2 * math.cos(4 * math.pi / 5), abs_tol=1e-12)
+
+
+@st.composite
+def pruefer_trees(draw, max_n=12):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    seq = draw(st.lists(st.integers(1, n), min_size=n - 2, max_size=n - 2))
+    return tree_from_pruefer(n, tuple(seq))
+
+
+@given(pruefer_trees())
+def test_tree_spectra_are_symmetric(g):
+    ev = graph_spectrum(g).eigenvalues
+    assert np.allclose(ev, -ev[::-1], atol=1e-10)
