@@ -8,22 +8,12 @@ for trees it decides existence of the configuration outright, and the rank
 counts the dimension it lives in. The admissible parameter interval of a tree
 is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 
-The Gram spectrum has one source, :func:`gram_spectrum`. For a constant tau
-it is 1 + sqrt(tau) spec(A), read off the graph's memoised adjacency spectrum
-(see :func:`graph_spectrum`), which the Jacobi solver computes; a per-edge
-weighting solves its own Gram matrix with :func:`~angleset.spectra.eigenvalues`
-(LAPACK, no eigenvectors). Every :class:`ExistenceVerdict` has the
-``exists`` and ``rank`` those eigenvalues give. :func:`existence` reads them
-when a constant tau finds the adjacency spectrum memoised; otherwise it first
-tries the Cholesky certificate :func:`~angleset.spectra._certified_definite`,
-whose floor covers the error of the route it replaces, and solves only if
-that fails. A certified verdict, constant or per-edge, solves for its least
-eigenvalue when that is first read, by ``eigenvalues`` on the Gram matrix,
-so no certified query ever runs Jacobi.
-:func:`~angleset.configurations.construct_configuration` runs the same
-certificate on the same matrix and otherwise reaches the verdict the same
-``eigenvalues`` call gives, from its eigenpairs away from the cuts, so a
-per-edge ``existence`` and ``construct`` always agree.
+:func:`existence` gives the verdict the Gram eigenvalues give: at a constant
+tau those are 1 + sqrt(tau) spec(A), from the graph's memoised adjacency
+spectrum (:func:`graph_spectrum`), and per edge those of
+:func:`~angleset.spectra.eigenvalues` on the Gram matrix. A definite matrix
+is decided with no solve by the Cholesky certificate of :mod:`.spectra`,
+which states why its verdict is the one that eigen route gives.
 """
 
 from __future__ import annotations
@@ -39,7 +29,6 @@ import numpy as np
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, edge_key, is_tree
 from .spectra import (
-    Spectrum,
     _certified_definite,
     _cholesky_shift,
     _jacobi_bound,
@@ -58,7 +47,6 @@ __all__ = [
     "TauLike",
     "existence",
     "gram_matrix",
-    "gram_spectrum",
     "sigma_cycle",
     "sigma_tree",
     "trichotomy",
@@ -181,26 +169,6 @@ def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
     return certified, a
 
 
-def gram_spectrum(g: Graph, tau: TauLike) -> Spectrum:
-    """Gram eigenvalues of ``(g, tau)``, descending. A constant tau shifts
-    the adjacency spectrum to 1 + sqrt(tau) spec(A), with the residual bound
-    scaled by sqrt(tau); a per-edge weighting solves its own Gram matrix with
-    :func:`~angleset.spectra.eigenvalues`, as ``construct_configuration``
-    does."""
-    w = TauWeighting.of(tau)
-    if w.constant is None:
-        return eigenvalues(gram_matrix(g, w))
-    root = math.sqrt(w.constant)
-    adj = graph_spectrum(g)
-    return Spectrum(_shifted(adj, root), root * adj.residual_bound)
-
-
-def _shifted(adj: Spectrum, root: float) -> np.ndarray:
-    """The Gram eigenvalues 1 + sqrt(tau) spec(A) of a constant tau, given
-    the adjacency spectrum and ``root`` = sqrt(tau)."""
-    return 1.0 + root * adj.eigenvalues
-
-
 @dataclass(frozen=True, eq=False)
 class ExistenceVerdict:
     """Outcome of the semidefiniteness test.
@@ -209,16 +177,13 @@ class ExistenceVerdict:
     the configuration is realizable by unit vectors (for trees this is exact
     existence). ``rank`` counts eigenvalues above ``PSD_TOL``: the ambient
     dimension of the minimal realization. Both are what the eigen route of
-    :func:`gram_spectrum` gives, also when a Cholesky certificate decided
-    them without it.
+    :func:`existence` gives, also when the Cholesky certificate decided them.
 
     ``min_eigenvalue`` is the least eigenvalue that route computes, except
-    for a verdict the certificate decided: that one solves its Gram matrix,
-    assembled again, with :func:`~angleset.spectra.eigenvalues` (LAPACK) by
-    calling ``_least`` the first time it is read, and keeps the result. For a
-    constant tau the two routes' values differ by at most their a-priori
-    error bounds. Verdicts compare by identity, since comparing their values
-    could cost a solve.
+    for a certified verdict: that one solves its Gram matrix, assembled
+    again, with :func:`~angleset.spectra.eigenvalues` by calling ``_least``
+    the first time it is read, and keeps the result. Verdicts compare by
+    identity, since comparing their values could cost a solve.
     """
 
     exists: bool
@@ -245,42 +210,31 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
 
-    ``exists`` and ``rank`` are always the ones the eigenvalues of
-    :func:`gram_spectrum` give, reached by the cheapest proof at hand:
-
-    - a constant tau on a graph whose adjacency spectrum is memoised reads
-      it, as ``sigma``, ``trichotomy`` and ``classify`` leave it;
-    - otherwise the Gram matrix, shifted, is factored by Cholesky
-      (:func:`~angleset.spectra._certified_definite`). If that completes,
-      every eigenvalue the eigen route computes lies above ``PSD_TOL``, and
-      the verdict is rank n. The shift's floor covers that route's error:
-      ``PSD_TOL`` per edge, as in ``construct_configuration``, where LAPACK
-      solves the Gram matrix, and ``PSD_TOL`` plus sqrt(tau) times Jacobi's
-      a-priori bound (:func:`~angleset.spectra._jacobi_bound`) for a
-      constant tau, whose spectrum is 1 + sqrt(tau) spec(A). The shift's
-      own LAPACK term, n * eps * ||G||_F, covers the rounding of that sum.
-      No eigensolve runs until ``min_eigenvalue`` is read; that read
-      assembles the Gram matrix again from ``g`` and the weighting and
-      solves it by :func:`~angleset.spectra.eigenvalues`, for a constant
-      tau too, so the verdict pins no n x n matrix and the adjacency
-      spectrum stays unsolved;
-    - any other query is solved by that route.
+    A constant tau on a graph whose adjacency spectrum is memoised, as
+    ``sigma``, ``trichotomy`` and ``classify`` leave it, reads the verdict
+    off 1 + sqrt(tau) spec(A). Any other query first tries the Cholesky
+    certificate (:func:`~angleset.spectra._certified_definite`; the floor of
+    a constant tau covers Jacobi's error too). A certified verdict is rank n
+    and solves nothing until ``min_eigenvalue`` is read, and then only its
+    Gram matrix, by :func:`~angleset.spectra.eigenvalues`, so it pins no
+    n x n matrix and leaves the adjacency spectrum unsolved. A verdict the
+    certificate leaves open solves the Gram matrix per edge, and the
+    adjacency spectrum at a constant tau.
     """
     w = TauWeighting.of(tau)
-    if w.constant is not None:
-        adj = _memoised_spectrum(g)
-        if adj is not None:  # the eigenvalues gram_spectrum gives
-            return ExistenceVerdict.from_eigenvalues(_shifted(adj, math.sqrt(w.constant)))
-    i, j, t = w.edge_arrays(g)
-    floor = PSD_TOL
-    if w.constant is not None:  # A has 2m unit entries: ||A||_F = sqrt(2m)
-        floor += math.sqrt(w.constant) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
-    certified, a = _certified_gram(g.n, i, j, t, floor)
-    if certified:
-        return ExistenceVerdict(
-            True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
-    spectrum = eigenvalues(a) if w.constant is None else gram_spectrum(g, w)
-    return ExistenceVerdict.from_eigenvalues(spectrum.eigenvalues)
+    c = w.constant
+    if c is None or _memoised_spectrum(g) is None:
+        i, j, t = w.edge_arrays(g)
+        floor = PSD_TOL
+        if c is not None:  # A has 2m unit entries: ||A||_F = sqrt(2m)
+            floor += math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
+        certified, a = _certified_gram(g.n, i, j, t, floor)
+        if certified:
+            return ExistenceVerdict(
+                True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
+        if c is None:
+            return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
+    return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -292,9 +246,6 @@ class SigmaInterval:
     def __post_init__(self) -> None:
         if not 0.0 < self.upper <= 1.0:
             raise ValueError(f"interval endpoint must lie in (0, 1], got {self.upper}")
-
-    def __contains__(self, tau: float) -> bool:
-        return 0.0 < tau <= self.upper
 
 
 def sigma_tree(g: Graph) -> SigmaInterval:

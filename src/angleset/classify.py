@@ -28,7 +28,6 @@ __all__ = [
 
 INDEX_TOL = 1e-9
 
-_DYNKIN = frozenset({"A", "D", "E6", "E7", "E8"})
 _EXTENDED = frozenset({"A~", "D~", "E~6", "E~7", "E~8"})
 
 # Leg profiles (sorted arm lengths from the unique degree-3 vertex) of the
@@ -65,10 +64,6 @@ class ComponentClass:
     family: str
     size: int | None
     vertices: tuple[int, ...]
-
-    @property
-    def is_dynkin(self) -> bool:
-        return self.family in _DYNKIN
 
     @property
     def is_extended(self) -> bool:

@@ -5,17 +5,13 @@ rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
 ones are orthogonal. Construction reaches the PSD verdict that the LAPACK
 eigenvalues of the Gram matrix give, the one a per-edge :func:`existence`
-reads. The Cholesky certificate that ``existence`` tries first,
-:func:`~angleset.spectra._certified_definite` with the per-edge floor
-``PSD_TOL``, proves a definite matrix so with no eigensolve, and the lines
-are then its own Cholesky factor. Any other matrix is solved once with
-eigenvectors; their eigenvalues give the verdict, except within twice the
-solver's error bound of a cut or when no configuration exists, where
-:func:`~angleset.spectra.eigenvalues` decides. A singular matrix is factored
-through the kept eigenpairs. Verification reads every defining relation off
-the vectors' Gram matrix V V^T, through one residual matrix, and reports
-worst-case Frobenius residuals; the vectors of a construction come read-only
-with that product, so verifying them forms it no second time.
+reads: a definite matrix by the Cholesky certificate of :mod:`.spectra`,
+with no eigensolve, any other by one solve with eigenvectors. A singular
+matrix is factored through the kept eigenpairs. Verification reads every
+defining relation off the vectors' Gram matrix V V^T, through one residual
+matrix, and reports worst-case Frobenius residuals; the vectors of a
+construction come read-only with that product, so verifying them forms it
+no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -71,10 +67,6 @@ class SubspaceConfiguration:
     vectors: np.ndarray
     _gram: np.ndarray | None = field(default=None, repr=False)
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "SubspaceConfiguration":
-        return cls(np.atleast_2d(np.asarray(vectors, dtype=float)))
-
     @property
     def ambient_dim(self) -> int:
         """Dimension of the space the vectors live in."""
@@ -91,26 +83,17 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     Assemble the Gram matrix A once and reach the verdict at ``PSD_TOL``
     that :func:`~angleset.spectra.eigenvalues` gives on it, the call a
-    per-edge :func:`~angleset.admissible.existence` makes: with no
-    eigensolve for a definite matrix that Cholesky certifies, one for any
-    other, and a second only near a cut or when no configuration exists.
-    Raises ``ValueError`` when the matrix is not positive semidefinite (no
+    per-edge :func:`~angleset.admissible.existence` makes. Raises
+    ``ValueError`` when the matrix is not positive semidefinite (no
     configuration exists), with eigvalsh's least eigenvalue in the message.
 
-    First A - s I is factored by Cholesky, with s from
-    :func:`~angleset.spectra._cholesky_shift`: ``PSD_TOL`` plus eigvalsh's
-    a-priori error bound plus twice Cholesky's backward-error bound. This is
-    the certificate a per-edge ``existence`` tries, on a matrix assembled
-    shifted, its diagonal then restored. If that succeeds, every eigenvalue
-    eigvalsh would compute lies above ``PSD_TOL``, so the verdict is rank n
-    and no eigensolve is made. If it fails,
-    :func:`~angleset.spectra.eigenpairs` solves A once. Its eigenvalues and
-    eigvalsh's each lie within the a-priori bound b of the true ones, so
-    they give the same verdict unless one lies within 2b of ``PSD_TOL`` or
-    the least lies below 2b - ``PSD_TOL``; only then (near a cut, or when no
-    configuration exists) is ``eigenvalues`` called too, and its verdict
-    taken. The verdicts, the vectors and the error texts are
-    those of eigvalsh first, then Cholesky or the eigenvectors.
+    A definite matrix that the certificate per-edge ``existence`` tries
+    (:func:`~angleset.spectra._certified_definite`) proves so is rank n with
+    no eigensolve. Any other is solved once by
+    :func:`~angleset.spectra.eigenpairs`, whose eigenvalues give the verdict
+    except near a cut or when no configuration exists, where ``eigenvalues``
+    decides (see ``_verdict``). The verdicts, the vectors and the error
+    texts are those of eigvalsh first, then Cholesky or the eigenvectors.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the

@@ -21,8 +21,9 @@ with no solve: a Cholesky factorisation of the matrix less the shift of
 above a floor by more than LAPACK's error bound. The floor covers the error
 of the route it stands in for: ``PSD_TOL`` where LAPACK solves the Gram
 matrix, and ``PSD_TOL`` plus sqrt(tau) times :func:`_jacobi_bound` where a
-constant tau reads 1 + sqrt(tau) spec(A) off Jacobi. A failed certificate
-proves nothing, and the route decides.
+constant tau reads 1 + sqrt(tau) spec(A) off Jacobi; the shift's own
+n * eps * ||M||_F term covers the rounding of that sum. A failed
+certificate proves nothing, and the route decides.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram

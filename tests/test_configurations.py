@@ -56,18 +56,6 @@ def assemblies(monkeypatch):
     return built
 
 
-class TestSubspaceConfiguration:
-    def test_from_vectors(self):
-        c = SubspaceConfiguration.from_vectors([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-        assert c.size == 3 and c.ambient_dim == 2
-        assert c.vectors.dtype == float
-        assert c.vectors[2].tolist() == [0.6, 0.8]
-
-    def test_single_vector_promoted_to_matrix(self):
-        c = SubspaceConfiguration.from_vectors([1.0, 0.0, 0.0])
-        assert c.size == 1 and c.ambient_dim == 3
-
-
 class TestConstruct:
     def test_interior_point_keeps_full_dimension(self):
         g = named("E6")
@@ -315,7 +303,7 @@ class TestCanonicalFrame:
         c = construct_configuration(g, 0.2)
         frame = json.dumps(configuration_document(c, g, 0.2))
         dense = json.dumps(configuration_document(
-            SubspaceConfiguration.from_vectors(eigen_factor(g, 0.2)), g, 0.2))
+            SubspaceConfiguration(eigen_factor(g, 0.2)), g, 0.2))
         assert 2 * len(frame) <= len(dense)
 
 
@@ -346,7 +334,7 @@ class TestVerify:
         c = construct_configuration(g, 0.3)
         tampered = c.vectors.copy()
         tampered[1] *= 1.01
-        bad = SubspaceConfiguration.from_vectors(tampered)
+        bad = SubspaceConfiguration(tampered)
         report = verify_configuration(bad, g, 0.3)
         assert not report.passed
         assert report.idempotency > 1e-3
@@ -404,7 +392,7 @@ class TestVerify:
         c = construct_configuration(g, 0.3)
         exact = verify_configuration(c, g, 0.3)
         assert exact.passed and exact.max_residual <= VERIFY_TOL
-        stretched = SubspaceConfiguration.from_vectors(c.vectors * (1 + 1e-6))
+        stretched = SubspaceConfiguration(c.vectors * (1 + 1e-6))
         report = verify_configuration(stretched, g, 0.3)
         assert not report.passed and report.max_residual > VERIFY_TOL
 
@@ -675,7 +663,7 @@ def oracle_cases(graphs):
 def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
     reports = 0
     for kind, v, g, tau in oracle_cases(random_connected_corpus):
-        config = SubspaceConfiguration.from_vectors(v)
+        config = SubspaceConfiguration(v)
         report = verify_configuration(config, g, tau)
         want = pairwise_residuals(v, g, tau)
         for field, value in want.items():

@@ -4,7 +4,6 @@ unused import in the repository's Python files (``src/``, ``tests/`` and
 
 import ast
 import importlib
-import importlib.util
 import os
 import pkgutil
 import re
@@ -43,9 +42,8 @@ def test_every_all_entry_exists():
     assert missing == []
 
 
-def test_every_export_has_a_caller():
-    # An export that nothing in the library or the benchmark reads, as a
-    # name or an attribute, is kept alive only by its own tests.
+def names_read_in_library_and_benchmark() -> set[str]:
+    """Every name and attribute that ``src/`` or ``bench/`` loads."""
     read = set()
     for top in ("src", "bench"):
         for path in (ROOT / top).rglob("*.py"):
@@ -54,6 +52,13 @@ def test_every_export_has_a_caller():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     read.add(node.attr)
+    return read
+
+
+def test_every_export_has_a_caller():
+    # An export that nothing in the library or the benchmark reads, as a
+    # name or an attribute, is kept alive only by its own tests.
+    read = names_read_in_library_and_benchmark()
     unread = [
         f"{module.__name__}.{name}"
         for module in MODULES
@@ -63,20 +68,44 @@ def test_every_export_has_a_caller():
     assert unread == []
 
 
+def test_every_public_member_has_a_caller():
+    # The same scan over the public methods, properties, classmethods, enum
+    # members and dataclass fields of every exported class.
+    read = names_read_in_library_and_benchmark()
+    classes = {
+        obj
+        for module in MODULES
+        for name in getattr(module, "__all__", ())
+        if isinstance(obj := getattr(module, name), type)
+    }
+    unread = sorted(
+        f"{cls.__name__}.{member}"
+        for cls in classes
+        for member in {*vars(cls), *getattr(cls, "__dataclass_fields__", ())}
+        if not member.startswith("_") and member not in read
+    )
+    assert unread == []
+
+
 def test_every_traced_target_resolves():
     # The per-layer benchmark run wraps these by name and would otherwise
-    # fail on a rename only when run with tracing on.
-    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    # fail on a rename only when run with tracing on. The tracer is parsed,
+    # not imported, so this runs none of the benchmark's code.
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    ]
     missing = []
-    for module_name, attr in tracing.TARGETS.values():
+    for module_name, attr in targets.values():
         obj = importlib.import_module(module_name)
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         if not callable(obj):
             missing.append(f"{module_name}.{attr}")
-    assert tracing.TARGETS and missing == []
+    assert targets and missing == []
 
 
 # Imports the package afresh three times, as the benchmark's set-up and
