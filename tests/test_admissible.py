@@ -679,6 +679,21 @@ class TestOnePassPerGraphFact:
 
 
 class TestSigmaInterval:
+    @pytest.mark.parametrize("tag", ["A5", "D6", "E8", "K1,5", "D~4"])
+    def test_existence_holds_on_the_whole_interval_and_not_past_it(self, tag):
+        """The interval (0, upper] is where a tree's configuration exists:
+        near 0 the Gram matrix is nearly the identity, at the endpoint it
+        loses exactly the Perron direction, and just past it it is
+        indefinite."""
+        g = generate_named(parse_named_spec(tag))
+        upper = sigma_tree(g).upper
+        near_zero = existence(g, 1e-9)
+        assert near_zero.exists and near_zero.rank == g.n
+        assert near_zero.min_eigenvalue == pytest.approx(1.0, abs=1e-3)
+        at_end = existence(g, upper)
+        assert at_end.exists and at_end.rank == g.n - 1
+        assert not existence(g, 1.001 * upper).exists
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5])
     def test_endpoint_range(self, bad):
         with pytest.raises(ValueError, match="endpoint"):

@@ -56,6 +56,19 @@ def assemblies(monkeypatch):
     return built
 
 
+class TestSubspaceConfiguration:
+    def test_hand_built_vectors_verify(self):
+        """A configuration built from vectors by hand, not by
+        ``construct_configuration``, reads its shape from ``vectors`` and
+        verifies against the path 1-2-3 at tau = 0.36: unit rows, inner
+        product 0.6 = sqrt(tau) along each edge, 0 across the non-edge."""
+        v = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.75, math.sqrt(0.4375)]])
+        c = SubspaceConfiguration(v)
+        assert c.size == 3 and c.ambient_dim == 3 and c._gram is None
+        report = verify_configuration(c, Graph.from_edges([(1, 2), (2, 3)]), 0.36)
+        assert report.passed and report.max_residual <= VERIFY_TOL
+
+
 class TestConstruct:
     def test_interior_point_keeps_full_dimension(self):
         g = named("E6")
