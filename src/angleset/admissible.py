@@ -210,31 +210,48 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
 
-    A constant tau on a graph whose adjacency spectrum is memoised, as
-    ``sigma``, ``trichotomy`` and ``classify`` leave it, reads the verdict
-    off 1 + sqrt(tau) spec(A). Any other query first tries the Cholesky
-    certificate (:func:`~angleset.spectra._certified_definite`; the floor of
-    a constant tau covers Jacobi's error too). A certified verdict is rank n
-    and solves nothing until ``min_eigenvalue`` is read, and then only its
-    Gram matrix, by :func:`~angleset.spectra.eigenvalues`, so it pins no
-    n x n matrix and leaves the adjacency spectrum unsolved. A verdict the
-    certificate leaves open solves the Gram matrix per edge, and the
-    adjacency spectrum at a constant tau.
+    A per-edge tau gets the verdict of :func:`_gram_verdict`, the one
+    ``construct`` factors by. A constant tau on a graph whose adjacency
+    spectrum is memoised, as ``sigma``, ``trichotomy`` and ``classify``
+    leave it, reads the verdict off 1 + sqrt(tau) spec(A). Any other
+    constant tau first tries the Cholesky certificate
+    (:func:`~angleset.spectra._certified_definite`) at a floor that covers
+    Jacobi's error too, and solves the adjacency spectrum if it fails. A
+    certified verdict is rank n and solves nothing until ``min_eigenvalue``
+    is read, and then only its Gram matrix, by
+    :func:`~angleset.spectra.eigenvalues`, so it pins no n x n matrix and
+    leaves the adjacency spectrum unsolved.
     """
     w = TauWeighting.of(tau)
     c = w.constant
-    if c is None or _memoised_spectrum(g) is None:
+    if c is None:
+        return _gram_verdict(g, w)[0]
+    if _memoised_spectrum(g) is None:
         i, j, t = w.edge_arrays(g)
-        floor = PSD_TOL
-        if c is not None:  # A has 2m unit entries: ||A||_F = sqrt(2m)
-            floor += math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
-        certified, a = _certified_gram(g.n, i, j, t, floor)
-        if certified:
-            return ExistenceVerdict(
-                True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
-        if c is None:
-            return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
+        # A has 2m unit entries: ||A||_F = sqrt(2m)
+        floor = PSD_TOL + math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
+        if _certified_gram(g.n, i, j, t, floor)[0]:
+            return _certified_verdict(g, w)
     return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
+
+
+def _gram_verdict(g: Graph, w: TauWeighting) -> tuple[ExistenceVerdict, np.ndarray]:
+    """The verdict at ``PSD_TOL`` that :func:`~angleset.spectra.eigenvalues`
+    gives on the Gram matrix of ``(g, w)``, and that matrix, assembled once.
+
+    The Cholesky certificate at floor ``PSD_TOL`` decides a definite matrix
+    with no solve; if it fails, ``eigenvalues`` decides.
+    """
+    certified, a = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
+    if certified:
+        return _certified_verdict(g, w), a
+    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a
+
+
+def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:
+    """The rank-n verdict of a Gram matrix the certificate proves definite;
+    its least eigenvalue comes from the matrix assembled again."""
+    return ExistenceVerdict(True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,13 @@
 A configuration assigns to each vertex a unit vector v_i (equivalently the
 rank-1 orthogonal projection P_i = v_i v_i^T onto its span) such that adjacent
 vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
-ones are orthogonal. Construction reaches the PSD verdict that the LAPACK
-eigenvalues of the Gram matrix give, the one a per-edge :func:`existence`
-reads: a definite matrix by the Cholesky certificate of :mod:`.spectra`,
-with no eigensolve, any other by one solve with eigenvectors. A singular
-matrix is factored through the kept eigenpairs. Verification reads every
-defining relation off the vectors' Gram matrix V V^T, through one residual
-matrix, and reports worst-case Frobenius residuals; the vectors of a
-construction come read-only with that product, so verifying them forms it
-no second time.
+ones are orthogonal. Construction takes the PSD verdict a per-edge
+:func:`existence` gives, on the same assembled Gram matrix, and only
+factors: by Cholesky at full rank, and otherwise through the eigenpairs
+that the verdict's rank keeps. Verification reads every defining relation
+off the vectors' Gram matrix V V^T, through one residual matrix, and
+reports worst-case Frobenius residuals; the vectors of a construction come
+read-only with that product, so verifying them forms it no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -28,15 +26,9 @@ from itertools import chain
 
 import numpy as np
 
-from .admissible import (
-    PSD_TOL,
-    ExistenceVerdict,
-    TauLike,
-    TauWeighting,
-    _certified_gram,
-)
+from .admissible import PSD_TOL, TauLike, TauWeighting, _gram_verdict
 from .graphs import Graph, check_vertex_count
-from .spectra import Spectrum, eigenpairs, eigenvalues
+from .spectra import eigenpairs
 
 __all__ = [
     "SubspaceConfiguration",
@@ -81,25 +73,17 @@ class SubspaceConfiguration:
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Assemble the Gram matrix A once and reach the verdict at ``PSD_TOL``
-    that :func:`~angleset.spectra.eigenvalues` gives on it, the call a
-    per-edge :func:`~angleset.admissible.existence` makes. Raises
-    ``ValueError`` when the matrix is not positive semidefinite (no
+    Assemble the Gram matrix A once and take the verdict at ``PSD_TOL`` of
+    :func:`~angleset.admissible._gram_verdict` on it, the one a per-edge
+    :func:`~angleset.admissible.existence` gives, for a constant tau too.
+    Raises ``ValueError`` when the matrix is not positive semidefinite (no
     configuration exists), with eigvalsh's least eigenvalue in the message.
-
-    A definite matrix that the certificate per-edge ``existence`` tries
-    (:func:`~angleset.spectra._certified_definite`) proves so is rank n with
-    no eigensolve. Any other is solved once by
-    :func:`~angleset.spectra.eigenpairs`, whose eigenvalues give the verdict
-    except near a cut or when no configuration exists, where ``eigenvalues``
-    decides (see ``_verdict``). The verdicts, the vectors and the error
-    texts are those of eigvalsh first, then Cholesky or the eigenvectors.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
     vectors are the Cholesky factor of A. A singular Gram matrix (the
     endpoint cases), or a definite one that Cholesky rejects in rounding, is
-    factored through the same eigenpairs and one QR factorisation. Entries
+    factored through its eigenpairs and one QR factorisation. Entries
     within n * eps of zero (machine epsilon, the rounding level of a unit
     row) are set to exactly 0.0, which moves no vector by more than that.
 
@@ -112,19 +96,13 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     The vectors are returned read-only, with that product, which
     :func:`verify_configuration` reads instead of forming it again.
     """
-    certified, a = _certified_gram(g.n, *TauWeighting.of(tau).edge_arrays(g), PSD_TOL)
-    if certified:
-        rank, pairs = g.n, None
-    else:
-        pairs = eigenpairs(a)
-        verdict = _verdict(a, pairs)
-        if not verdict.exists:
-            raise ValueError(
-                "no configuration exists: Gram matrix has negative eigenvalue "
-                f"{verdict.min_eigenvalue:.6e}"
-            )
-        rank = verdict.rank
-    vectors, dropped = _canonical_factor(a, rank, pairs)
+    verdict, a = _gram_verdict(g, TauWeighting.of(tau))
+    if not verdict.exists:
+        raise ValueError(
+            "no configuration exists: Gram matrix has negative eigenvalue "
+            f"{verdict.min_eigenvalue:.6e}"
+        )
+    vectors, dropped = _canonical_factor(a, verdict.rank)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     gram = vectors @ vectors.T
     vectors.flags.writeable = gram.flags.writeable = False
@@ -138,44 +116,24 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     return SubspaceConfiguration(vectors, gram)
 
 
-def _verdict(a: np.ndarray, pairs: Spectrum) -> ExistenceVerdict:
-    """The verdict :func:`~angleset.spectra.eigenvalues` gives on ``a``, read
-    off the eigenvalues of ``pairs`` where they must give the same one.
-
-    ``eigh`` and ``eigvalsh`` each put every eigenvalue within the bound b of
-    ``pairs`` of the truth, so the two arrays agree to within 2b. An
-    eigenvalue within 2b of ``PSD_TOL`` may fall on either side of the rank
-    cut, and a least eigenvalue below 2b - ``PSD_TOL`` on either side of the
-    existence cut or into an error text that prints it; only then is
-    ``eigenvalues`` called.
-    """
-    evals = pairs.eigenvalues
-    band = 2.0 * pairs.residual_bound
-    if evals[-1] < band - PSD_TOL or np.any(np.abs(evals - PSD_TOL) <= band):
-        evals = eigenvalues(a).eigenvalues
-    return ExistenceVerdict.from_eigenvalues(evals)
-
-
-def _canonical_factor(a: np.ndarray, rank: int,
-                      pairs: Spectrum | None) -> tuple[np.ndarray, float]:
+def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
     """Lower-trapezoidal V with a non-negative diagonal and ``rank`` columns
     whose V V^T is the PSD matrix ``a`` up to its eigenvalues past ``rank``,
     and the Frobenius norm of those dropped eigenvalues.
 
     At full rank V is the Cholesky factor. Otherwise the leading ``rank``
-    eigenvectors, from ``pairs`` or else one :func:`eigenpairs` call, scaled
-    by sqrt(lambda) give a factor F, and with F^T = Q R (QR factorisation,
-    rows of R signed so that its diagonal is non-negative) V is R^T:
-    R^T R = F F^T, so the rotation changes neither the Gram matrix nor the
-    rank, and R^T does not depend on the basis LAPACK picks inside a
-    repeated eigenvalue.
+    eigenvectors of one :func:`eigenpairs` call, scaled by sqrt(lambda),
+    give a factor F, and with F^T = Q R (QR factorisation, rows of R signed
+    so that its diagonal is non-negative) V is R^T: R^T R = F F^T, so the
+    rotation changes neither the Gram matrix nor the rank, and R^T does not
+    depend on the basis LAPACK picks inside a repeated eigenvalue.
     """
     if rank == a.shape[0]:
         try:
             return np.linalg.cholesky(a), 0.0
         except np.linalg.LinAlgError:
             pass  # definite at PSD_TOL but not to Cholesky's rounding
-    spectrum = pairs if pairs is not None else eigenpairs(a)
+    spectrum = eigenpairs(a)
     evals = spectrum.eigenvalues
     factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
     r = np.linalg.qr(factor.T, mode="r")
@@ -346,10 +304,10 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
 
     The graph's vertex count is the number of vectors. ``doc`` must be an
     object, ``ambient_dim`` an integer, ``graph`` a list of integer pairs,
-    ``vectors`` a list of rows of numbers and a per-edge ``tau`` a list of
-    ``[i, j, tau]`` triples; anything else raises ``ValueError``. More than
-    ``MAX_VERTICES`` vectors raise :class:`~angleset.graphs.GraphError`
-    before any row is read.
+    ``vectors`` a list of rows of finite numbers and a per-edge ``tau`` a
+    list of ``[i, j, tau]`` triples; anything else raises ``ValueError``.
+    More than ``MAX_VERTICES`` vectors raise
+    :class:`~angleset.graphs.GraphError` before any row is read.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -377,6 +335,8 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
         rows = np.array(vectors, dtype=float)
     except (ValueError, OverflowError) as exc:  # rows of unequal length, huge ints
         raise ValueError(f"cannot read vectors: {exc}") from None
+    if not np.isfinite(rows).all():  # json reads NaN, Infinity and 1e400
+        raise ValueError("cannot read vectors: every entry must be finite")
     config = SubspaceConfiguration(rows)
     if config.ambient_dim != ambient:
         raise ValueError(

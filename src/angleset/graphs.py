@@ -75,6 +75,12 @@ def _integer(value, message: str) -> int:
     raise GraphError(message)
 
 
+def _integer_pair(e: tuple) -> tuple[int, int]:
+    """The labels of the edge ``e`` as Python ints, by :func:`_integer`."""
+    message = f"edge {e!r} has a vertex label that is not an integer"
+    return _integer(e[0], message), _integer(e[1], message)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices ``1..n``.
@@ -82,8 +88,8 @@ class Graph:
     Edges are stored canonically as pairs ``(i, j)`` with ``i < j``. Loops and
     parallel edges are rejected; vertices without incident edges are allowed.
 
-    The vertex count must be an integer, not ``bool``; a numpy integer is
-    stored as a Python int.
+    The vertex count and the edges' labels must be integers, not ``bool``;
+    a numpy integer is stored as a Python int.
 
     A graph memoises three things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
@@ -106,13 +112,20 @@ class Graph:
                 self.n, f"vertex count must be an integer, got {self.n!r}"))
         if self.n < 1:
             raise GraphError("vertex count must be at least 1")
-        for i, j in self.edges:
+        relabel = False
+        for e in self.edges:
+            i, j = e
+            if type(i) is not int or type(j) is not int:
+                i, j = _integer_pair(e)
+                relabel = True
             if i == j:
                 raise GraphError(f"loop edge {i}-{j}")
             if i > j:
                 raise GraphError(f"edge ({i}, {j}) is not in canonical (min, max) order")
             if i < 1 or j > self.n:
                 raise GraphError(f"edge {i}-{j} out of vertex range 1..{self.n}")
+        if relabel:
+            object.__setattr__(self, "edges", frozenset(map(_integer_pair, self.edges)))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":

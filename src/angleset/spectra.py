@@ -77,8 +77,8 @@ class Spectrum:
 
     ``eigenvectors`` is set only by :func:`eigenpairs`, which only
     :func:`~angleset.configurations.construct_configuration` calls, for a
-    Gram matrix that Cholesky does not certify definite, and holds
-    the k-th eigenvector in column k; within a degenerate eigenspace the basis
+    Gram matrix that Cholesky does not factor, and holds the k-th
+    eigenvector in column k; within a degenerate eigenspace the basis
     is whatever LAPACK produces, so tests of the eigenvectors themselves
     should only rely on subspace-level statements. (The lines of
     ``construct_configuration`` do not depend on that basis: they are rotated

@@ -301,14 +301,14 @@ class TestAdjacencySpectrumReuse:
 
     @pytest.mark.parametrize("weights", ["constant", "per-edge"])
     def test_singular_construct_computes_eigenvectors_once(self, name_calls, weights):
-        """A5 at its endpoint 1/3 has a singular Gram matrix: one dimension
-        drops, and only the eigenvectors can factor it. Their eigenvalues
-        give the verdict too: none lies near a cut."""
+        """A5 at its endpoint 1/3 has a singular Gram matrix: ``eigenvalues``
+        gives the verdict, as for a per-edge ``existence``, one dimension
+        drops, and only the eigenvectors can factor it."""
         g = named("A", 5)
         tau = 1 / 3 if weights == "constant" else dict.fromkeys(g.edges, 1 / 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == 4
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
 
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
@@ -329,10 +329,13 @@ def _psd_endpoint(g):
 
 def _construct_agrees(g, tau):
     """``construct_configuration`` succeeds iff ``existence`` says a
-    configuration exists, and then lives in ``rank`` dimensions."""
+    configuration exists, and then lives in ``rank`` dimensions and
+    verifies."""
     verdict = existence(g, tau)
     if verdict.exists:
-        assert construct_configuration(g, tau).ambient_dim == verdict.rank
+        config = construct_configuration(g, tau)
+        assert config.ambient_dim == verdict.rank
+        assert verify_configuration(config, g, tau).passed
     else:
         with pytest.raises(ValueError, match="no configuration exists"):
             construct_configuration(g, tau)
@@ -462,9 +465,9 @@ def _matches_the_reference(g, tau):
 @pytest.mark.parametrize("weights", ["constant", "per-edge"])
 @pytest.mark.parametrize("family", ["A", "D"])
 def test_construct_matches_the_eigvalsh_reference_at_the_endpoint(family, weights):
-    """Across the endpoint band, where the certificate fails and the verdict
-    comes from the eigenpairs or from ``eigenvalues``, the lines and the
-    error texts are those of the eigvalsh-first construction."""
+    """Across the endpoint band, where the certificate fails and
+    ``eigenvalues`` gives the verdict, the lines and the error texts are
+    those of the eigvalsh-first construction."""
     outcomes = set()
     for n in (*range(5, 12), *range(12, 97, 7)):
         g = generate_named(NamedFamily(family, n))
@@ -904,3 +907,17 @@ def test_a_certified_constant_tau_reads_its_least_eigenvalue_from_lapack(g, scal
     root = math.sqrt(tau)
     band = _lapack_bound(gram_matrix(g, tau)) + root * _lapack_bound(a)
     assert abs(lam - (1.0 + root * np.linalg.eigvalsh(a)[0])) <= band
+
+
+@given(connected_graphs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_per_edge_existence_decides_construct_on_graphs_with_cycles(g, data):
+    """With tau drawn per edge around the graph's PSD endpoint (exactly at
+    it, where the Gram matrix is singular, or within 1% or 10% of it),
+    ``construct`` succeeds exactly when ``existence`` says a configuration
+    exists; its lines then live in ``rank`` dimensions and verify."""
+    assume(not is_tree(g))
+    end = _psd_endpoint(g)
+    spread = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
+    scale = st.floats(min_value=1.0 - spread, max_value=1.0 + spread)
+    _construct_agrees(g, {e: min(1.0, end * data.draw(scale)) for e in sorted(g.edges)})

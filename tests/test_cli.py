@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import angleset.cli
 from angleset import generate_named, gram_matrix, parse_named_spec
 from angleset.cli import MAX_STEPS, build_parser, main
+from angleset.configurations import VERIFY_TOL
 from angleset.graphs import MAX_VERTICES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -361,6 +363,18 @@ class TestConstructAndVerify:
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read vectors: ")
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_rejects_non_finite_entries(self, capsys, tmp_path, entry, fmt):
+        """Python's json reads NaN, Infinity and 1e400 (which overflows to
+        inf) as floats; no residual of such vectors means anything."""
+        path = tmp_path / "non-finite.json"
+        path.write_text('{"ambient_dim": 2, "vectors": [[1.0, 0.0], [%s, 0.5]], '
+                        '"tau": 0.25, "graph": [[1, 2]]}' % entry)
+        code, out, err = run(capsys, "verify", "--in", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read vectors: every entry must be finite\n"
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -616,6 +630,43 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "index_class: subcritical" in proc.stdout
+
+
+def readme_examples():
+    """Every ``$ angleset ...`` example of the README, in order, as its
+    argument list and the output shown under it."""
+    text = (ROOT / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for example in re.split(r"^\$ angleset ", block, flags=re.M)[1:]:
+            command, _, shown = example.partition("\n")
+            examples.append((shlex.split(command), shown.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    """The README's examples whose output it shows in full print exactly
+    that, run in order in an empty directory. ``verify`` prints the keys
+    shown, passes, and keeps every residual within ``VERIFY_TOL``: the
+    residuals themselves can differ in their last bits across BLAS builds.
+    ``classify`` reads a file of the reader's and ``spectrum``'s output is
+    elided, so neither is run."""
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv, shown in readme_examples():
+        if argv[0] in ("classify", "spectrum"):
+            continue
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] == "verify":
+            fields = dict(line.split(": ") for line in out.splitlines())
+            assert list(fields) == [line.split(": ")[0] for line in shown.splitlines()]
+            assert fields.pop("passed") == "true"
+            assert all(float(value) <= VERIFY_TOL for value in fields.values())
+        else:
+            assert out == shown, argv
+        ran.append(argv[0])
+    assert ran == ["sigma", "exists", "construct", "verify", "sweep"]
 
 
 def rendered(value) -> str:

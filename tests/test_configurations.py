@@ -116,8 +116,8 @@ class TestConstruct:
         "tau", [0.6, {(1, 2): 0.6, (2, 3): 0.6}], ids=["constant", "per-edge"]
     )
     def test_no_assembly_past_what_the_verdict_needs(self, assemblies, tau):
-        """Every tau reaches its verdict from the eigenpairs of the one Gram
-        matrix it assembles, also when no configuration exists."""
+        """Every tau reaches its verdict from the one Gram matrix it
+        assembles, also when no configuration exists."""
         with pytest.raises(ValueError, match="no configuration exists"):
             construct_configuration(named("A", 3), tau)
         assert assemblies == [3]
@@ -149,14 +149,15 @@ class TestCholeskyCertificate:
     """``construct`` first factors A - s I by Cholesky, with s from
     ``spectra._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
     and of Cholesky. Success proves rank n and costs no eigensolve; failure
-    leads to one ``eigenpairs`` call, and to ``eigenvalues`` only near a
-    cut."""
+    leads to one ``eigenvalues`` call for the verdict, and to one
+    ``eigenpairs`` call only when the verdict's rank is below n."""
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_verdict_on_either_side_of_the_shift(self, name_calls, side):
         """Just above s the certificate holds; just below it, between
-        PSD_TOL and s, it fails and the eigenpairs give the verdict. Either
-        way ``construct`` keeps the dimension eigvalsh's rank gives."""
+        PSD_TOL and s, it fails, ``eigenvalues`` gives the verdict and
+        Cholesky factors the definite matrix. Either way ``construct`` keeps
+        the dimension eigvalsh's rank gives."""
         g, tau = path_at_least_eigenvalue(96, 1e-9)
         shift = _cholesky_shift(96, np.linalg.norm(gram_matrix(g, tau)), PSD_TOL)
         gap = (shift - PSD_TOL) / 2
@@ -167,14 +168,14 @@ class TestCholeskyCertificate:
         assert (lam[0] > shift) == (side == "above") and lam[0] > PSD_TOL
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == int((lam > PSD_TOL).sum()) == 96
-        expected = (0, 0) if side == "above" else (0, 1)
+        expected = (0, 0) if side == "above" else (1, 0)
         assert (calls["eigenvalues"], calls["eigenpairs"]) == expected
 
-    def test_near_cut_takes_the_eigenvalues_fallback_once(self, name_calls):
+    def test_near_cut_takes_the_verdict_from_eigenvalues(self, name_calls):
         """Per-edge A96 at this tau has a least Gram eigenvalue of about
-        1e-9, within the band of PSD_TOL where eigh and eigvalsh may
-        disagree on the rank, so the verdict is ``eigenvalues``', the one a
-        per-edge ``existence`` reads."""
+        1e-9, where eigh and eigvalsh may disagree on the rank; the verdict
+        is ``eigenvalues``', the one a per-edge ``existence`` reads, and
+        its rank of 95 is factored through one ``eigenpairs`` call."""
         g = named("A", 96)
         tau = dict.fromkeys(g.edges, 0.250262421391915)
         evals = eigenpairs(gram_matrix(g, tau)).eigenvalues
@@ -182,15 +183,16 @@ class TestCholeskyCertificate:
         calls = name_calls("eigenvalues", "eigenpairs")
         dim = construct_configuration(g, tau).ambient_dim
         assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
-        assert dim == existence(g, tau).rank
+        assert dim == existence(g, tau).rank == 95
 
     def test_infeasible_error_text_comes_from_eigenvalues(self, name_calls):
-        """The least eigenvalue an error prints is eigvalsh's, as ever."""
+        """The least eigenvalue an error prints is eigvalsh's, and no
+        eigenvector is computed."""
         g = named("A", 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         with pytest.raises(ValueError) as info:
             construct_configuration(g, 0.6)
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
         lam = np.linalg.eigvalsh(gram_matrix(g, 0.6))[0]
         assert str(info.value).endswith(f"negative eigenvalue {lam:.6e}")
 

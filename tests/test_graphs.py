@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -12,6 +14,8 @@ from angleset import (
     NamedFamily,
     adjacency_matrix,
     component_vertex_sets,
+    configuration_document,
+    construct_configuration,
     generate_named,
     is_connected,
     is_tree,
@@ -67,6 +71,21 @@ class TestGraphConstruction:
         g = Graph.from_edges([(np.int64(3), np.int32(1))])
         assert g.n == 3 and g.edges == {(1, 3)}
         assert all(type(v) is int for e in g.edges for v in e)
+
+    @pytest.mark.parametrize("edge", [(1, 2.5), (True, 2), (1.0, 2.0)])
+    def test_direct_construction_rejects_non_integer_labels(self, edge):
+        """``Graph(n, edges)`` keeps the label rule of ``edge_key``: 2.5
+        would read as vertex 2 in a matrix index and write a document
+        ``load_configuration`` refuses."""
+        with pytest.raises(GraphError, match=re.escape(f"edge {edge!r} has a vertex label")):
+            Graph(3, frozenset({edge}))
+
+    def test_direct_construction_stores_numpy_labels_as_python_ints(self):
+        g = Graph(3, frozenset({(np.int64(1), np.int64(3)), (2, 3)}))
+        assert g.edges == {(1, 3), (2, 3)}
+        assert all(type(v) is int for e in g.edges for v in e)
+        doc = configuration_document(construct_configuration(g, 0.2), g, 0.2)
+        assert json.loads(json.dumps(doc))["graph"] == [[1, 3], [2, 3]]
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, np.True_, "3", None])
     def test_non_integer_vertex_count_rejected(self, n):
