@@ -199,33 +199,40 @@ def verify_configuration(
     edge entries: ``gram`` is ||R||, the diagonal of R is g_ii - 1, and R
     scaled by sqrt(g_ii g_jj) in place, its diagonal and edges then zeroed,
     holds the orthogonality residuals. No target matrix is built.
+
+    An entry as large as 1e160 is finite but overflows these products; any
+    overflow, or a NaN, raises ``ValueError`` ("cannot verify: ...").
     """
     if config.size != g.n:
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
-    gram = config._gram
-    if gram is None:
-        gram = config.vectors @ config.vectors.T
-    sq = gram.diagonal()
-    on_edges = gram[i, j]
-    res = gram.copy()
-    diag = res.ravel()[::g.n + 1]  # a view: the copy is C-contiguous
-    diag -= 1.0
-    root = np.sqrt(t)
-    res[i, j] = on_edges - root
-    res[j, i] -= root
-    gram_dev = np.linalg.norm(res)
-    idem = (np.abs(diag) * sq).max()
-    braid = (np.abs(on_edges ** 2 - t) * np.maximum(sq[i], sq[j])).max(initial=0.0)
-    scale = sq[:, None] * sq
-    np.abs(res, out=res)
-    res *= np.sqrt(scale, out=scale)
-    diag[:] = 0.0
-    res[i, j] = res[j, i] = 0.0
-    orth = res.max(initial=0.0)
-    return VerificationReport(float(idem), float(braid), float(orth), float(gram_dev))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            gram = config._gram
+            if gram is None:
+                gram = config.vectors @ config.vectors.T
+            sq = gram.diagonal()
+            on_edges = gram[i, j]
+            res = gram.copy()
+            diag = res.ravel()[::g.n + 1]  # a view: the copy is C-contiguous
+            diag -= 1.0
+            root = np.sqrt(t)
+            res[i, j] = on_edges - root
+            res[j, i] -= root
+            gram_dev = np.linalg.norm(res)
+            idem = (np.abs(diag) * sq).max()
+            braid = (np.abs(on_edges ** 2 - t) * np.maximum(sq[i], sq[j])).max(initial=0.0)
+            scale = sq[:, None] * sq
+            np.abs(res, out=res)
+            res *= np.sqrt(scale, out=scale)
+            diag[:] = 0.0
+            res[i, j] = res[j, i] = 0.0
+            orth = res.max(initial=0.0)
+            return VerificationReport(float(idem), float(braid), float(orth), float(gram_dev))
+    except FloatingPointError as exc:  # finite entries whose products overflow
+        raise ValueError(f"cannot verify: {exc}") from None
 
 
 def _tau_to_json(w: TauWeighting):
@@ -253,32 +260,20 @@ _MALFORMED_GRAPH = "graph must be a list of [i, j] integer label pairs"
 
 
 def _graph_from_json(data, n: int) -> Graph:
-    """The graph on ``n`` vertices of a document's ``graph`` list, its pairs
-    checked and keyed in one walk.
+    """The graph on ``n`` vertices of a document's ``graph`` list.
 
-    A malformed pair anywhere in the list is reported before a loop or a
-    repeated edge; :meth:`Graph.from_edges` then names the first of those in
-    list order.
+    The list and every pair in it are checked for their JSON shape first,
+    so a malformed pair anywhere is reported before anything else. The
+    pairs then go to ``Graph(n, data)``, which names the first loop or
+    repeated edge in list order, then an edge out of range.
     """
     if type(data) is not list:
         raise ValueError(_MALFORMED_GRAPH)
-    keys = set()
-    loop = False
     for e in data:
-        if type(e) is not list or len(e) != 2:
+        # ``type`` refuses true and 1.0
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise ValueError(_MALFORMED_GRAPH)
-        i, j = e
-        if type(i) is not int or type(j) is not int:  # ``type`` refuses true, 1.0
-            raise ValueError(_MALFORMED_GRAPH)
-        if i < j:
-            keys.add((i, j))
-        elif j < i:
-            keys.add((j, i))
-        else:
-            loop = True
-    if loop or len(keys) != len(data):
-        return Graph.from_edges(data, n=n)
-    return Graph(n, frozenset(keys))
+    return Graph(n, data)
 
 
 def configuration_document(

@@ -58,8 +58,8 @@ def edge_key(i, j) -> tuple[int, int]:
     Python ints. Anything else raises :class:`GraphError`.
     """
     if type(i) is not int or type(j) is not int:
-        i = _integer(i, "vertex labels must be integers")
-        j = _integer(j, "vertex labels must be integers")
+        message = f"vertex labels must be integers, got edge ({i!r}, {j!r})"
+        i, j = _integer(i, message), _integer(j, message)
     return (i, j) if i < j else (j, i)
 
 
@@ -75,21 +75,33 @@ def _integer(value, message: str) -> int:
     raise GraphError(message)
 
 
-def _integer_pair(e: tuple) -> tuple[int, int]:
-    """The labels of the edge ``e`` as Python ints, by :func:`_integer`."""
-    message = f"edge {e!r} has a vertex label that is not an integer"
-    return _integer(e[0], message), _integer(e[1], message)
+def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+    """The :func:`edge_key` of every pair, as a frozenset. One walk in the
+    given order raises :class:`GraphError` at the first loop or the first
+    pair named twice, in either order."""
+    seen: set[tuple[int, int]] = set()
+    for i, j in pairs:
+        e = edge_key(i, j)
+        if e[0] == e[1]:
+            raise GraphError(f"loop edge {e[0]}-{e[1]}")
+        if e in seen:
+            raise GraphError(f"duplicate edge {e[0]}-{e[1]}")
+        seen.add(e)
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertices ``1..n``.
 
-    Edges are stored canonically as pairs ``(i, j)`` with ``i < j``. Loops and
-    parallel edges are rejected; vertices without incident edges are allowed.
-
-    The vertex count and the edges' labels must be integers, not ``bool``;
-    a numpy integer is stored as a Python int.
+    ``Graph(n, edges)`` is the one gate for edge sets. ``edges`` may be any
+    iterable of vertex pairs in either order; it is stored as a frozenset of
+    pairs ``(i, j)`` with ``i < j`` and Python-int labels. A label, like the
+    vertex count, must be a Python or numpy integer, not ``bool``. One walk
+    in the given order raises :class:`GraphError` at the first loop or pair
+    named twice; after it, so does an edge outside ``1..n``. A frozenset (or
+    a subclass) already in that form is kept as it is, not copied. Vertices
+    without incident edges are allowed.
 
     A graph memoises three things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
@@ -107,47 +119,37 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            object.__setattr__(self, "n", _integer(
-                self.n, f"vertex count must be an integer, got {self.n!r}"))
-        if self.n < 1:
+        n = self.n
+        if type(n) is not int:
+            n = _integer(n, f"vertex count must be an integer, got {n!r}")
+            object.__setattr__(self, "n", n)
+        if n < 1:
             raise GraphError("vertex count must be at least 1")
-        relabel = False
-        for e in self.edges:
-            i, j = e
-            if type(i) is not int or type(j) is not int:
-                i, j = _integer_pair(e)
-                relabel = True
-            if i == j:
-                raise GraphError(f"loop edge {i}-{j}")
-            if i > j:
-                raise GraphError(f"edge ({i}, {j}) is not in canonical (min, max) order")
-            if i < 1 or j > self.n:
-                raise GraphError(f"edge {i}-{j} out of vertex range 1..{self.n}")
-        if relabel:
-            object.__setattr__(self, "edges", frozenset(map(_integer_pair, self.edges)))
+        edges = self.edges
+        if isinstance(edges, frozenset):
+            for i, j in edges:
+                if not (type(i) is int and type(j) is int and 0 < i < j <= n):
+                    break
+            else:
+                return  # already canonical: keep the object
+        edges = _edge_set(edges)
+        for i, j in edges:
+            if i < 1 or j > n:
+                raise GraphError(f"edge {i}-{j} out of vertex range 1..{n}")
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
-        """Build a graph from unordered vertex pairs.
+        """The graph on ``n`` vertices with these vertex pairs as its edges.
 
-        ``n`` defaults to the largest endpoint. Each pair goes through
-        :func:`edge_key`, so labels must be integers. Duplicate edges (in
-        either orientation) are a hard error, as are loops.
+        ``n`` defaults to the largest endpoint, and to 1 with no edges. The
+        pairs pass the gate of ``Graph(n, edges)``: either order, integer
+        labels, and no loop or repeat.
         """
-        seen: set[tuple[int, int]] = set()
-        top = 0
-        for i, j in edges:
-            e = edge_key(i, j)
-            if e[0] == e[1]:
-                raise GraphError(f"loop edge {e[0]}-{e[0]}")
-            if e in seen:
-                raise GraphError(f"duplicate edge {e[0]}-{e[1]}")
-            seen.add(e)
-            top = max(top, e[1])
         if n is None:
-            n = max(top, 1)
-        return cls(n, frozenset(seen))
+            edges = _edge_set(edges)
+            n = max([1, *(j for _, j in edges)])
+        return cls(n, edges)
 
     @property
     def vertices(self) -> range:
@@ -419,10 +421,9 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     edges: list[tuple[int, int]] = []
     for v in seq:
         u = heapq.heappop(leaves)
-        edges.append((u, v) if u < v else (v, u))
+        edges.append((u, v))
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w) if u < w else (w, u))
-    return Graph(n, frozenset(edges))
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, edges)

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,6 +375,20 @@ class TestConstructAndVerify:
         code, out, err = run(capsys, "verify", "--in", str(path), "--format", fmt)
         assert (code, out) == (1, "")
         assert err == "error: cannot read vectors: every entry must be finite\n"
+
+    @pytest.mark.parametrize("entry", ["1e308", "1e160"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_refuses_products_that_overflow(self, capsys, tmp_path, entry, fmt):
+        """Finite entries pass the reader, but their products overflow: no
+        report with ``Infinity`` in it, and no numpy warning."""
+        path = tmp_path / "huge.json"
+        path.write_text('{"ambient_dim": 2, "vectors": [[%s, 0.0], [0.0, 1.0]], '
+                        '"tau": 0.25, "graph": [[1, 2]]}' % entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--in", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: cannot verify: overflow encountered in \w+\n", err)
 
     @pytest.mark.parametrize(
         "doc",

@@ -399,6 +399,16 @@ class TestVerify:
         with pytest.raises(ValueError, match="covers 3 vertices"):
             verify_configuration(c, named("A", 4), 0.3)
 
+    @pytest.mark.parametrize("huge", [1e308, 1e160])
+    def test_products_that_overflow_are_refused(self, huge):
+        """The document's entries are finite, so it loads, but V V^T
+        overflows; a report of infinite residuals would mean nothing."""
+        doc = {"ambient_dim": 2, "vectors": [[huge, 0.0], [0.0, 1.0]], "tau": 0.25,
+               "graph": [[1, 2]]}
+        config, g, w = load_configuration(doc)
+        with pytest.raises(ValueError, match="^cannot verify: overflow encountered in "):
+            verify_configuration(config, g, w)
+
     def test_custom_tolerance_feeds_passed(self):
         """``passed`` compares the worst residual against ``VERIFY_TOL``:
         stretching a correct configuration by 1 + 1e-6 moves its residuals
@@ -716,7 +726,9 @@ class CountedEdges(frozenset):
 @pytest.mark.parametrize("per_edge", [False, True], ids=["constant", "per-edge"])
 def test_construct_and_verify_align_the_edges_once(monkeypatch, per_edge):
     base = named("D", 9)
-    g = Graph(base.n, CountedEdges(base.edges))
+    edges = CountedEdges(base.edges)
+    g = Graph(base.n, edges)
+    assert g.edges is edges  # the gate keeps a canonical edge set
     tau = {e: 0.2 for e in base.edges} if per_edge else 0.2
     monkeypatch.setattr(CountedEdges, "walks", 0)
     report = verify_configuration(construct_configuration(g, tau), g, tau)

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from angleset import (
     Graph,
@@ -19,6 +19,7 @@ from angleset import (
     generate_named,
     is_connected,
     is_tree,
+    load_configuration,
     parse_edge_list,
     parse_named_spec,
     tree_from_pruefer,
@@ -64,7 +65,8 @@ class TestGraphConstruction:
     def test_non_integer_labels_rejected(self, edges):
         # int() would round 2.7 to 2 and parse "3" as 3; operator.index(True)
         # would give 1.
-        with pytest.raises(GraphError, match="vertex labels must be integers"):
+        message = f"^vertex labels must be integers, got edge {re.escape(repr(edges[0]))}$"
+        with pytest.raises(GraphError, match=message):
             Graph.from_edges(edges)
 
     def test_numpy_integer_labels_accepted(self):
@@ -74,10 +76,11 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize("edge", [(1, 2.5), (True, 2), (1.0, 2.0)])
     def test_direct_construction_rejects_non_integer_labels(self, edge):
-        """``Graph(n, edges)`` keeps the label rule of ``edge_key``: 2.5
-        would read as vertex 2 in a matrix index and write a document
-        ``load_configuration`` refuses."""
-        with pytest.raises(GraphError, match=re.escape(f"edge {edge!r} has a vertex label")):
+        """``Graph(n, edges)`` keeps the label rule of ``edge_key``, with its
+        message: 2.5 would read as vertex 2 in a matrix index and write a
+        document ``load_configuration`` refuses."""
+        message = f"^vertex labels must be integers, got edge {re.escape(repr(edge))}$"
+        with pytest.raises(GraphError, match=message):
             Graph(3, frozenset({edge}))
 
     def test_direct_construction_stores_numpy_labels_as_python_ints(self):
@@ -105,9 +108,9 @@ class TestGraphConstruction:
         with pytest.raises(GraphError, match="out of vertex range"):
             Graph(2, frozenset({(1, 3)}))
 
-    def test_non_canonical_edge_rejected(self):
-        with pytest.raises(GraphError, match="canonical"):
-            Graph(3, frozenset({(3, 1)}))
+    def test_non_canonical_edge_normalised(self):
+        g = Graph(3, frozenset({(3, 1)}))
+        assert g.edges == {(1, 3)} and type(g.edges) is frozenset
 
     def test_star_neighbours_read_from_the_adjacency_matrix(self):
         g = Graph.from_edges([(1, 2), (1, 3), (1, 4)])
@@ -115,6 +118,110 @@ class TestGraphConstruction:
         assert [int(v) for v in np.flatnonzero(a[0]) + 1] == [2, 3, 4]
         assert [int(v) for v in np.flatnonzero(a[1]) + 1] == [1]
         assert degrees(g) == [3, 1, 1, 1]
+
+
+def outcome(build):
+    """The edge set of the graph ``build()`` returns, or the text of the
+    ``ValueError`` it raises (``GraphError`` is one)."""
+    try:
+        return build().edges
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def pair_lists(draw):
+    """``n`` and a list of vertex pairs: distinct edges of K_n, each in a
+    random order, with now and then a repeated pair, a loop or an endpoint
+    outside ``1..n`` put in at a random place, and some labels as numpy
+    integers."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = draw(st.lists(st.sampled_from(edges), unique=True)) if edges else []
+    pairs = [(j, i) if draw(st.booleans()) else (i, j) for i, j in pairs]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "loop", "outside"]), max_size=2)):
+        v = draw(st.integers(min_value=1, max_value=n))
+        if kind == "repeat" and pairs:
+            i, j = draw(st.sampled_from(pairs))
+            extra = draw(st.sampled_from([(i, j), (j, i)]))
+        elif kind == "loop":
+            extra = (v, v)
+        else:
+            extra = draw(st.permutations([v, draw(st.sampled_from([0, n + 1]))]))
+        pairs.insert(draw(st.integers(min_value=0, max_value=len(pairs))), tuple(extra))
+    label = st.sampled_from([int, int, np.int64, np.int32])
+    return n, [(draw(label)(i), draw(label)(j)) for i, j in pairs]
+
+
+def first_fault(n, pairs):
+    """The messages the gate may raise on ``pairs``: the first loop or
+    repeat in list order, else every edge outside ``1..n`` (a frozenset
+    names whichever it meets first); none for a valid list."""
+    seen = set()
+    for p in pairs:
+        i, j = sorted(map(int, p))
+        if i == j:
+            return {f"loop edge {i}-{j}"}
+        if (i, j) in seen:
+            return {f"duplicate edge {i}-{j}"}
+        seen.add((i, j))
+    return {f"edge {i}-{j} out of vertex range 1..{n}" for i, j in seen if i < 1 or j > n}
+
+
+class TestOneEdgeGate:
+    """``Graph(n, edges)`` canonicalises and checks every edge set;
+    ``from_edges`` and the document reader hand their pairs to it."""
+
+    def test_a_repeated_pair_is_refused(self):
+        with pytest.raises(GraphError, match="^duplicate edge 1-2$"):
+            Graph(3, [(1, 2), (1, 2), (2, 3)])
+
+    def test_a_list_is_stored_as_a_hashable_frozenset(self):
+        g = Graph(3, [(1, 2), (2, 3)])
+        twin = Graph(3, frozenset({(1, 2), (2, 3)}))
+        assert type(g.edges) is frozenset
+        assert g == twin and hash(g) == hash(twin) and len({g, twin}) == 1
+        assert is_tree(g) and g.num_edges == 2
+
+    def test_a_generator_is_read_in_either_order(self):
+        g = Graph(3, ((j, i) for i, j in [(1, 2), (2, 3)]))
+        assert g.edges == {(1, 2), (2, 3)} and type(g.edges) is frozenset
+
+    def test_a_canonical_frozenset_is_kept_by_identity(self):
+        class Tagged(frozenset):
+            pass
+
+        for edges in (frozenset({(1, 2), (2, 3)}), Tagged({(1, 2), (2, 3)})):
+            assert Graph(3, edges).edges is edges
+
+    @pytest.mark.parametrize(
+        "edges", [frozenset({(2, 1)}), frozenset({(np.int64(1), 2)}), {(1, 2)}],
+        ids=["reversed", "numpy-label", "set"],
+    )
+    def test_any_other_edge_set_is_stored_canonical(self, edges):
+        g = Graph(2, edges)
+        assert g.edges == {(1, 2)} and type(g.edges) is frozenset and g.edges is not edges
+        assert all(type(v) is int for e in g.edges for v in e)
+
+    @given(pair_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_every_graph_source_applies_the_same_gate(self, case):
+        n, pairs = case
+        want = outcome(lambda: Graph(n, pairs))
+        faults = first_fault(n, pairs)
+        if faults:
+            assert want in faults
+        else:
+            assert want == {tuple(sorted(map(int, p))) for p in pairs}
+            assert type(want) is frozenset and all(type(v) is int for e in want for v in e)
+        assert outcome(lambda: Graph(n, iter(pairs))) == want
+        assert outcome(lambda: Graph.from_edges(pairs, n=n)) == want
+        doc = {"ambient_dim": 1, "vectors": [[1.0]] * n, "tau": 0.5,
+               "graph": [[int(i), int(j)] for i, j in pairs]}
+        assert outcome(lambda: load_configuration(doc)[1]) == want
+        if not faults:
+            text = f"n {n}\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+            assert parse_edge_list(text).edges == want
 
 
 class TestParseEdgeList:
