@@ -29,10 +29,12 @@ import numpy as np
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, edge_key, is_tree
 from .spectra import (
+    Spectrum,
     _certified_definite,
     _cholesky_shift,
     _jacobi_bound,
     _memoised_spectrum,
+    eigenpairs,
     eigenvalues,
     graph_index,
     graph_spectrum,
@@ -152,21 +154,23 @@ def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
 
 
 def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
-                    floor: float) -> tuple[bool, np.ndarray]:
+                    floor: float) -> tuple[bool, np.ndarray, float]:
     """Whether the Cholesky certificate of
     :func:`~angleset.spectra._certified_definite` proves every eigenvalue
     of the Gram matrix of the aligned edge arrays above ``floor`` by more
-    than LAPACK's error bound, and that Gram matrix.
+    than LAPACK's error bound, that Gram matrix, and the certificate's
+    shift.
 
     The matrix is assembled already shifted and its unit diagonal restored
     after the factorisation, so it is built once and never copied. Its
     Frobenius norm is sqrt(n + 2 sum(t)), up to rounding.
     """
     fro = math.sqrt(n + 2.0 * float(t.sum()))
-    a = _gram_from_arrays(n, i, j, t, _cholesky_shift(n, fro, floor))
+    shift = _cholesky_shift(n, fro, floor)
+    a = _gram_from_arrays(n, i, j, t, shift)
     certified = _certified_definite(a)
     a.flat[::n + 1] = 1.0
-    return certified, a
+    return certified, a, shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,27 +235,65 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
         # A has 2m unit entries: ||A||_F = sqrt(2m)
         floor = PSD_TOL + math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
         if _certified_gram(g.n, i, j, t, floor)[0]:
-            return _certified_verdict(g, w)
+            return _verdict_solved_on_read(g, w, True, g.n)
     return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
 
 
-def _gram_verdict(g: Graph, w: TauWeighting) -> tuple[ExistenceVerdict, np.ndarray]:
+def _gram_verdict(g: Graph, w: TauWeighting, eigenvectors: bool = False
+                  ) -> tuple[ExistenceVerdict, np.ndarray, Spectrum | None]:
     """The verdict at ``PSD_TOL`` that :func:`~angleset.spectra.eigenvalues`
-    gives on the Gram matrix of ``(g, w)``, and that matrix, assembled once.
+    gives on the Gram matrix A of ``(g, w)``, that matrix, assembled once,
+    and, if ``eigenvectors`` is set, its :func:`~angleset.spectra.eigenpairs`
+    whenever the verdict needs a solve and finds a configuration.
 
     The Cholesky certificate at floor ``PSD_TOL`` decides a definite matrix
-    with no solve; if it fails, ``eigenvalues`` decides.
+    with no solve, and then no spectrum comes back: the certificate leaves
+    every eigenvalue of A above n gamma_{n+1} / (1 - gamma_{n+1}), which by
+    Demmel's bound (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, thm. 10.7) is enough for Cholesky to factor A itself. If
+    the certificate fails, ``eigenvalues`` decides, unless ``eigenvectors``
+    is set. Then a Cholesky factorisation of A + 2 s I, with s the
+    certificate's shift, picks the one solve that runs:
+
+    - If it fails, the same bound puts an eigenvalue of A below -s, so no
+      configuration is near, and ``eigenvalues`` decides; only if one
+      exists after all does ``eigenpairs`` run too.
+    - Otherwise one ``eigenpairs`` call gives the spectrum and the verdict.
+      eigh's eigenvalues and eigvalsh's both lie within the a-priori bound
+      ``residual_bound`` of the exact ones, so they fall on the same side of
+      each cut, +-``PSD_TOL``, unless one of eigh's lies within twice that
+      bound of it. In that band ``eigenvalues`` also runs and decides.
+
+    That factorisation chooses a solver and never decides, so ``exists`` and
+    ``rank`` are always those of a per-edge :func:`existence`. A verdict
+    that eigh decides solves its ``min_eigenvalue`` by ``eigenvalues`` from
+    the matrix assembled again, on first read, like a certified one.
     """
-    certified, a = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
+    certified, a, shift = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
     if certified:
-        return _certified_verdict(g, w), a
-    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a
+        return _verdict_solved_on_read(g, w, True, g.n), a, None
+    if eigenvectors:
+        a.flat[::g.n + 1] = 1.0 + 2.0 * shift
+        near_psd = _certified_definite(a)
+        a.flat[::g.n + 1] = 1.0
+        if near_psd:
+            pairs = eigenpairs(a)
+            evals = pairs.eigenvalues
+            if np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound):
+                return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
+            verdict = _verdict_solved_on_read(
+                g, w, bool(evals[-1] >= -PSD_TOL), int(np.count_nonzero(evals > PSD_TOL)))
+            return verdict, a, pairs
+    verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
+    return verdict, a, eigenpairs(a) if eigenvectors and verdict.exists else None
 
 
-def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:
-    """The rank-n verdict of a Gram matrix the certificate proves definite;
-    its least eigenvalue comes from the matrix assembled again."""
-    return ExistenceVerdict(True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
+def _verdict_solved_on_read(g: Graph, w: TauWeighting, exists: bool, rank: int
+                            ) -> ExistenceVerdict:
+    """A verdict whose least eigenvalue :func:`~angleset.spectra.eigenvalues`
+    solves on first read, from the Gram matrix assembled again, so that the
+    verdict pins no n x n matrix."""
+    return ExistenceVerdict(exists, rank, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
 
 
 @dataclass(frozen=True)

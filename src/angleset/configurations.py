@@ -6,10 +6,11 @@ vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
 ones are orthogonal. Construction takes the PSD verdict a per-edge
 :func:`existence` gives, on the same assembled Gram matrix, and only
 factors: by Cholesky at full rank, and otherwise through the eigenpairs
-that the verdict's rank keeps. Verification reads every defining relation
-off the vectors' Gram matrix V V^T, through one residual matrix, and
-reports worst-case Frobenius residuals; the vectors of a construction come
-read-only with that product, so verifying them forms it no second time.
+that the verdict's rank keeps, from the one eigensolve that gave the
+verdict. Verification reads every defining relation off the vectors' Gram
+matrix V V^T, through one residual matrix, and reports worst-case
+Frobenius residuals; the vectors of a construction come read-only with
+that product, so verifying them forms it no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -28,7 +29,7 @@ import numpy as np
 
 from .admissible import PSD_TOL, TauLike, TauWeighting, _gram_verdict
 from .graphs import Graph, check_vertex_count
-from .spectra import eigenpairs
+from .spectra import Spectrum
 
 __all__ = [
     "SubspaceConfiguration",
@@ -75,9 +76,14 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     Assemble the Gram matrix A once and take the verdict at ``PSD_TOL`` of
     :func:`~angleset.admissible._gram_verdict` on it, the one a per-edge
-    :func:`~angleset.admissible.existence` gives, for a constant tau too.
-    Raises ``ValueError`` when the matrix is not positive semidefinite (no
-    configuration exists), with eigvalsh's least eigenvalue in the message.
+    :func:`~angleset.admissible.existence` gives, for a constant tau too,
+    with A's eigenpairs whenever that verdict needs a solve and finds a
+    configuration. A singular A is thus solved once, by
+    :func:`~angleset.spectra.eigenpairs`, for the verdict and the lines,
+    and eigvalsh runs as well only when an eigenvalue lies within twice the
+    solvers' error bound of a cut. Raises ``ValueError`` when the matrix is
+    not positive semidefinite (no configuration exists), with eigvalsh's
+    least eigenvalue in the message.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
@@ -96,13 +102,13 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     The vectors are returned read-only, with that product, which
     :func:`verify_configuration` reads instead of forming it again.
     """
-    verdict, a = _gram_verdict(g, TauWeighting.of(tau))
+    verdict, a, spectrum = _gram_verdict(g, TauWeighting.of(tau), eigenvectors=True)
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
             f"{verdict.min_eigenvalue:.6e}"
         )
-    vectors, dropped = _canonical_factor(a, verdict.rank)
+    vectors, dropped = _canonical_factor(a, verdict.rank, spectrum)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     gram = vectors @ vectors.T
     vectors.flags.writeable = gram.flags.writeable = False
@@ -116,24 +122,28 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     return SubspaceConfiguration(vectors, gram)
 
 
-def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
+def _canonical_factor(a: np.ndarray, rank: int, spectrum: Spectrum | None
+                      ) -> tuple[np.ndarray, float]:
     """Lower-trapezoidal V with a non-negative diagonal and ``rank`` columns
     whose V V^T is the PSD matrix ``a`` up to its eigenvalues past ``rank``,
     and the Frobenius norm of those dropped eigenvalues.
 
     At full rank V is the Cholesky factor. Otherwise the leading ``rank``
-    eigenvectors of one :func:`eigenpairs` call, scaled by sqrt(lambda),
-    give a factor F, and with F^T = Q R (QR factorisation, rows of R signed
-    so that its diagonal is non-negative) V is R^T: R^T R = F F^T, so the
-    rotation changes neither the Gram matrix nor the rank, and R^T does not
-    depend on the basis LAPACK picks inside a repeated eigenvalue.
+    eigenpairs of ``spectrum``, the :func:`~angleset.spectra.eigenpairs`
+    of ``a``, scaled by sqrt(lambda), give a factor F, and with F^T = Q R
+    (QR factorisation, rows of R signed so that its diagonal is
+    non-negative) V is R^T: R^T R = F F^T, so the rotation changes neither
+    the Gram matrix nor the rank, and R^T does not depend on the basis
+    LAPACK picks inside a repeated eigenvalue. ``spectrum`` is ``None``
+    only for a matrix the certificate proved definite, which Cholesky
+    factors.
     """
     if rank == a.shape[0]:
         try:
             return np.linalg.cholesky(a), 0.0
-        except np.linalg.LinAlgError:
-            pass  # definite at PSD_TOL but not to Cholesky's rounding
-    spectrum = eigenpairs(a)
+        except np.linalg.LinAlgError:  # definite at PSD_TOL, not to Cholesky's rounding
+            if spectrum is None:
+                raise
     evals = spectrum.eigenvalues
     factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
     r = np.linalg.qr(factor.T, mode="r")

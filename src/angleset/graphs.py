@@ -77,10 +77,19 @@ def _integer(value, message: str) -> int:
 
 def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """The :func:`edge_key` of every pair, as a frozenset. One walk in the
-    given order raises :class:`GraphError` at the first loop or the first
-    pair named twice, in either order."""
+    given order raises :class:`GraphError` at the first item that is not a
+    pair, the first loop or the first pair named twice, in either order;
+    so does ``pairs`` if it is not iterable."""
+    try:
+        items = iter(pairs)
+    except TypeError:
+        raise GraphError(f"edges must be an iterable of vertex pairs, got {pairs!r}") from None
     seen: set[tuple[int, int]] = set()
-    for i, j in pairs:
+    for item in items:
+        try:
+            i, j = item
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {item!r} is not a pair of vertex labels") from None
         e = edge_key(i, j)
         if e[0] == e[1]:
             raise GraphError(f"loop edge {e[0]}-{e[1]}")
@@ -98,10 +107,11 @@ class Graph:
     iterable of vertex pairs in either order; it is stored as a frozenset of
     pairs ``(i, j)`` with ``i < j`` and Python-int labels. A label, like the
     vertex count, must be a Python or numpy integer, not ``bool``. One walk
-    in the given order raises :class:`GraphError` at the first loop or pair
-    named twice; after it, so does an edge outside ``1..n``. A frozenset (or
-    a subclass) already in that form is kept as it is, not copied. Vertices
-    without incident edges are allowed.
+    in the given order raises :class:`GraphError` at the first item that is
+    not a pair, the first loop or the first pair named twice; after it, so
+    does an edge outside ``1..n``. A frozenset (or a subclass) already in
+    that form is kept as it is, not copied. Vertices without incident edges
+    are allowed.
 
     A graph memoises three things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
@@ -243,7 +253,6 @@ def parse_edge_list(text: str) -> Graph:
     number.
     """
     declared: int | None = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     allow_header = True
     max_label = 0
@@ -280,7 +289,6 @@ def parse_edge_list(text: str) -> Graph:
         if e in seen:
             raise GraphError(f"line {lineno}: duplicate edge {e[0]}-{e[1]}")
         seen.add(e)
-        edges.append(e)
         max_label = max(max_label, e[1])
     if declared is None:
         if max_label == 0:
@@ -292,7 +300,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(
             f"edge endpoint {max_label} exceeds declared vertex count {declared}"
         )
-    return Graph(declared, frozenset(edges))
+    return Graph(declared, frozenset(seen))
 
 
 # Sized families: their spec prefix (``A5``, ``C6``, ``K1,4``) and least size.

@@ -10,9 +10,11 @@ in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
 (``bench/README.md``). A per-edge Gram matrix, and the Gram matrix of any
 verdict the certificate below decides, constant tau included, is solved by
-:func:`eigenvalues` (LAPACK, no eigenvectors), and a singular one that
-:func:`~angleset.configurations.construct_configuration` must factor by
-:func:`eigenpairs`.
+:func:`eigenvalues` (LAPACK, no eigenvectors). A singular one that
+:func:`~angleset.configurations.construct_configuration` must factor is
+solved once, by :func:`eigenpairs`, whose eigenvalues give the verdict
+too, unless one lies within twice the a-priori error bound of a cut; then
+:func:`eigenvalues` runs as well and decides.
 
 One certificate, :func:`_certified_definite`, decides a definite Gram
 matrix for :func:`~angleset.admissible.existence` and ``construct`` alike
@@ -76,8 +78,9 @@ class Spectrum:
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
     ``eigenvectors`` is set only by :func:`eigenpairs`, which only
-    :func:`~angleset.configurations.construct_configuration` calls, for a
-    Gram matrix that Cholesky does not factor, and holds the k-th
+    :func:`~angleset.configurations.construct_configuration` calls, through
+    :func:`~angleset.admissible._gram_verdict`, for a Gram matrix that the
+    Cholesky certificate leaves open, and holds the k-th
     eigenvector in column k; within a degenerate eigenspace the basis
     is whatever LAPACK produces, so tests of the eigenvectors themselves
     should only rely on subspace-level statements. (The lines of
@@ -247,7 +250,9 @@ def _certified_definite(shifted: np.ndarray) -> bool:
     """The Cholesky certificate: whether a factorisation of ``shifted``,
     a unit-diagonal M less s I with s from :func:`_cholesky_shift`, runs to
     completion, which proves every eigenvalue of M above that shift's
-    floor. A failed one proves nothing."""
+    floor. A failed one proves nothing. On M plus 2 s I it only picks the
+    solver of a singular construct (see
+    :func:`~angleset.admissible._gram_verdict`)."""
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -301,14 +301,16 @@ class TestAdjacencySpectrumReuse:
 
     @pytest.mark.parametrize("weights", ["constant", "per-edge"])
     def test_singular_construct_computes_eigenvectors_once(self, name_calls, weights):
-        """A5 at its endpoint 1/3 has a singular Gram matrix: ``eigenvalues``
-        gives the verdict, as for a per-edge ``existence``, one dimension
-        drops, and only the eigenvectors can factor it."""
+        """A5 at its endpoint 1/3 has a singular Gram matrix: one dimension
+        drops, and only the eigenvectors can factor it. The one ``eigenpairs``
+        call gives the verdict too, the one a per-edge ``existence`` gives,
+        since no eigenvalue lies near a cut."""
         g = named("A", 5)
         tau = 1 / 3 if weights == "constant" else dict.fromkeys(g.edges, 1 / 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == 4
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 1)
+        assert existence(g, dict.fromkeys(g.edges, 1 / 3)).rank == 4
 
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
@@ -921,3 +923,43 @@ def test_per_edge_existence_decides_construct_on_graphs_with_cycles(g, data):
     spread = data.draw(st.sampled_from([0.0, 0.01, 0.1]))
     scale = st.floats(min_value=1.0 - spread, max_value=1.0 + spread)
     _construct_agrees(g, {e: min(1.0, end * data.draw(scale)) for e in sorted(g.edges)})
+
+
+# Relative offsets from the PSD endpoint: on it, at rounding distance, where
+# the least Gram eigenvalue is about +-PSD_TOL, and well past it either way.
+NEAR_ENDPOINT = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, 2e-9, -2e-9, 4e-9, 1e-6, -1e-6]) \
+    | st.floats(min_value=-0.01, max_value=0.01)
+
+
+@given(connected_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_construct_takes_the_per_edge_verdict_from_at_most_one_eigh(g, data):
+    """At or just around the PSD endpoint, with one tau or tau drawn per
+    edge, ``construct`` lives in the ``rank`` dimensions of a per-edge
+    ``existence``, or both refuse it with the least eigenvalue of that
+    verdict, and ``construct`` computes eigenvectors at most once. Its lines
+    are those of the eigvalsh-first construction, bit for bit."""
+    end = _psd_endpoint(g)
+    if data.draw(st.booleans(), label="per edge"):
+        tau = {e: min(1.0, end * (1.0 - data.draw(NEAR_ENDPOINT))) for e in sorted(g.edges)}
+        per_edge = tau
+    else:
+        tau = min(1.0, end * (1.0 - data.draw(NEAR_ENDPOINT)))
+        per_edge = dict.fromkeys(g.edges, tau)
+    verdict = existence(g, per_edge)
+    solved = []
+    real = angleset.admissible.eigenpairs
+    with pytest.MonkeyPatch.context() as patch:
+        # admissible._gram_verdict is construct's one caller of eigenpairs
+        patch.setattr(angleset.admissible, "eigenpairs", lambda m: solved.append(m) or real(m))
+        try:
+            config = construct_configuration(g, tau)
+        except ValueError as exc:
+            assert not verdict.exists
+            assert str(exc) == ("no configuration exists: Gram matrix has negative "
+                                f"eigenvalue {verdict.min_eigenvalue:.6e}")
+        else:
+            assert verdict.exists and config.ambient_dim == verdict.rank
+            assert verify_configuration(config, g, tau).passed
+    assert len(solved) <= 1
+    _matches_the_reference(g, tau)

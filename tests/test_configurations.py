@@ -148,14 +148,17 @@ def path_at_least_eigenvalue(n, target):
 class TestCholeskyCertificate:
     """``construct`` first factors A - s I by Cholesky, with s from
     ``spectra._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
-    and of Cholesky. Success proves rank n and costs no eigensolve; failure
-    leads to one ``eigenvalues`` call for the verdict, and to one
-    ``eigenpairs`` call only when the verdict's rank is below n."""
+    and of Cholesky. Success proves rank n and costs no eigensolve. On
+    failure a Cholesky factorisation of A + 2 s I picks the solve: if it
+    fails too, one ``eigenvalues`` call gives the verdict and no
+    eigenvectors are computed; otherwise one ``eigenpairs`` call gives the
+    verdict and the spectrum, and ``eigenvalues`` runs as well only when an
+    eigenvalue lies within twice the solvers' error bound of a cut."""
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_verdict_on_either_side_of_the_shift(self, name_calls, side):
         """Just above s the certificate holds; just below it, between
-        PSD_TOL and s, it fails, ``eigenvalues`` gives the verdict and
+        PSD_TOL and s, it fails, ``eigenpairs`` gives the verdict and
         Cholesky factors the definite matrix. Either way ``construct`` keeps
         the dimension eigvalsh's rank gives."""
         g, tau = path_at_least_eigenvalue(96, 1e-9)
@@ -168,7 +171,7 @@ class TestCholeskyCertificate:
         assert (lam[0] > shift) == (side == "above") and lam[0] > PSD_TOL
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == int((lam > PSD_TOL).sum()) == 96
-        expected = (0, 0) if side == "above" else (1, 0)
+        expected = (0, 0) if side == "above" else (0, 1)
         assert (calls["eigenvalues"], calls["eigenpairs"]) == expected
 
     def test_near_cut_takes_the_verdict_from_eigenvalues(self, name_calls):
@@ -279,7 +282,7 @@ class TestCanonicalFrame:
         assert np.max(np.abs(rotated_eigenpairs(a).eigenvectors - eigenpairs(a).eigenvectors)) > 1e-3
         before = construct_configuration(g, 0.25).vectors
         assert before.shape == (g.n, g.n - 1)
-        monkeypatch.setattr(angleset.configurations, "eigenpairs", rotated_eigenpairs)
+        monkeypatch.setattr(angleset.admissible, "eigenpairs", rotated_eigenpairs)
         # ... and the lines do not move.
         after = construct_configuration(g, 0.25).vectors
         assert np.max(np.abs(after - before)) <= 1e-12

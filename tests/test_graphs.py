@@ -203,6 +203,24 @@ class TestOneEdgeGate:
         assert g.edges == {(1, 2)} and type(g.edges) is frozenset and g.edges is not edges
         assert all(type(v) is int for e in g.edges for v in e)
 
+    @pytest.mark.parametrize(
+        "edges,message",
+        [
+            ([1, 2], "edge 1 is not a pair of vertex labels"),
+            ([(1, 2, 3)], "edge (1, 2, 3) is not a pair of vertex labels"),
+            ([(1,)], "edge (1,) is not a pair of vertex labels"),
+            ([(1, 2), None, (2, 3, 1)], "edge None is not a pair of vertex labels"),
+            (None, "edges must be an iterable of vertex pairs, got None"),
+            (3, "edges must be an iterable of vertex pairs, got 3"),
+        ],
+        ids=["bare-labels", "triple", "single", "first-bad-item", "none", "int"],
+    )
+    def test_a_malformed_pair_is_refused(self, edges, message):
+        for build in (lambda: Graph(3, edges), lambda: Graph.from_edges(edges)):
+            with pytest.raises(GraphError) as info:
+                build()
+            assert str(info.value) == message
+
     @given(pair_lists())
     @settings(max_examples=300, deadline=None)
     def test_every_graph_source_applies_the_same_gate(self, case):
