@@ -12,7 +12,7 @@ is (0, 1/r^2] where r is the graph index; cycles get their own closed form.
 tau those are 1 + sqrt(tau) spec(A), from the graph's memoised adjacency
 spectrum (:func:`graph_spectrum`), and per edge those of
 :func:`~angleset.spectra.eigenvalues` on the Gram matrix. A definite matrix
-is decided with no solve by the Cholesky certificate of :mod:`.spectra`,
+is decided with no solve by the Cholesky certificate of :func:`_cholesky`,
 which states why its verdict is the one that eigen route gives.
 """
 
@@ -29,9 +29,8 @@ import numpy as np
 from .classify import GraphClass, IndexKind, classify_index, classify_structure
 from .graphs import Graph, edge_key, is_tree
 from .spectra import (
+    _EPS,
     Spectrum,
-    _certified_definite,
-    _cholesky_shift,
     _jacobi_bound,
     _memoised_spectrum,
     eigenpairs,
@@ -143,34 +142,77 @@ def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     return _gram_from_arrays(g.n, *TauWeighting.of(tau).edge_arrays(g))
 
 
-def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
-                      shift: float = 0.0) -> np.ndarray:
+def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The n x n Gram matrix of the aligned edge arrays of
-    :meth:`TauWeighting.edge_arrays`, less ``shift`` times the identity."""
+    :meth:`TauWeighting.edge_arrays`."""
     a = np.zeros((n, n))
-    a.flat[::n + 1] = 1.0 - shift
+    a.ravel()[::n + 1] = 1.0
     a[i, j] = a[j, i] = np.sqrt(t)
     return a
 
 
+def _cholesky_shift(n: int, fro: float, floor: float) -> float:
+    """Shift s such that a Cholesky factorisation of ``M - s I`` that runs to
+    completion proves every eigenvalue of a symmetric n x n matrix M with
+    unit diagonal and Frobenius norm ``fro`` above ``floor`` by more than
+    LAPACK's error bound (:func:`~angleset.spectra._lapack_bound`).
+
+    s is ``floor + n * eps * fro`` plus twice Cholesky's backward-error
+    bound. A Cholesky factor R that LAPACK completes for S = M - s I is
+    exact for some S + dS with |dS| <= gamma_{n+1} |R^T| |R| entrywise,
+    gamma_k = k eps / (1 - k eps) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 10). So S + dS is PSD and no eigenvalue of S
+    lies below -||dS||_2 >= -gamma_{n+1} ||R||_F^2. The squared column norms
+    of R are the diagonal of S + dS, so ||R||_F^2 is at most trace(M) = n up
+    to a factor 1 / (1 - gamma_{n+1}). Twice gamma_{n+1} n covers that
+    factor and the blocking of LAPACK's factorisation.
+    """
+    k = n + 1
+    gamma = k * _EPS / (1.0 - k * _EPS)
+    return floor + n * _EPS * fro + 2.0 * gamma * n
+
+
+def _cholesky(a: np.ndarray, diagonal: float) -> np.ndarray | None:
+    """The Cholesky factor of the unit-diagonal Gram matrix ``a`` with its
+    diagonal set to ``diagonal``, or ``None`` if it breaks down; ``a`` gets
+    its unit diagonal back either way, so it is never copied.
+
+    This is the package's one Cholesky argument. Let s be the shift of
+    :func:`_cholesky_shift` at a floor that covers the error of the eigen
+    route a verdict stands in for: ``PSD_TOL`` where
+    :func:`~angleset.spectra.eigenvalues` solves the Gram matrix, plus
+    sqrt(tau) times :func:`~angleset.spectra._jacobi_bound` where a
+    constant tau reads 1 + sqrt(tau) spec(A) off Jacobi (the shift's
+    n * eps * ||a||_F term covers the rounding of that sum). Then:
+
+    - Completion at ``1 - s`` puts every eigenvalue of ``a`` above the
+      floor by more than LAPACK's error bound, so the verdict is rank n.
+      They then exceed n gamma_{n+1} / (1 - gamma_{n+1}), so by Demmel's
+      bound (Higham, thm. 10.7) the factorisation at ``1`` completes.
+    - Failure at ``1 + 2 s`` puts an eigenvalue of ``a`` below -s: by the
+      same bound, (a + 2 s I) / (1 + 2 s) then has an eigenvalue at most
+      n gamma_{n+1} / (1 - gamma_{n+1}), which is below s / (1 + 2 s).
+
+    Failure at ``1 - s`` and completion at ``1 + 2 s`` prove nothing.
+    """
+    diag = a.ravel()[::a.shape[0] + 1]  # a view: an assembled matrix is C-contiguous
+    diag[:] = diagonal
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        diag[:] = 1.0
+
+
 def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
                     floor: float) -> tuple[bool, np.ndarray, float]:
-    """Whether the Cholesky certificate of
-    :func:`~angleset.spectra._certified_definite` proves every eigenvalue
-    of the Gram matrix of the aligned edge arrays above ``floor`` by more
-    than LAPACK's error bound, that Gram matrix, and the certificate's
-    shift.
-
-    The matrix is assembled already shifted and its unit diagonal restored
-    after the factorisation, so it is built once and never copied. Its
-    Frobenius norm is sqrt(n + 2 sum(t)), up to rounding.
-    """
-    fro = math.sqrt(n + 2.0 * float(t.sum()))
-    shift = _cholesky_shift(n, fro, floor)
-    a = _gram_from_arrays(n, i, j, t, shift)
-    certified = _certified_definite(a)
-    a.flat[::n + 1] = 1.0
-    return certified, a, shift
+    """Whether :func:`_cholesky` certifies the Gram matrix of the aligned
+    edge arrays at ``floor``, that matrix, and the certificate's shift. Its
+    Frobenius norm is sqrt(n + 2 sum(t)), up to rounding."""
+    shift = _cholesky_shift(n, math.sqrt(n + 2.0 * float(t.sum())), floor)
+    a = _gram_from_arrays(n, i, j, t)
+    return _cholesky(a, 1.0 - shift) is not None, a, shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,11 +260,10 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     ``construct`` factors by. A constant tau on a graph whose adjacency
     spectrum is memoised, as ``sigma``, ``trichotomy`` and ``classify``
     leave it, reads the verdict off 1 + sqrt(tau) spec(A). Any other
-    constant tau first tries the Cholesky certificate
-    (:func:`~angleset.spectra._certified_definite`) at a floor that covers
-    Jacobi's error too, and solves the adjacency spectrum if it fails. A
-    certified verdict is rank n and solves nothing until ``min_eigenvalue``
-    is read, and then only its Gram matrix, by
+    constant tau first tries the certificate of :func:`_cholesky` at a
+    floor that covers Jacobi's error too, and solves the adjacency spectrum
+    if it fails. A certified verdict is rank n and solves nothing until
+    ``min_eigenvalue`` is read, and then only its Gram matrix, by
     :func:`~angleset.spectra.eigenvalues`, so it pins no n x n matrix and
     leaves the adjacency spectrum unsolved.
     """
@@ -246,18 +287,16 @@ def _gram_verdict(g: Graph, w: TauWeighting, eigenvectors: bool = False
     and, if ``eigenvectors`` is set, its :func:`~angleset.spectra.eigenpairs`
     whenever the verdict needs a solve and finds a configuration.
 
-    The Cholesky certificate at floor ``PSD_TOL`` decides a definite matrix
-    with no solve, and then no spectrum comes back: the certificate leaves
-    every eigenvalue of A above n gamma_{n+1} / (1 - gamma_{n+1}), which by
-    Demmel's bound (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, thm. 10.7) is enough for Cholesky to factor A itself. If
-    the certificate fails, ``eigenvalues`` decides, unless ``eigenvectors``
-    is set. Then a Cholesky factorisation of A + 2 s I, with s the
-    certificate's shift, picks the one solve that runs:
+    The certificate of :func:`_cholesky` at floor ``PSD_TOL`` decides a
+    definite matrix with no solve, and then no spectrum comes back: the
+    lines are A's own Cholesky factor. If the certificate fails,
+    ``eigenvalues`` decides, unless ``eigenvectors`` is set. Then
+    :func:`_cholesky` at diagonal 1 + 2 s, with s the certificate's shift,
+    picks the one solve that runs:
 
-    - If it fails, the same bound puts an eigenvalue of A below -s, so no
-      configuration is near, and ``eigenvalues`` decides; only if one
-      exists after all does ``eigenpairs`` run too.
+    - If it fails, A has an eigenvalue below -s, so no configuration is
+      near, and ``eigenvalues`` decides; only if one exists after all does
+      ``eigenpairs`` run too.
     - Otherwise one ``eigenpairs`` call gives the spectrum and the verdict.
       eigh's eigenvalues and eigvalsh's both lie within the a-priori bound
       ``residual_bound`` of the exact ones, so they fall on the same side of
@@ -272,18 +311,14 @@ def _gram_verdict(g: Graph, w: TauWeighting, eigenvectors: bool = False
     certified, a, shift = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
     if certified:
         return _verdict_solved_on_read(g, w, True, g.n), a, None
-    if eigenvectors:
-        a.flat[::g.n + 1] = 1.0 + 2.0 * shift
-        near_psd = _certified_definite(a)
-        a.flat[::g.n + 1] = 1.0
-        if near_psd:
-            pairs = eigenpairs(a)
-            evals = pairs.eigenvalues
-            if np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound):
-                return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
-            verdict = _verdict_solved_on_read(
-                g, w, bool(evals[-1] >= -PSD_TOL), int(np.count_nonzero(evals > PSD_TOL)))
-            return verdict, a, pairs
+    if eigenvectors and _cholesky(a, 1.0 + 2.0 * shift) is not None:
+        pairs = eigenpairs(a)
+        evals = pairs.eigenvalues
+        if np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound):
+            return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
+        verdict = _verdict_solved_on_read(
+            g, w, bool(evals[-1] >= -PSD_TOL), int(np.count_nonzero(evals > PSD_TOL)))
+        return verdict, a, pairs
     verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
     return verdict, a, eigenpairs(a) if eigenvectors and verdict.exists else None
 

@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .admissible import PSD_TOL, TauLike, TauWeighting, _gram_verdict
+from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict
 from .graphs import Graph, check_vertex_count
 from .spectra import Spectrum
 
@@ -87,7 +87,8 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
-    vectors are the Cholesky factor of A. A singular Gram matrix (the
+    vectors are the Cholesky factor of A (see
+    :func:`~angleset.admissible._cholesky`). A singular Gram matrix (the
     endpoint cases), or a definite one that Cholesky rejects in rounding, is
     factored through its eigenpairs and one QR factorisation. Entries
     within n * eps of zero (machine epsilon, the rounding level of a unit
@@ -136,14 +137,14 @@ def _canonical_factor(a: np.ndarray, rank: int, spectrum: Spectrum | None
     the Gram matrix nor the rank, and R^T does not depend on the basis
     LAPACK picks inside a repeated eigenvalue. ``spectrum`` is ``None``
     only for a matrix the certificate proved definite, which Cholesky
-    factors.
+    factors (see :func:`~angleset.admissible._cholesky`).
     """
     if rank == a.shape[0]:
-        try:
-            return np.linalg.cholesky(a), 0.0
-        except np.linalg.LinAlgError:  # definite at PSD_TOL, not to Cholesky's rounding
-            if spectrum is None:
-                raise
+        factor = _cholesky(a, 1.0)
+        if factor is not None:
+            return factor, 0.0
+        if spectrum is None:  # the certificate rules this out
+            raise np.linalg.LinAlgError("certified Gram matrix has no Cholesky factor")
     evals = spectrum.eigenvalues
     factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
     r = np.linalg.qr(factor.T, mode="r")
@@ -158,7 +159,7 @@ class VerificationReport:
     ``idempotency`` covers P_i^2 = P_i for each vertex; ``braid`` covers
     P_i P_j P_i = tau_ij P_i over both orderings of every edge;
     ``orthogonality`` covers P_i P_j = 0 over non-adjacent pairs; and ``gram``
-    is the deviation of the vectors' Gram matrix from the target. The
+    is the deviation of |V V^T|, entrywise, from the target Gram matrix. The
     report passes when the worst of them is at most ``VERIFY_TOL``.
     """
 
@@ -204,11 +205,12 @@ def verify_configuration(
     ``VERIFY_TOL``. A configuration from :func:`construct_configuration`
     brings G along, read-only.
 
-    Every residual is read from one matrix R, a copy of G less 1 on its
-    diagonal and less sqrt(tau_ij) on its edges, and from G's diagonal and
-    edge entries: ``gram`` is ||R||, the diagonal of R is g_ii - 1, and R
-    scaled by sqrt(g_ii g_jj) in place, its diagonal and edges then zeroed,
-    holds the orthogonality residuals. No target matrix is built.
+    Every residual is read from one matrix R, the entrywise |G| less 1 on
+    its diagonal and less sqrt(tau_ij) on its edges, and from G's diagonal
+    and edge entries: ``gram`` is ||R||, the diagonal of R is g_ii - 1, and
+    R scaled by sqrt(g_ii g_jj) in place, its diagonal and edges then
+    zeroed, holds the orthogonality residuals. No target matrix is built.
+    Lines, not signed vectors, are judged: negating v_i changes no residual.
 
     An entry as large as 1e160 is finite but overflows these products; any
     overflow, or a NaN, raises ``ValueError`` ("cannot verify: ...").
@@ -225,17 +227,16 @@ def verify_configuration(
                 gram = config.vectors @ config.vectors.T
             sq = gram.diagonal()
             on_edges = gram[i, j]
-            res = gram.copy()
-            diag = res.ravel()[::g.n + 1]  # a view: the copy is C-contiguous
+            res = np.abs(gram, order="C")
+            diag = res.ravel()[::g.n + 1]  # a view: res is C-contiguous
             diag -= 1.0
             root = np.sqrt(t)
-            res[i, j] = on_edges - root
+            res[i, j] -= root
             res[j, i] -= root
             gram_dev = np.linalg.norm(res)
             idem = (np.abs(diag) * sq).max()
             braid = (np.abs(on_edges ** 2 - t) * np.maximum(sq[i], sq[j])).max(initial=0.0)
             scale = sq[:, None] * sq
-            np.abs(res, out=res)
             res *= np.sqrt(scale, out=scale)
             diag[:] = 0.0
             res[i, j] = res[j, i] = 0.0

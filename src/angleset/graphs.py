@@ -413,10 +413,15 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     """Decode a Pruefer sequence into its labeled tree on ``1..n``.
 
     The decoding is the standard bijection: sequences of length ``n - 2`` over
-    ``1..n`` correspond one-to-one to labeled trees.
+    ``1..n`` correspond one-to-one to labeled trees. ``n`` and the entries
+    must be integers, as for :class:`Graph`, or :class:`GraphError` is raised.
     """
+    if type(n) is not int:
+        n = _integer(n, f"vertex count must be an integer, got {n!r}")
     if n < 2:
         raise GraphError("Pruefer decoding needs n >= 2")
+    seq = [v if type(v) is int else _integer(v, f"Pruefer entry must be an integer, got {v!r}")
+           for v in seq]
     if len(seq) != n - 2:
         raise GraphError(f"Pruefer sequence for n={n} must have length {n - 2}")
     degree = [1] * (n + 1)

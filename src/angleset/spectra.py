@@ -1,5 +1,4 @@
-"""Dense symmetric eigensolvers, the Cholesky certificate that spares them,
-and graph-spectrum quantities.
+"""Dense symmetric eigensolvers and graph-spectrum quantities.
 
 Three routes, one job each. Adjacency spectra come from
 :func:`eigen_symmetric`, a cyclic Jacobi rotation scheme: rotations sweep the
@@ -9,23 +8,16 @@ unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
 (``bench/README.md``). A per-edge Gram matrix, and the Gram matrix of any
-verdict the certificate below decides, constant tau included, is solved by
-:func:`eigenvalues` (LAPACK, no eigenvectors). A singular one that
+verdict the Cholesky certificate decides, constant tau included, is solved
+by :func:`eigenvalues` (LAPACK, no eigenvectors). A singular one that
 :func:`~angleset.configurations.construct_configuration` must factor is
 solved once, by :func:`eigenpairs`, whose eigenvalues give the verdict
 too, unless one lies within twice the a-priori error bound of a cut; then
 :func:`eigenvalues` runs as well and decides.
 
-One certificate, :func:`_certified_definite`, decides a definite Gram
-matrix for :func:`~angleset.admissible.existence` and ``construct`` alike
-with no solve: a Cholesky factorisation of the matrix less the shift of
-:func:`_cholesky_shift` that runs to completion proves every eigenvalue
-above a floor by more than LAPACK's error bound. The floor covers the error
-of the route it stands in for: ``PSD_TOL`` where LAPACK solves the Gram
-matrix, and ``PSD_TOL`` plus sqrt(tau) times :func:`_jacobi_bound` where a
-constant tau reads 1 + sqrt(tau) spec(A) off Jacobi; the shift's own
-n * eps * ||M||_F term covers the rounding of that sum. A failed
-certificate proves nothing, and the route decides.
+The Cholesky certificate that spares these solves is
+:func:`~angleset.admissible._cholesky`; this module's a-priori bounds,
+:func:`_lapack_bound` and :func:`_jacobi_bound`, set its floor and shift.
 
 A graph's adjacency spectrum is solved once per :class:`Graph` instance and
 kept on it, so the index, the least eigenvalue and every constant-tau Gram
@@ -222,42 +214,6 @@ def _jacobi_bound(n: int, fro: float) -> float:
     2000 vertices of ``graphs.MAX_VERTICES``.
     """
     return (DEFAULT_TOL + 6.0 * MAX_SWEEPS * n * (n - 1) * _EPS) * fro
-
-
-def _cholesky_shift(n: int, fro: float, floor: float) -> float:
-    """Shift s such that a Cholesky factorisation of ``M - s I`` that runs to
-    completion proves every eigenvalue of a symmetric n x n matrix M with
-    unit diagonal and Frobenius norm ``fro`` exceeds ``floor`` by more than
-    :func:`_lapack_bound`, so that every eigenvalue :func:`eigenvalues`
-    would compute for M lies above ``floor``.
-
-    s is ``floor + n * eps * fro`` plus twice Cholesky's backward-error
-    bound. A Cholesky factor R that LAPACK completes for S = M - s I is
-    exact for some S + dS with |dS| <= gamma_{n+1} |R^T| |R| entrywise,
-    gamma_k = k eps / (1 - k eps) (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 10). So S + dS is PSD and no eigenvalue of S
-    lies below -||dS||_2 >= -gamma_{n+1} ||R||_F^2. The squared column norms
-    of R are the diagonal of S + dS, so ||R||_F^2 is at most trace(M) = n up
-    to a factor 1 / (1 - gamma_{n+1}). Twice gamma_{n+1} n covers that
-    factor and the blocking of LAPACK's factorisation.
-    """
-    k = n + 1
-    gamma = k * _EPS / (1.0 - k * _EPS)
-    return floor + n * _EPS * fro + 2.0 * gamma * n
-
-
-def _certified_definite(shifted: np.ndarray) -> bool:
-    """The Cholesky certificate: whether a factorisation of ``shifted``,
-    a unit-diagonal M less s I with s from :func:`_cholesky_shift`, runs to
-    completion, which proves every eigenvalue of M above that shift's
-    floor. A failed one proves nothing. On M plus 2 s I it only picks the
-    solver of a singular construct (see
-    :func:`~angleset.admissible._gram_verdict`)."""
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def eigenvalues(m) -> Spectrum:

@@ -14,6 +14,7 @@ from angleset import (
     NamedFamily,
     QuarterPosition,
     SigmaInterval,
+    SubspaceConfiguration,
     TauWeighting,
     adjacency_matrix,
     classify_index,
@@ -770,6 +771,21 @@ class TestSigmaFormulas:
         assert not existence(g, end).exists
         assert existence(g, 0.25).exists
 
+    def test_signed_cycle_lines_verify_past_the_cycle_psd_threshold(self):
+        """At tau = 0.3, past C6's own threshold 1/4 but inside its interval,
+        the Gram matrix with one edge negated is definite (least eigenvalue
+        1 - sqrt(0.9) = 0.0513), and its Cholesky rows are lines at the
+        prescribed angles on C6, which verify: lines, not signed vectors,
+        are judged."""
+        g = named("cycle", 6)
+        assert not existence(g, 0.3).exists
+        signed = gram_matrix(g, 0.3)
+        signed[0, 5] = signed[5, 0] = -math.sqrt(0.3)
+        assert np.linalg.eigvalsh(signed)[0] == pytest.approx(1 - math.sqrt(0.9), abs=1e-12)
+        lines = SubspaceConfiguration(np.linalg.cholesky(signed))
+        report = verify_configuration(lines, g, 0.3)
+        assert report.passed and report.max_residual <= 1e-14, report.as_dict()
+
 
 def test_every_corpus_tree_lies_between_the_star_and_the_path(boundary_trees):
     """Over the trees on n >= 2 vertices the endpoint 1/r^2 is least for the
@@ -961,5 +977,7 @@ def test_construct_takes_the_per_edge_verdict_from_at_most_one_eigh(g, data):
         else:
             assert verdict.exists and config.ambient_dim == verdict.rank
             assert verify_configuration(config, g, tau).passed
+            if config.ambient_dim < g.n:  # lines through eigenvectors: the patch was hit
+                assert len(solved) == 1
     assert len(solved) <= 1
     _matches_the_reference(g, tau)

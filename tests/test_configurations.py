@@ -27,9 +27,10 @@ from angleset import (
 )
 import angleset.admissible
 import angleset.configurations
+from angleset.admissible import _cholesky_shift
 from angleset.configurations import VERIFY_TOL, VerificationReport
 from angleset.graphs import MAX_VERTICES, GraphError
-from angleset.spectra import Spectrum, _cholesky_shift
+from angleset.spectra import Spectrum
 from corpus import CORPUS_SEED, pruefer_from_index, random_connected_graphs
 
 
@@ -147,7 +148,7 @@ def path_at_least_eigenvalue(n, target):
 
 class TestCholeskyCertificate:
     """``construct`` first factors A - s I by Cholesky, with s from
-    ``spectra._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
+    ``admissible._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
     and of Cholesky. Success proves rank n and costs no eigensolve. On
     failure a Cholesky factorisation of A + 2 s I picks the solve: if it
     fails too, one ``eigenvalues`` call gives the verdict and no
@@ -282,9 +283,12 @@ class TestCanonicalFrame:
         assert np.max(np.abs(rotated_eigenpairs(a).eigenvectors - eigenpairs(a).eigenvectors)) > 1e-3
         before = construct_configuration(g, 0.25).vectors
         assert before.shape == (g.n, g.n - 1)
-        monkeypatch.setattr(angleset.admissible, "eigenpairs", rotated_eigenpairs)
+        solved = []
+        monkeypatch.setattr(angleset.admissible, "eigenpairs",
+                            lambda m: solved.append(m) or rotated_eigenpairs(m))
         # ... and the lines do not move.
         after = construct_configuration(g, 0.25).vectors
+        assert len(solved) == 1  # the turned basis really reached construct
         assert np.max(np.abs(after - before)) <= 1e-12
 
     @pytest.mark.parametrize("spec,tau", FRAME_CASES)
@@ -634,7 +638,9 @@ def test_construct_then_verify_on_random_feasible_trees(n, data, scale):
 
 def pairwise_residuals(vectors, g, tau):
     """Reference for :func:`verify_configuration`: every relation recomputed
-    from the d x d projection matrices, one vertex pair at a time."""
+    from the d x d projection matrices, one vertex pair at a time, and the
+    Gram deviation of the lines, |v_i . v_j| against the target, so that
+    negating a vector changes nothing."""
     projs = [np.outer(row, row) for row in vectors]
     idem = max(float(np.linalg.norm(p @ p - p)) for p in projs)
     braid = 0.0
@@ -651,13 +657,14 @@ def pairwise_residuals(vectors, g, tau):
             pi, pj = projs[i - 1], projs[j - 1]
             orth = max(orth, float(np.linalg.norm(pi @ pj)))
             orth = max(orth, float(np.linalg.norm(pj @ pi)))
-    gram = float(np.linalg.norm(vectors @ vectors.T - gram_matrix(g, tau)))
+    gram = float(np.linalg.norm(np.abs(vectors @ vectors.T) - gram_matrix(g, tau)))
     return {"idempotency": idem, "braid": braid, "orthogonality": orth, "gram": gram}
 
 
 def oracle_cases(graphs):
-    """A constructed configuration per graph, then four tampered copies: one
-    row scaled, noise on every vector, tau lowered, and one edge pruned."""
+    """A constructed configuration per graph, the same lines with one vector
+    negated, then four tampered copies: one row scaled, noise on every
+    vector, tau lowered, and one edge pruned."""
     rng = np.random.default_rng(CORPUS_SEED)
     for k, g in enumerate(graphs):
         spec = graph_spectrum(g)
@@ -673,6 +680,9 @@ def oracle_cases(graphs):
             tau = {e: c * rng.uniform(0.5, 1.0) / r**2 for e in sorted(g.edges)}
         v = construct_configuration(g, tau).vectors
         yield "clean", v, g, tau
+        flipped = v.copy()
+        flipped[k % g.n] *= -1.0
+        yield "flipped row", flipped, g, tau
         scaled = v.copy()
         scaled[k % g.n] *= 1.01
         yield "scaled row", scaled, g, tau
@@ -697,8 +707,11 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
         for field, value in want.items():
             assert abs(getattr(report, field) - value) <= 1e-12, (kind, field, sorted(g.edges))
         assert report.passed == (max(want.values()) <= VERIFY_TOL)
-        assert report.passed == (kind == "clean"), (kind, report.as_dict())
+        assert report.passed == (kind in ("clean", "flipped row")), (kind, report.as_dict())
+        if kind == "flipped row":  # the same lines: negating a vector changes no bit
+            assert same_bits(report, clean), sorted(g.edges)
         if kind == "clean":
+            clean = report
             # The construction brings its own read-only V V^T, so a verify
             # that wrote into it would raise; its report must match bit for bit.
             built = construct_configuration(g, tau)
@@ -706,7 +719,7 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
             assert np.array_equal(built.vectors, v)
             assert same_bits(verify_configuration(built, g, tau), report), kind
         reports += 1
-    assert reports == 5 * len(random_connected_corpus)
+    assert reports == 6 * len(random_connected_corpus)
 
 
 def same_bits(a: VerificationReport, b: VerificationReport) -> bool:

@@ -507,6 +507,23 @@ class TestTreeEnumeration:
         with pytest.raises(GraphError, match="out of range"):
             tree_from_pruefer(4, (0, 2))
 
+    @pytest.mark.parametrize("n,seq,bad", [
+        (4, [2.0, 3.0], "2.0"),
+        (4, ["2", "3"], "'2'"),
+        (4, [2, True], "True"),
+        (4.0, [2, 3], "4.0"),
+        (True, [], "True"),
+    ])
+    def test_pruefer_refuses_non_integers(self, n, seq, bad):
+        """``n`` and every entry must be a Python or numpy integer, not
+        ``bool``, as for ``Graph(n, edges)``; the error names the value."""
+        with pytest.raises(GraphError, match=f"must be an integer, got {re.escape(bad)}$"):
+            tree_from_pruefer(n, seq)
+
+    def test_pruefer_takes_numpy_integers(self):
+        g = tree_from_pruefer(np.int64(4), np.array([2, 3], dtype=np.int32))
+        assert g == tree_from_pruefer(4, (2, 3)) and type(g.n) is int
+
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125), (6, 1296)])
     def test_cayley_counts(self, n, count):
         # Decoding is a bijection: every sequence gives a tree, and the
