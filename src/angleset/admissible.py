@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classify import GraphClass, IndexKind, classify_index, classify_structure
+from .classify import IndexKind, classify_structure
 from .graphs import Graph, edge_key, is_tree
 from .spectra import (
     _EPS,
@@ -258,14 +258,13 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
 
     A per-edge tau gets the verdict of :func:`_gram_verdict`, the one
     ``construct`` factors by. A constant tau on a graph whose adjacency
-    spectrum is memoised, as ``sigma``, ``trichotomy`` and ``classify``
-    leave it, reads the verdict off 1 + sqrt(tau) spec(A). Any other
-    constant tau first tries the certificate of :func:`_cholesky` at a
-    floor that covers Jacobi's error too, and solves the adjacency spectrum
-    if it fails. A certified verdict is rank n and solves nothing until
-    ``min_eigenvalue`` is read, and then only its Gram matrix, by
-    :func:`~angleset.spectra.eigenvalues`, so it pins no n x n matrix and
-    leaves the adjacency spectrum unsolved.
+    spectrum is memoised, as ``sigma`` and ``classify`` leave it, reads the
+    verdict off 1 + sqrt(tau) spec(A). Any other constant tau first tries
+    the certificate of :func:`_cholesky` at a floor that covers Jacobi's
+    error too, and solves the adjacency spectrum if it fails. A certified
+    verdict is rank n and solves nothing until ``min_eigenvalue`` is read,
+    and then only its Gram matrix, by :func:`~angleset.spectra.eigenvalues`,
+    so it pins no n x n matrix and leaves the adjacency spectrum unsolved.
     """
     w = TauWeighting.of(tau)
     c = w.constant
@@ -379,35 +378,22 @@ class QuarterPosition(enum.Enum):
     EQUAL = "EqualQuarter"
     BELOW = "BelowQuarter"
 
-
-_QUARTER = {
-    IndexKind.SUBCRITICAL: QuarterPosition.ABOVE,
-    IndexKind.CRITICAL: QuarterPosition.EQUAL,
-    IndexKind.SUPERCRITICAL: QuarterPosition.BELOW,
-}
+    @classmethod
+    def of(cls, kind: IndexKind) -> QuarterPosition:
+        """The position of a tree whose index class is ``kind``."""
+        return {IndexKind.SUBCRITICAL: cls.ABOVE, IndexKind.CRITICAL: cls.EQUAL,
+                IndexKind.SUPERCRITICAL: cls.BELOW}[kind]
 
 
 def trichotomy(g: Graph) -> QuarterPosition:
     """Where the endpoint 1/r^2 of a tree's admissible interval sits relative
     to 1/4: above, at or below as the index r is below, at or above 2.
 
-    Read off the structural index class: plain Dynkin shapes lie above, their
-    tilde extensions exactly at, and every other tree below 1/4. The numeric
-    index class cross-checks it.
+    Read off the exact shape alone, in O(n) with no eigensolve: by Smith's
+    classification plain Dynkin shapes lie above, their tilde extensions
+    exactly at, and every other tree below 1/4. The tests, not this call,
+    check that shape against the numeric index class.
     """
     if not is_tree(g):
         raise ValueError("trichotomy applies to trees only")
-    return _quarter_position(g, classify_structure(g))
-
-
-def _quarter_position(g: Graph, shapes: GraphClass) -> QuarterPosition:
-    """:func:`trichotomy` of a tree ``g`` whose structural class ``shapes`` is
-    already known, cross-checked against the numeric index class."""
-    kind = shapes.predicted_index_kind
-    numeric = classify_index(g)
-    if numeric.kind is not kind:
-        raise RuntimeError(
-            f"structural position {_QUARTER[kind].value} contradicts index "
-            f"{numeric.index!r} ({numeric.kind.value})"
-        )
-    return _QUARTER[kind]
+    return QuarterPosition.of(classify_structure(g).predicted_index_kind)

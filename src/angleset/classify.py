@@ -4,8 +4,9 @@ Two independent routes are provided. :func:`classify_structure` recognizes,
 per connected component, the exact shapes whose index is at most 2: paths,
 single-branch trees with the right leg profile, double-fork trees, stars and
 cycles. :func:`classify_index` simply compares the computed index against 2.
-The structural route is exact combinatorics and serves as ground truth; the
-numeric route cross-checks it.
+The structural route is exact combinatorics (Smith's classification) and
+serves as ground truth, which ``trichotomy`` reads alone; the tests, not the
+runtime, check the numeric route against it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import _quarter_position, existence, sigma_cycle, sigma_tree
+from .admissible import QuarterPosition, existence, sigma_cycle, sigma_tree
 from .classify import classify_index, classify_structure
 from .configurations import (
     configuration_document,
@@ -130,7 +130,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
         "interval": f"(0, {_fmt(interval.upper)}]",
     }
     if tree:
-        payload["trichotomy"] = _quarter_position(g, shapes).value
+        payload["trichotomy"] = QuarterPosition.of(shapes.predicted_index_kind).value
     if shape.closed_form is not None:
         payload["closed_form"] = shape.closed_form
     _emit(args, payload, ("sigma_upper", "closed_form", "interval", "trichotomy"))

@@ -22,6 +22,7 @@ the basis LAPACK picks inside a repeated eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -241,9 +242,14 @@ def verify_configuration(
             diag[:] = 0.0
             res[i, j] = res[j, i] = 0.0
             orth = res.max(initial=0.0)
-            return VerificationReport(float(idem), float(braid), float(orth), float(gram_dev))
+            residuals = (float(idem), float(braid), float(orth), float(gram_dev))
     except FloatingPointError as exc:  # finite entries whose products overflow
         raise ValueError(f"cannot verify: {exc}") from None
+    # A NaN raises no floating-point error, but it always reaches its g_ii
+    # and so the idempotency residual.
+    if not all(map(math.isfinite, residuals)):
+        raise ValueError("cannot verify: a residual is not finite")
+    return VerificationReport(*residuals)
 
 
 def _tau_to_json(w: TauWeighting):

@@ -1,11 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import angleset.admissible
-import angleset.classify
 import angleset.graphs
 from angleset import (
     PSD_TOL,
@@ -852,14 +852,24 @@ class TestTrichotomy:
             with pytest.raises(ValueError, match="trichotomy applies to trees only"):
                 trichotomy(g)
 
-    @pytest.mark.parametrize(
-        "family,size,index",
-        [("E8", None, 2.0), ("E8", None, 2.5), ("D~", 5, 1.9), ("D~", 5, 2.1)],
-    )
-    def test_an_index_contradicting_the_shape_raises(self, monkeypatch, family, size, index):
-        monkeypatch.setattr(angleset.classify, "graph_index", lambda g: index)
-        with pytest.raises(RuntimeError, match="contradicts"):
-            trichotomy(named(family, size))
+    def test_a_fresh_graph_solves_nothing(self, eig_calls, name_calls):
+        """The position is read off the exact shape, so no eigensolver runs
+        and no adjacency spectrum is left memoised."""
+        solves = name_calls("eigenvalues", "eigenpairs")
+        rng = random.Random(40)
+        tree = tree_from_pruefer(40, [rng.randint(1, 40) for _ in range(38)])
+        cases = [
+            (named("A", 60), QuarterPosition.ABOVE),
+            (named("D~", 30), QuarterPosition.EQUAL),
+            (named("E8"), QuarterPosition.ABOVE),
+            (named("star", 5), QuarterPosition.BELOW),
+            (tree, QuarterPosition.BELOW),
+        ]
+        for g, expected in cases:
+            assert trichotomy(g) is expected
+            assert _memoised_spectrum(g) is None
+        assert eig_calls == [] and not solves
+        assert np.linalg.eigvalsh(adjacency_matrix(tree))[-1] > 2.0
 
     def test_enum_values_spell_the_position(self):
         assert QuarterPosition.ABOVE.value == "AboveQuarter"

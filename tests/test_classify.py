@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,13 @@ from angleset import (
     Graph,
     IndexKind,
     NamedFamily,
+    QuarterPosition,
     classify_index,
     classify_structure,
     generate_named,
     parse_named_spec,
+    sigma_tree,
+    trichotomy,
 )
 from corpus import (
     dynkin_family_graphs,
@@ -207,3 +211,52 @@ def test_structure_matches_index_on_random_trees(n, data):
     idx = data.draw(st.integers(min_value=0, max_value=n ** max(0, n - 2) - 1))
     g = tree_from_pruefer(n, pruefer_from_index(n, idx))
     assert classify_structure(g).predicted_index_kind is classify_index(g).kind
+
+
+@st.composite
+def larger_trees(draw):
+    """A labeled tree on 9 to 30 vertices from a drawn Pruefer sequence."""
+    n = draw(st.integers(min_value=9, max_value=30))
+    return tree_from_pruefer(n, draw(st.lists(st.integers(1, n), min_size=n - 2,
+                                              max_size=n - 2)))
+
+
+@st.composite
+def grown_shapes(draw):
+    """A D, D~, E or E~ shape with a path of 0 to 8 new vertices hung from one
+    of its leaves: the growth crosses from Dynkin to extended to neither."""
+    tag = draw(st.sampled_from(["D", "D~", "E6", "E7", "E8", "E~6", "E~7", "E~8"]))
+    size = draw(st.integers(4, 12)) if tag in ("D", "D~") else None
+    base = generate_named(NamedFamily(tag, size))
+    degree = Counter(v for e in base.edges for v in e)
+    at = draw(st.sampled_from(sorted(v for v in base.vertices if degree[v] == 1)))
+    grown = range(base.n + 1, base.n + 1 + draw(st.integers(0, 8)))
+    path = [at, *grown]
+    return Graph(base.n + len(grown), base.edges | frozenset(zip(path, path[1:])))
+
+
+def _quarter_of(upper):
+    """Where an interval endpoint sits against 1/4, at criterion 07's cut."""
+    if upper > 0.25 + 1e-9:
+        return QuarterPosition.ABOVE
+    if upper < 0.25 - 1e-9:
+        return QuarterPosition.BELOW
+    return QuarterPosition.EQUAL
+
+
+def _shape_matches_the_numeric_index(g):
+    """``trichotomy`` reads the shape alone; the numeric index checks it."""
+    assert classify_structure(g).predicted_index_kind is classify_index(g).kind
+    assert trichotomy(g) is _quarter_of(sigma_tree(g).upper)
+
+
+@given(larger_trees())
+@settings(max_examples=60, deadline=None)
+def test_shape_matches_the_numeric_index_on_larger_trees(g):
+    _shape_matches_the_numeric_index(g)
+
+
+@given(grown_shapes())
+@settings(max_examples=300, deadline=None)
+def test_shape_matches_the_numeric_index_on_grown_shapes(g):
+    _shape_matches_the_numeric_index(g)

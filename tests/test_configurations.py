@@ -416,6 +416,13 @@ class TestVerify:
         with pytest.raises(ValueError, match="^cannot verify: overflow encountered in "):
             verify_configuration(config, g, w)
 
+    def test_a_nan_entry_is_refused(self):
+        """A NaN raises no floating-point error, so it would otherwise come
+        back as four NaN residuals and a plain ``passed: false``."""
+        c = SubspaceConfiguration(np.array([[math.nan, 0, 0], [0.5, 0.8, 0], [0, 0.5, 0.8]]))
+        with pytest.raises(ValueError, match="^cannot verify: a residual is not finite$"):
+            verify_configuration(c, named("A", 3), 0.3)
+
     def test_custom_tolerance_feeds_passed(self):
         """``passed`` compares the worst residual against ``VERIFY_TOL``:
         stretching a correct configuration by 1 + 1e-6 moves its residuals
