@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import IndexKind, classify_structure
-from .graphs import Graph, edge_key, is_tree
+from .graphs import Graph, _integer, edge_key, is_tree
 from .spectra import (
     _EPS,
     Spectrum,
@@ -183,17 +183,12 @@ def _cholesky(a: np.ndarray, diagonal: float) -> np.ndarray | None:
     :func:`~angleset.spectra.eigenvalues` solves the Gram matrix, plus
     sqrt(tau) times :func:`~angleset.spectra._jacobi_bound` where a
     constant tau reads 1 + sqrt(tau) spec(A) off Jacobi (the shift's
-    n * eps * ||a||_F term covers the rounding of that sum). Then:
-
-    - Completion at ``1 - s`` puts every eigenvalue of ``a`` above the
-      floor by more than LAPACK's error bound, so the verdict is rank n.
-      They then exceed n gamma_{n+1} / (1 - gamma_{n+1}), so by Demmel's
-      bound (Higham, thm. 10.7) the factorisation at ``1`` completes.
-    - Failure at ``1 + 2 s`` puts an eigenvalue of ``a`` below -s: by the
-      same bound, (a + 2 s I) / (1 + 2 s) then has an eigenvalue at most
-      n gamma_{n+1} / (1 - gamma_{n+1}), which is below s / (1 + 2 s).
-
-    Failure at ``1 - s`` and completion at ``1 + 2 s`` prove nothing.
+    n * eps * ||a||_F term covers the rounding of that sum). Completion at
+    ``1 - s`` then puts every eigenvalue of ``a`` above the floor by more
+    than LAPACK's error bound, so the verdict is rank n. They then exceed
+    n gamma_{n+1} / (1 - gamma_{n+1}), so by Demmel's bound (Higham,
+    thm. 10.7) the factorisation at ``1`` completes too. Failure at
+    ``1 - s`` proves nothing, and the eigen route decides.
     """
     diag = a.ravel()[::a.shape[0] + 1]  # a view: an assembled matrix is C-contiguous
     diag[:] = diagonal
@@ -206,13 +201,13 @@ def _cholesky(a: np.ndarray, diagonal: float) -> np.ndarray | None:
 
 
 def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
-                    floor: float) -> tuple[bool, np.ndarray, float]:
+                    floor: float) -> tuple[bool, np.ndarray]:
     """Whether :func:`_cholesky` certifies the Gram matrix of the aligned
-    edge arrays at ``floor``, that matrix, and the certificate's shift. Its
-    Frobenius norm is sqrt(n + 2 sum(t)), up to rounding."""
+    edge arrays at ``floor``, and that matrix. Its Frobenius norm is
+    sqrt(n + 2 sum(t)), up to rounding."""
     shift = _cholesky_shift(n, math.sqrt(n + 2.0 * float(t.sum())), floor)
     a = _gram_from_arrays(n, i, j, t)
-    return _cholesky(a, 1.0 - shift) is not None, a, shift
+    return _cholesky(a, 1.0 - shift) is not None, a
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +270,7 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
         # A has 2m unit entries: ||A||_F = sqrt(2m)
         floor = PSD_TOL + math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
         if _certified_gram(g.n, i, j, t, floor)[0]:
-            return _verdict_solved_on_read(g, w, True, g.n)
+            return _certified_verdict(g, w)
     return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
 
 
@@ -284,50 +279,39 @@ def _gram_verdict(g: Graph, w: TauWeighting, eigenvectors: bool = False
     """The verdict at ``PSD_TOL`` that :func:`~angleset.spectra.eigenvalues`
     gives on the Gram matrix A of ``(g, w)``, that matrix, assembled once,
     and, if ``eigenvectors`` is set, its :func:`~angleset.spectra.eigenpairs`
-    whenever the verdict needs a solve and finds a configuration.
+    whenever the certificate fails.
 
     The certificate of :func:`_cholesky` at floor ``PSD_TOL`` decides a
     definite matrix with no solve, and then no spectrum comes back: the
-    lines are A's own Cholesky factor. If the certificate fails,
-    ``eigenvalues`` decides, unless ``eigenvectors`` is set. Then
-    :func:`_cholesky` at diagonal 1 + 2 s, with s the certificate's shift,
-    picks the one solve that runs:
-
-    - If it fails, A has an eigenvalue below -s, so no configuration is
-      near, and ``eigenvalues`` decides; only if one exists after all does
-      ``eigenpairs`` run too.
-    - Otherwise one ``eigenpairs`` call gives the spectrum and the verdict.
-      eigh's eigenvalues and eigvalsh's both lie within the a-priori bound
-      ``residual_bound`` of the exact ones, so they fall on the same side of
-      each cut, +-``PSD_TOL``, unless one of eigh's lies within twice that
-      bound of it. In that band ``eigenvalues`` also runs and decides.
-
-    That factorisation chooses a solver and never decides, so ``exists`` and
-    ``rank`` are always those of a per-edge :func:`existence`. A verdict
-    that eigh decides solves its ``min_eigenvalue`` by ``eigenvalues`` from
-    the matrix assembled again, on first read, like a certified one.
+    lines are A's own Cholesky factor. If it fails, ``eigenvalues`` decides,
+    unless ``eigenvectors`` is set. Then ``eigenpairs`` runs once, and
+    eigh's eigenvalues give the verdict when the least is at least
+    -``PSD_TOL`` and none lies within twice the a-priori bound
+    ``residual_bound`` of a cut, +-``PSD_TOL``: eigh's and eigvalsh's
+    eigenvalues both lie within that bound of the exact ones, so they fall
+    on the same side of each cut. Every other case, each refusal among
+    them, is decided by ``eigenvalues`` on the same matrix, so ``exists``
+    and ``rank`` are always those of a per-edge :func:`existence`, and a
+    refusal's ``min_eigenvalue`` is eigvalsh's. A verdict that eigh decides
+    holds eigh's least eigenvalue.
     """
-    certified, a, shift = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
+    certified, a = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
     if certified:
-        return _verdict_solved_on_read(g, w, True, g.n), a, None
-    if eigenvectors and _cholesky(a, 1.0 + 2.0 * shift) is not None:
-        pairs = eigenpairs(a)
+        return _certified_verdict(g, w), a, None
+    pairs = eigenpairs(a) if eigenvectors else None
+    if pairs is not None:
         evals = pairs.eigenvalues
-        if np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound):
-            return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
-        verdict = _verdict_solved_on_read(
-            g, w, bool(evals[-1] >= -PSD_TOL), int(np.count_nonzero(evals > PSD_TOL)))
-        return verdict, a, pairs
-    verdict = ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
-    return verdict, a, eigenpairs(a) if eigenvectors and verdict.exists else None
+        if (evals[-1] >= -PSD_TOL
+                and not np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound)):
+            return ExistenceVerdict.from_eigenvalues(evals), a, pairs
+    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
 
 
-def _verdict_solved_on_read(g: Graph, w: TauWeighting, exists: bool, rank: int
-                            ) -> ExistenceVerdict:
-    """A verdict whose least eigenvalue :func:`~angleset.spectra.eigenvalues`
-    solves on first read, from the Gram matrix assembled again, so that the
-    verdict pins no n x n matrix."""
-    return ExistenceVerdict(exists, rank, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
+def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:
+    """The rank-n verdict the certificate proves, whose least eigenvalue
+    :func:`~angleset.spectra.eigenvalues` solves on first read, from the
+    Gram matrix assembled again, so that the verdict pins no n x n matrix."""
+    return ExistenceVerdict(True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
 
 
 @dataclass(frozen=True)
@@ -352,13 +336,16 @@ def sigma_tree(g: Graph) -> SigmaInterval:
 
 
 def sigma_cycle(n: int) -> SigmaInterval:
-    """Admissible interval of the cycle on ``n >= 3`` vertices.
+    """Admissible interval of the cycle on ``n >= 3`` vertices; ``n`` must
+    be a Python or numpy integer, not ``bool``, or ``ValueError`` is raised.
 
     Equals the interval of the path on ``n - 1`` vertices: the endpoint is
     1/(4cos^2(pi/n)), strictly above 1/4. Note this is not the
     semidefiniteness threshold of the cycle's own Gram matrix, which caps at
     1/4; the two agree only on trees.
     """
+    if type(n) is not int:
+        n = _integer(n, f"cycle length must be an integer, got {n!r}")
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return SigmaInterval(_coxeter_endpoint(n))

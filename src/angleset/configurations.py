@@ -48,7 +48,9 @@ VERIFY_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class SubspaceConfiguration:
     """One vector per vertex: ``vectors`` has shape (n, ambient_dim), with
-    row i - 1 for vertex i.
+    row i - 1 for vertex i. Any real 2-D array or list of rows is stored as
+    a float array, with no copy of a float one; complex or non-2-D input
+    raises ``ValueError``.
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
@@ -60,6 +62,16 @@ class SubspaceConfiguration:
 
     vectors: np.ndarray
     _gram: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # Tested before the conversion, which would drop the imaginary part
+        # with a ComplexWarning.
+        if np.iscomplexobj(self.vectors):
+            raise ValueError("vectors must be real, got complex entries")
+        vectors = np.asarray(self.vectors, dtype=float)
+        if vectors.ndim != 2:
+            raise ValueError(f"vectors must be a 2-D array of rows, got {vectors.ndim}-D")
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def ambient_dim(self) -> int:
@@ -77,14 +89,13 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     Assemble the Gram matrix A once and take the verdict at ``PSD_TOL`` of
     :func:`~angleset.admissible._gram_verdict` on it, the one a per-edge
-    :func:`~angleset.admissible.existence` gives, for a constant tau too,
-    with A's eigenpairs whenever that verdict needs a solve and finds a
-    configuration. A singular A is thus solved once, by
-    :func:`~angleset.spectra.eigenpairs`, for the verdict and the lines,
-    and eigvalsh runs as well only when an eigenvalue lies within twice the
-    solvers' error bound of a cut. Raises ``ValueError`` when the matrix is
-    not positive semidefinite (no configuration exists), with eigvalsh's
-    least eigenvalue in the message.
+    :func:`~angleset.admissible.existence` gives, for a constant tau too.
+    The Cholesky certificate comes first; if it fails, A is solved once by
+    :func:`~angleset.spectra.eigenpairs` for the lines, and eigvalsh decides
+    refusals and cases with an eigenvalue within twice the solvers' error
+    bound of a cut. Raises ``ValueError`` when the matrix is not positive
+    semidefinite (no configuration exists), with eigvalsh's least
+    eigenvalue in the message.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
@@ -262,7 +273,7 @@ def _labeled(item, length: int) -> bool:
     """Whether ``item`` is a list of ``length`` entries whose first two are
     integer vertex labels (``type`` rules out JSON's ``true`` and ``1.0``)."""
     return (type(item) is list and len(item) == length
-            and all(type(v) is int for v in item[:2]))
+            and type(item[0]) is int and type(item[1]) is int)
 
 
 def _tau_from_json(data) -> TauWeighting:
@@ -286,10 +297,8 @@ def _graph_from_json(data, n: int) -> Graph:
     """
     if type(data) is not list:
         raise ValueError(_MALFORMED_GRAPH)
-    for e in data:
-        # ``type`` refuses true and 1.0
-        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise ValueError(_MALFORMED_GRAPH)
+    if not all(_labeled(e, 2) for e in data):
+        raise ValueError(_MALFORMED_GRAPH)
     return Graph(n, data)
 
 

@@ -243,14 +243,27 @@ def component_vertex_sets(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(vs) for vs in members.values()]
 
 
+# An optional minus sign and ASCII digits: ``int`` would also read "+1",
+# "1_0" and other scripts' digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """``token`` as an int if it is an ASCII decimal integer, optionally
+    negative; ``ValueError`` otherwise."""
+    if _DECIMAL.fullmatch(token) is None:
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     An optional first line ``n <count>`` fixes the vertex count (allowing
     trailing isolated vertices); otherwise the largest endpoint wins. Every
     other non-empty line that does not start with ``#`` must be two integer
-    labels ``i j``. Loops and duplicate edges are reported with their line
-    number.
+    labels ``i j``. Counts and labels are ASCII decimal integers. Loops and
+    duplicate edges are reported with their line number.
     """
     declared: int | None = None
     seen: set[tuple[int, int]] = set()
@@ -265,7 +278,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 2:
                 raise GraphError(f"line {lineno}: header must be 'n <count>'")
             try:
-                declared = int(parts[1])
+                declared = _decimal(parts[1])
             except ValueError:
                 raise GraphError(
                     f"line {lineno}: header count {parts[1]!r} is not an integer"
@@ -278,7 +291,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'i j', got {line!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: vertex labels must be integers") from None
         if i < 1 or j < 1:
@@ -327,8 +340,10 @@ class NamedFamily:
 
     Sized families: ``A`` (n >= 1), ``D`` (n >= 4), ``A~`` (n >= 2),
     ``D~`` (n >= 4), plus the aliases ``path``, ``cycle``, ``star``.
-    The ``E``-type families are fixed-size and take no parameter. A family
-    with tag ``X~`` has ``size + 1`` vertices; the plain ones have ``size``.
+    The size, like a vertex count, must be a Python or numpy integer, not
+    ``bool``; it is stored as a Python int. The ``E``-type families are
+    fixed-size and take no parameter. A family with tag ``X~`` has
+    ``size + 1`` vertices; the plain ones have ``size``.
     """
 
     family: str
@@ -339,6 +354,9 @@ class NamedFamily:
             least = _SIZED[self.family][1]
             if self.size is None:
                 raise GraphError(f"family {self.family} needs a size parameter")
+            if type(self.size) is not int:
+                object.__setattr__(self, "size", _integer(
+                    self.size, f"family {self.family} size must be an integer, got {self.size!r}"))
             if self.size < least:
                 raise GraphError(
                     f"family {self.family} needs size >= {least}, got {self.size}"
@@ -365,7 +383,7 @@ def parse_named_spec(text: str) -> NamedFamily:
     s = text.strip()
     if s in E_ARMS:
         return NamedFamily(s)
-    m = re.fullmatch(r"(.*?)(\d+)", s)
+    m = re.fullmatch(r"(.*?)([0-9]+)", s)
     if m is not None and m.group(1) in _BY_PREFIX:
         return NamedFamily(_BY_PREFIX[m.group(1)], int(m.group(2)))
     raise GraphError(

@@ -9,11 +9,11 @@ in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
 (``bench/README.md``). A per-edge Gram matrix, and the Gram matrix of any
 verdict the Cholesky certificate decides, constant tau included, is solved
-by :func:`eigenvalues` (LAPACK, no eigenvectors). A singular one that
-:func:`~angleset.configurations.construct_configuration` must factor is
-solved once, by :func:`eigenpairs`, whose eigenvalues give the verdict
-too, unless one lies within twice the a-priori error bound of a cut; then
-:func:`eigenvalues` runs as well and decides.
+by :func:`eigenvalues` (LAPACK, no eigenvectors). A Gram matrix that
+:func:`~angleset.configurations.construct_configuration` cannot certify
+is solved once by :func:`eigenpairs`, whose eigenvalues give the verdict
+too; :func:`eigenvalues` runs as well and decides a refusal, or a case
+with an eigenvalue within twice the a-priori error bound of a cut.
 
 The Cholesky certificate that spares these solves is
 :func:`~angleset.admissible._cholesky`; this module's a-priori bounds,

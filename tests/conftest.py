@@ -81,12 +81,13 @@ def tau_checks(monkeypatch):
 @pytest.fixture
 def name_calls(monkeypatch):
     """``name_calls(*names)`` counts calls of the named angleset functions in
-    every angleset module that holds one by name, into the returned Counter."""
+    every angleset module that holds one by name, into the returned Counter.
+    A name the package does not export is looked up in ``admissible``."""
     calls = Counter()
 
     def watch(*names):
         for name in names:
-            real = getattr(angleset, name)
+            real = getattr(angleset, name, None) or getattr(angleset.admissible, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1

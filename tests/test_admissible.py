@@ -762,6 +762,14 @@ class TestSigmaFormulas:
         with pytest.raises(ValueError, match="at least 3"):
             sigma_cycle(2)
 
+    @pytest.mark.parametrize("n", [5.5, 4.0, "5", True])
+    def test_cycle_length_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="cycle length must be an integer"):
+            sigma_cycle(n)
+
+    def test_cycle_takes_a_numpy_length(self):
+        assert sigma_cycle(np.int64(6)).upper == sigma_cycle(6).upper
+
     def test_cycle_formula_is_not_the_cycle_psd_threshold(self):
         # The formula tops the PSD threshold of the even cycle itself: C6 has
         # min eigenvalue -2, so its Gram matrix leaves PSD at tau = 1/4.

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,29 @@ class TestSubspaceConfiguration:
         assert c.size == 3 and c.ambient_dim == 3 and c._gram is None
         report = verify_configuration(c, Graph.from_edges([(1, 2), (2, 3)]), 0.36)
         assert report.passed and report.max_residual <= VERIFY_TOL
+
+    @pytest.mark.parametrize("rows", [np.array([[1, 0], [0, 1]]), [[1, 0], [0, 1]],
+                                      [[1.0, 0.0], [0.0, 1.0]]])
+    def test_integer_and_list_rows_are_stored_as_floats(self, rows):
+        c = SubspaceConfiguration(rows)
+        assert c.vectors.dtype == float and (c.size, c.ambient_dim) == (2, 2)
+        assert verify_configuration(c, Graph(2, []), 0.5).passed
+
+    def test_float_arrays_are_not_copied(self):
+        v = np.eye(3)
+        assert SubspaceConfiguration(v).vectors is v
+
+    @pytest.mark.parametrize("rows", [np.eye(2, dtype=complex), [[1j, 0], [0, 1]]])
+    def test_complex_vectors_are_refused(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning either
+            with pytest.raises(ValueError, match="must be real"):
+                SubspaceConfiguration(rows)
+
+    @pytest.mark.parametrize("rows", [np.ones(3), [1.0, 0.0], 1.0, np.ones((2, 2, 1))])
+    def test_vectors_must_be_two_dimensional(self, rows):
+        with pytest.raises(ValueError, match="must be a 2-D array of rows"):
+            SubspaceConfiguration(rows)
 
 
 class TestConstruct:
@@ -150,11 +174,11 @@ class TestCholeskyCertificate:
     """``construct`` first factors A - s I by Cholesky, with s from
     ``admissible._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
     and of Cholesky. Success proves rank n and costs no eigensolve. On
-    failure a Cholesky factorisation of A + 2 s I picks the solve: if it
-    fails too, one ``eigenvalues`` call gives the verdict and no
-    eigenvectors are computed; otherwise one ``eigenpairs`` call gives the
-    verdict and the spectrum, and ``eigenvalues`` runs as well only when an
-    eigenvalue lies within twice the solvers' error bound of a cut."""
+    failure one ``eigenpairs`` call gives the spectrum, and its eigenvalues
+    the verdict, unless the least is below -PSD_TOL or one lies within
+    twice the solvers' error bound of a cut; then ``eigenvalues`` runs as
+    well and decides, so every refusal carries eigvalsh's least
+    eigenvalue."""
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_verdict_on_either_side_of_the_shift(self, name_calls, side):
@@ -190,15 +214,32 @@ class TestCholeskyCertificate:
         assert dim == existence(g, tau).rank == 95
 
     def test_infeasible_error_text_comes_from_eigenvalues(self, name_calls):
-        """The least eigenvalue an error prints is eigvalsh's, and no
-        eigenvector is computed."""
+        """The least eigenvalue an error prints is eigvalsh's, on the matrix
+        eigh solved first."""
         g = named("A", 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         with pytest.raises(ValueError) as info:
             construct_configuration(g, 0.6)
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
         lam = np.linalg.eigvalsh(gram_matrix(g, 0.6))[0]
         assert str(info.value).endswith(f"negative eigenvalue {lam:.6e}")
+
+    @pytest.mark.parametrize("per_edge", [False, True])
+    def test_one_cholesky_past_a_failed_certificate(self, name_calls, per_edge):
+        """The failed certificate is the only Cholesky factorisation of a
+        singular construct (A5 at its endpoint 1/3) and of a refusal (A3 at
+        0.6): no second one picks the solver."""
+        calls = name_calls("_cholesky")
+        for g, tau, refused in ((named("A", 5), 1 / 3, False), (named("A", 3), 0.6, True)):
+            if per_edge:
+                tau = dict.fromkeys(g.edges, tau)
+            if refused:
+                with pytest.raises(ValueError, match="no configuration exists"):
+                    construct_configuration(g, tau)
+            else:
+                assert construct_configuration(g, tau).ambient_dim == g.n - 1
+            assert calls["_cholesky"] == 1
+            calls.clear()
 
     def test_twice_psd_tol_needs_no_eigensolve(self, name_calls):
         """The shift exceeds PSD_TOL by only rounding, so every tree whose

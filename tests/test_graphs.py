@@ -289,6 +289,24 @@ class TestParseEdgeList:
         with pytest.raises(GraphError, match="empty"):
             parse_edge_list("# nothing here\n")
 
+    @pytest.mark.parametrize("line", ["1 1_0", "\uff11 \uff12", "+1 2", "1 +2", "1 \u0663"])
+    def test_labels_are_ascii_decimal(self, line):
+        """``int`` would read these as the edges 1-10, 1-2, 1-2, 1-2 and
+        1-3."""
+        with pytest.raises(GraphError, match="^line 2: vertex labels must be integers$"):
+            parse_edge_list(f"# c\n{line}\n")
+
+    @pytest.mark.parametrize("count", ["1_0", "+3", "\uff13"])
+    def test_header_count_is_ascii_decimal(self, count):
+        with pytest.raises(GraphError, match=r"^line 1: header count .* is not an integer$"):
+            parse_edge_list(f"n {count}\n1 2\n")
+
+    def test_negative_labels_keep_their_message(self):
+        with pytest.raises(GraphError, match="line 1: vertex labels start at 1"):
+            parse_edge_list("-1 2\n")
+        with pytest.raises(GraphError, match="line 1: vertex count must be at least 1"):
+            parse_edge_list("n -3\n")
+
 
 class TestNamedFamilies:
     @pytest.mark.parametrize(
@@ -325,6 +343,23 @@ class TestNamedFamilies:
     def test_size_constraints(self, family, size, least):
         with pytest.raises(GraphError, match=f">= {least}"):
             NamedFamily(family, size)
+
+    @pytest.mark.parametrize("spec", ["A\uff15", "K1,\u0663", "C\uff16", "D~\u0664"])
+    def test_spec_sizes_are_ascii_decimal(self, spec):
+        """``\\d`` would read these as A5, K1,3, C6 and D~4."""
+        with pytest.raises(GraphError, match="unrecognized graph spec"):
+            parse_named_spec(spec)
+
+    @pytest.mark.parametrize("family,size", [("A", 5.0), ("D", 4.5), ("star", "3"),
+                                             ("cycle", True), ("A~", [3])])
+    def test_size_must_be_an_integer(self, family, size):
+        with pytest.raises(GraphError, match=f"family {re.escape(family)} size must be an integer"):
+            NamedFamily(family, size)
+
+    def test_numpy_size_is_stored_as_a_python_int(self):
+        fam = NamedFamily("D", np.int64(5))
+        assert type(fam.size) is int and fam.size == 5
+        assert generate_named(fam).edges == generate_named(NamedFamily("D", 5)).edges
 
     def test_fixed_families_take_no_size(self):
         with pytest.raises(GraphError, match="no size"):
