@@ -21,13 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .classify import IndexKind, classify_structure
-from .graphs import Graph, _integer, edge_key, is_tree
+from .graphs import Graph, _Record, _ValueRecord, _integer, edge_key, is_tree
 from .spectra import (
     _EPS,
     Spectrum,
@@ -72,34 +71,37 @@ def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
     raise ValueError(f"tau{where} {problem}")
 
 
-@dataclass(frozen=True)
-class TauWeighting:
+class TauWeighting(_ValueRecord):
     """Assignment of an angle parameter in (0, 1] to every edge.
 
     Either a single constant for all edges, stored as a float, or a per-edge
     mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
     pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
     an iterable of ``((i, j), tau)`` pairs. An edge named twice, in either
-    order, is an error. Treat instances as immutable.
+    order, is an error. Treat instances as immutable. Weightings compare by
+    value; a per-edge one, holding a dict, cannot be hashed.
     """
 
-    constant: float | None = None
-    per_edge: Mapping[tuple[int, int], float] | None = None
+    __slots__ = ("constant", "per_edge")
+    constant: float | None
+    per_edge: Mapping[tuple[int, int], float] | None
 
-    def __post_init__(self) -> None:
-        if (self.constant is None) == (self.per_edge is None):
+    def __init__(self, constant: float | None = None,
+                 per_edge: Mapping[tuple[int, int], float] | None = None) -> None:
+        if (constant is None) == (per_edge is None):
             raise ValueError("give exactly one of a constant or a per-edge mapping")
-        if self.constant is not None:
-            object.__setattr__(self, "constant", _check_tau_value(self.constant))
-            return
-        pairs = self.per_edge
-        fixed: dict[tuple[int, int], float] = {}
-        for (i, j), value in pairs.items() if isinstance(pairs, Mapping) else pairs:
-            e = edge_key(i, j)
-            if e in fixed:
-                raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
-            fixed[e] = _check_tau_value(value, e)
-        object.__setattr__(self, "per_edge", fixed)
+        if constant is not None:
+            constant = _check_tau_value(constant)
+        else:
+            fixed: dict[tuple[int, int], float] = {}
+            for (i, j), value in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+                e = edge_key(i, j)
+                if e in fixed:
+                    raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
+                fixed[e] = _check_tau_value(value, e)
+            per_edge = fixed
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "per_edge", per_edge)
 
     @classmethod
     def of(cls, value: "TauLike") -> "TauWeighting":
@@ -210,8 +212,7 @@ def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
     return _cholesky(a, 1.0 - shift) is not None, a
 
 
-@dataclass(frozen=True, eq=False)
-class ExistenceVerdict:
+class ExistenceVerdict(_Record):
     """Outcome of the semidefiniteness test.
 
     ``exists`` means the least Gram eigenvalue is at least ``-PSD_TOL``, i.e.
@@ -223,13 +224,19 @@ class ExistenceVerdict:
     ``min_eigenvalue`` is the least eigenvalue that route computes, except
     for a certified verdict: that one solves its Gram matrix, assembled
     again, with :func:`~angleset.spectra.eigenvalues` by calling ``_least``
-    the first time it is read, and keeps the result. Verdicts compare by
-    identity, since comparing their values could cost a solve.
+    the first time it is read, and keeps the result in the instance
+    ``__dict__``. Verdicts compare by identity, since comparing their values
+    could cost a solve.
     """
 
     exists: bool
     rank: int
-    _least: Callable[[], float] = field(repr=False)
+    _least: Callable[[], float]
+
+    def __init__(self, exists: bool, rank: int, _least: Callable[[], float]) -> None:
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_least", _least)
 
     @cached_property
     def min_eigenvalue(self) -> float:
@@ -314,15 +321,17 @@ def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:
     return ExistenceVerdict(True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
 
 
-@dataclass(frozen=True)
-class SigmaInterval:
-    """Admissible parameter interval ``(0, upper]``."""
+class SigmaInterval(_ValueRecord):
+    """Admissible parameter interval ``(0, upper]``; intervals compare and
+    hash by ``upper``."""
 
+    __slots__ = ("upper",)
     upper: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.upper <= 1.0:
-            raise ValueError(f"interval endpoint must lie in (0, 1], got {self.upper}")
+    def __init__(self, upper: float) -> None:
+        if not 0.0 < upper <= 1.0:
+            raise ValueError(f"interval endpoint must lie in (0, 1], got {upper}")
+        object.__setattr__(self, "upper", upper)
 
 
 def sigma_tree(g: Graph) -> SigmaInterval:

@@ -12,9 +12,8 @@ runtime, check the numeric route against it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .graphs import E_ARMS, Graph, component_vertex_sets
+from .graphs import E_ARMS, Graph, _ValueRecord, component_vertex_sets
 from .spectra import graph_index
 
 __all__ = [
@@ -44,16 +43,19 @@ class IndexKind(enum.Enum):
     SUPERCRITICAL = "supercritical"  # index > 2
 
 
-@dataclass(frozen=True)
-class IndexClass:
+class IndexClass(_ValueRecord):
     """Numeric trichotomy of the index against 2, within ``INDEX_TOL``."""
 
+    __slots__ = ("kind", "index")
     kind: IndexKind
     index: float
 
+    def __init__(self, kind: IndexKind, index: float) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True)
-class ComponentClass:
+
+class ComponentClass(_ValueRecord):
     """Shape label of one connected component.
 
     ``family`` is a family tag (``A``, ``D``, ``E6``..``E8``, their tilde
@@ -62,9 +64,15 @@ class ComponentClass:
     labels in the original graph.
     """
 
+    __slots__ = ("family", "size", "vertices")
     family: str
     size: int | None
     vertices: tuple[int, ...]
+
+    def __init__(self, family: str, size: int | None, vertices: tuple[int, ...]) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def is_extended(self) -> bool:
@@ -96,11 +104,14 @@ class ComponentClass:
         return self.family
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(_ValueRecord):
     """Per-component shape labels for a whole graph."""
 
+    __slots__ = ("components",)
     components: tuple[ComponentClass, ...]
+
+    def __init__(self, components: tuple[ComponentClass, ...]) -> None:
+        object.__setattr__(self, "components", components)
 
     @property
     def predicted_index_kind(self) -> IndexKind:

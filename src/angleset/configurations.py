@@ -23,13 +23,12 @@ the basis LAPACK picks inside a repeated eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict
-from .graphs import Graph, check_vertex_count
+from .graphs import Graph, _Record, _ValueRecord, check_vertex_count
 from .spectra import Spectrum
 
 __all__ = [
@@ -45,12 +44,11 @@ __all__ = [
 VERIFY_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceConfiguration:
+class SubspaceConfiguration(_Record):
     """One vector per vertex: ``vectors`` has shape (n, ambient_dim), with
     row i - 1 for vertex i. Any real 2-D array or list of rows is stored as
     a float array, with no copy of a float one; complex or non-2-D input
-    raises ``ValueError``.
+    raises ``ValueError``. Configurations compare by identity.
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
@@ -60,18 +58,20 @@ class SubspaceConfiguration:
     again.
     """
 
+    __slots__ = ("vectors", "_gram")
     vectors: np.ndarray
-    _gram: np.ndarray | None = field(default=None, repr=False)
+    _gram: np.ndarray | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, vectors: np.ndarray, _gram: np.ndarray | None = None) -> None:
         # Tested before the conversion, which would drop the imaginary part
         # with a ComplexWarning.
-        if np.iscomplexobj(self.vectors):
+        if np.iscomplexobj(vectors):
             raise ValueError("vectors must be real, got complex entries")
-        vectors = np.asarray(self.vectors, dtype=float)
+        vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-D array of rows, got {vectors.ndim}-D")
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "_gram", _gram)
 
     @property
     def ambient_dim(self) -> int:
@@ -164,8 +164,7 @@ def _canonical_factor(a: np.ndarray, rank: int, spectrum: Spectrum | None
     return np.ascontiguousarray(r.T), float(np.linalg.norm(evals[rank:]))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_ValueRecord):
     """Worst-case Frobenius residuals of every defining relation.
 
     ``idempotency`` covers P_i^2 = P_i for each vertex; ``braid`` covers
@@ -173,12 +172,21 @@ class VerificationReport:
     ``orthogonality`` covers P_i P_j = 0 over non-adjacent pairs; and ``gram``
     is the deviation of |V V^T|, entrywise, from the target Gram matrix. The
     report passes when the worst of them is at most ``VERIFY_TOL``.
+    Reports compare and hash by their four residuals.
     """
 
+    __slots__ = ("idempotency", "braid", "orthogonality", "gram")
     idempotency: float
     braid: float
     orthogonality: float
     gram: float
+
+    def __init__(self, idempotency: float, braid: float, orthogonality: float,
+                 gram: float) -> None:
+        object.__setattr__(self, "idempotency", idempotency)
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "orthogonality", orthogonality)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def max_residual(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -48,7 +47,17 @@ MAX_VERTICES = 2000
 def check_vertex_count(n: int) -> None:
     """:class:`GraphError` if ``n`` vertices are more than ``MAX_VERTICES``."""
     if n > MAX_VERTICES:
-        raise GraphError(f"graph has {n} vertices, above the limit of {MAX_VERTICES}")
+        # A count of thousands of digits would make a message as long.
+        count = n if n < 10**12 else "over 10^12"
+        raise GraphError(f"graph has {count} vertices, above the limit of {MAX_VERTICES}")
+
+
+def _shown(token: str) -> str:
+    """``repr(token)`` for an error message, cut to its first 20 characters
+    and its length when ``token`` is longer than 40."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
 
 
 def edge_key(i, j) -> tuple[int, int]:
@@ -99,8 +108,67 @@ def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the package's record types. A record's fields are the names
+    its class body annotates, in order (``_field_names``). They are also
+    listed in ``__slots__`` unless the class keeps a ``cached_property``
+    memo, which needs an instance ``__dict__``. Its ``__init__`` takes the
+    fields positionally in that order and sets each once, with
+    ``object.__setattr__``; assigning or deleting any attribute of an
+    instance afterwards raises ``AttributeError``. So copies and pickles
+    are rebuilt through ``__init__`` from the fields, without the memos.
+    Records compare by identity; those of :class:`_ValueRecord` compare by
+    their fields.
+
+    Plain classes rather than frozen dataclasses: a dataclass execs the
+    source of its generated methods when its class is defined, which cost
+    most of the package's import time with bytecode cached.
+    """
+
+    __slots__ = ()
+    _field_names = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that annotates nothing keeps the fields of its base.
+        if names := tuple(cls.__annotations__):
+            cls._field_names = names
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._field_names)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._field_names if not name.startswith("_"))
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _ValueRecord(_Record):
+    """A record equal only to a record of its own class with equal fields,
+    and hashed by its fields, in their order; an unhashable field makes
+    it unhashable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Graph(_ValueRecord):
     """Immutable simple graph on vertices ``1..n``.
 
     ``Graph(n, edges)`` is the one gate for edge sets. ``edges`` may be any
@@ -111,7 +179,7 @@ class Graph:
     not a pair, the first loop or the first pair named twice; after it, so
     does an edge outside ``1..n``. A frozenset (or a subclass) already in
     that form is kept as it is, not copied. Vertices without incident edges
-    are allowed.
+    are allowed. Graphs compare and hash by ``n`` and ``edges``.
 
     A graph memoises three things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
@@ -120,28 +188,28 @@ class Graph:
     which :func:`is_connected`, :func:`is_tree` and
     :func:`component_vertex_sets` read) and the adjacency spectrum
     (:func:`~angleset.spectra.graph_spectrum`, solved from the edge index).
-    Each memo lives and dies with its ``Graph`` object. It keeps no
-    neighbour sets: :func:`~angleset.classify.classify_structure` builds
-    the only neighbour lists, for one call.
+    Each memo lives in the instance ``__dict__`` and dies with its ``Graph``
+    object. It keeps no neighbour sets:
+    :func:`~angleset.classify.classify_structure` builds the only neighbour
+    lists, for one call.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if type(n) is not int:
             n = _integer(n, f"vertex count must be an integer, got {n!r}")
-            object.__setattr__(self, "n", n)
         if n < 1:
             raise GraphError("vertex count must be at least 1")
-        edges = self.edges
+        object.__setattr__(self, "n", n)
         if isinstance(edges, frozenset):
             for i, j in edges:
                 if not (type(i) is int and type(j) is int and 0 < i < j <= n):
                     break
             else:
-                return  # already canonical: keep the object
+                object.__setattr__(self, "edges", edges)  # already canonical: keep the object
+                return
         edges = _edge_set(edges)
         for i, j in edges:
             if i < 1 or j > n:
@@ -281,7 +349,7 @@ def parse_edge_list(text: str) -> Graph:
                 declared = _decimal(parts[1])
             except ValueError:
                 raise GraphError(
-                    f"line {lineno}: header count {parts[1]!r} is not an integer"
+                    f"line {lineno}: header count {_shown(parts[1])} is not an integer"
                 ) from None
             if declared < 1:
                 raise GraphError(f"line {lineno}: vertex count must be at least 1")
@@ -334,8 +402,7 @@ E_ARMS = {
 }
 
 
-@dataclass(frozen=True)
-class NamedFamily:
+class NamedFamily(_ValueRecord):
     """A named diagram family together with its size parameter.
 
     Sized families: ``A`` (n >= 1), ``D`` (n >= 4), ``A~`` (n >= 2),
@@ -343,29 +410,30 @@ class NamedFamily:
     The size, like a vertex count, must be a Python or numpy integer, not
     ``bool``; it is stored as a Python int. The ``E``-type families are
     fixed-size and take no parameter. A family with tag ``X~`` has
-    ``size + 1`` vertices; the plain ones have ``size``.
+    ``size + 1`` vertices; the plain ones have ``size``. Families compare
+    and hash by ``family`` and ``size``.
     """
 
+    __slots__ = ("family", "size")
     family: str
-    size: int | None = None
+    size: int | None
 
-    def __post_init__(self) -> None:
-        if self.family in _SIZED:
-            least = _SIZED[self.family][1]
-            if self.size is None:
-                raise GraphError(f"family {self.family} needs a size parameter")
-            if type(self.size) is not int:
-                object.__setattr__(self, "size", _integer(
-                    self.size, f"family {self.family} size must be an integer, got {self.size!r}"))
-            if self.size < least:
-                raise GraphError(
-                    f"family {self.family} needs size >= {least}, got {self.size}"
-                )
-        elif self.family in E_ARMS:
-            if self.size is not None:
-                raise GraphError(f"family {self.family} takes no size parameter")
+    def __init__(self, family: str, size: int | None = None) -> None:
+        if family in _SIZED:
+            least = _SIZED[family][1]
+            if size is None:
+                raise GraphError(f"family {family} needs a size parameter")
+            if type(size) is not int:
+                size = _integer(size, f"family {family} size must be an integer, got {size!r}")
+            if size < least:
+                raise GraphError(f"family {family} needs size >= {least}, got {size}")
+        elif family in E_ARMS:
+            if size is not None:
+                raise GraphError(f"family {family} takes no size parameter")
         else:
-            raise GraphError(f"unknown family tag {self.family!r}")
+            raise GraphError(f"unknown family tag {family!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "size", size)
 
     @property
     def vertex_count(self) -> int:
@@ -385,9 +453,16 @@ def parse_named_spec(text: str) -> NamedFamily:
         return NamedFamily(s)
     m = re.fullmatch(r"(.*?)([0-9]+)", s)
     if m is not None and m.group(1) in _BY_PREFIX:
-        return NamedFamily(_BY_PREFIX[m.group(1)], int(m.group(2)))
+        digits = m.group(2)
+        try:
+            size = int(digits)
+        except ValueError:  # past the interpreter's limit on digits read
+            raise GraphError(
+                f"graph spec {_shown(s)} has a size of {len(digits)} digits, too many to read"
+            ) from None
+        return NamedFamily(_BY_PREFIX[m.group(1)], size)
     raise GraphError(
-        f"unrecognized graph spec {text!r} "
+        f"unrecognized graph spec {_shown(text)} "
         "(expected A<n>, D<n>, E6|E7|E8, A~<n>, D~<n>, E~6|E~7|E~8, C<n>, P<n> or K1,<m>)"
     )
 

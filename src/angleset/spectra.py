@@ -29,11 +29,10 @@ constant-tau verdict the certificate decides neither solves nor keeps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import Graph, _Record, adjacency_matrix
 
 __all__ = [
     "ConvergenceError",
@@ -65,8 +64,7 @@ class ConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Record):
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
     ``eigenvectors`` is set only by :func:`eigenpairs`, which only
@@ -81,12 +79,19 @@ class Spectrum:
     error: for :func:`eigen_symmetric` it is the final off-diagonal Frobenius
     norm, for the LAPACK routes :func:`eigenvalues` and :func:`eigenpairs`,
     per-edge Gram spectra included, the a-priori bound
-    ``n * eps * ||m||_F``.
+    ``n * eps * ||m||_F``. Spectra compare by identity.
     """
 
+    __slots__ = ("eigenvalues", "residual_bound", "eigenvectors")
     eigenvalues: np.ndarray
     residual_bound: float
-    eigenvectors: np.ndarray | None = None
+    eigenvectors: np.ndarray | None
+
+    def __init__(self, eigenvalues: np.ndarray, residual_bound: float,
+                 eigenvectors: np.ndarray | None = None) -> None:
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "residual_bound", residual_bound)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     @property
     def index(self) -> float:

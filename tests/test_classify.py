@@ -139,9 +139,9 @@ class TestMultiComponent:
         """Every component, of a connected graph or not, is shaped in place:
         classify_structure builds no Graph."""
         built = []
-        real = Graph.__post_init__
-        monkeypatch.setattr(Graph, "__post_init__",
-                            lambda self: built.append(self) or real(self))
+        real = Graph.__init__
+        monkeypatch.setattr(Graph, "__init__",
+                            lambda self, *args: built.append(args) or real(self, *args))
         graphs = [generate_named(parse_named_spec(tag))
                   for tag in ("A1", "A7", "D~6", "E~8", "C6", "K1,5")]
         g = Graph.from_edges([(1, 4), (4, 6), (2, 5), (7, 8), (8, 9), (7, 9)], n=9)

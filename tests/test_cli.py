@@ -516,6 +516,23 @@ class TestGraphSourceHandling:
         assert code == 1 and out == ""
         assert err.startswith(f"error: graph has {n} vertices, above the limit")
 
+    @pytest.mark.parametrize("source,text", [
+        ("graph", "A" + "9" * 5000),  # more digits than int() reads
+        ("graph", "A~" + "9" * 4000),
+        ("graph", "B" + "9" * 5000),
+        ("file", "n " + "9" * 5000 + "\n1 2\n"),
+        ("file", "n " + "9" * 4000 + "\n1 2\n"),
+    ], ids=["spec-5000", "spec-4000", "unknown-spec", "header-5000", "header-4000"])
+    def test_a_huge_size_gives_one_short_error_line(self, capsys, tmp_path, source, text):
+        if source == "file":
+            p = tmp_path / "huge.txt"
+            p.write_text(text)
+            text = str(p)
+        code, out, err = run(capsys, "sigma", f"--{source}", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+        assert "set_int_max_str_digits" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -772,8 +771,8 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
 
 def same_bits(a: VerificationReport, b: VerificationReport) -> bool:
     return all(
-        float.hex(getattr(a, f.name)) == float.hex(getattr(b, f.name))
-        for f in dataclasses.fields(VerificationReport)
+        float.hex(getattr(a, name)) == float.hex(getattr(b, name))
+        for name in VerificationReport.__annotations__
     )
 
 

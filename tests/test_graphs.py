@@ -24,6 +24,7 @@ from angleset import (
     parse_named_spec,
     tree_from_pruefer,
 )
+from angleset.graphs import check_vertex_count
 
 
 def degrees(g):
@@ -301,6 +302,14 @@ class TestParseEdgeList:
         with pytest.raises(GraphError, match=r"^line 1: header count .* is not an integer$"):
             parse_edge_list(f"n {count}\n1 2\n")
 
+    def test_a_huge_header_count_is_cut_short_in_the_message(self):
+        # 5,000 digits are more than int() reads; the message names the
+        # first 20 and the length instead of echoing them all.
+        count = "9" * 5000
+        message = r"^line 1: header count '9{20}'\.\.\. \(5000 characters\) is not an integer$"
+        with pytest.raises(GraphError, match=message):
+            parse_edge_list(f"n {count}\n1 2\n")
+
     def test_negative_labels_keep_their_message(self):
         with pytest.raises(GraphError, match="line 1: vertex labels start at 1"):
             parse_edge_list("-1 2\n")
@@ -349,6 +358,26 @@ class TestNamedFamilies:
         """``\\d`` would read these as A5, K1,3, C6 and D~4."""
         with pytest.raises(GraphError, match="unrecognized graph spec"):
             parse_named_spec(spec)
+
+    def test_a_size_of_too_many_digits_is_a_graph_error(self):
+        # int() refuses more than sys.get_int_max_str_digits() digits (4,300
+        # by default) with a ValueError whose advice is meant for programmers.
+        spec = "A" + "9" * 5000
+        message = (r"^graph spec 'A9{19}'\.\.\. \(5001 characters\) "
+                   r"has a size of 5000 digits, too many to read$")
+        with pytest.raises(GraphError, match=message):
+            parse_named_spec(spec)
+
+    def test_an_unrecognized_long_spec_is_cut_short_in_the_message(self):
+        with pytest.raises(GraphError, match=r"^unrecognized graph spec 'B9{19}'\.\.\. "
+                                             r"\(5001 characters\) \(expected "):
+            parse_named_spec("B" + "9" * 5000)
+
+    def test_a_huge_but_readable_size_is_parsed(self):
+        fam = parse_named_spec("A" + "9" * 4000)
+        assert fam.size == 10**4000 - 1
+        with pytest.raises(GraphError, match="^graph has over 10\\^12 vertices, above the limit"):
+            check_vertex_count(fam.vertex_count)
 
     @pytest.mark.parametrize("family,size", [("A", 5.0), ("D", 4.5), ("star", "3"),
                                              ("cycle", True), ("A~", [3])])

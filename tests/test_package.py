@@ -70,7 +70,9 @@ def test_every_export_has_a_caller():
 
 def test_every_public_member_has_a_caller():
     # The same scan over the public methods, properties, classmethods, enum
-    # members and dataclass fields of every exported class.
+    # members and fields of every exported class. Fields are read from the
+    # class annotations: Graph and ExistenceVerdict keep theirs in each
+    # instance's __dict__, so vars(cls) does not list them.
     read = names_read_in_library_and_benchmark()
     classes = {
         obj
@@ -81,7 +83,7 @@ def test_every_public_member_has_a_caller():
     unread = sorted(
         f"{cls.__name__}.{member}"
         for cls in classes
-        for member in {*vars(cls), *getattr(cls, "__dataclass_fields__", ())}
+        for member in {*vars(cls), *vars(cls).get("__annotations__", ())}
         if not member.startswith("_") and member not in read
     )
     assert unread == []
