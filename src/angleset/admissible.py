@@ -26,13 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .classify import IndexKind, classify_structure
-from .graphs import Graph, _Record, _ValueRecord, _integer, edge_key, is_tree
+from .graphs import Graph, GraphError, _Record, _ValueRecord, _integer, edge_key, is_tree
 from .spectra import (
     _EPS,
-    Spectrum,
     _jacobi_bound,
     _memoised_spectrum,
-    eigenpairs,
     eigenvalues,
     graph_index,
     graph_spectrum,
@@ -56,17 +54,26 @@ PSD_TOL = 1e-9
 
 
 def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
-    """``tau`` as a float in (0, 1]. ``bool`` and text are refused, though
-    ``float`` would read them."""
+    """``tau`` as a float in (0, 1]. ``bool``, text and numpy complex
+    scalars are refused, though ``float`` would read them, dropping the
+    imaginary part of a complex one; so is whatever ``float`` cannot read."""
     # A float passes without the isinstance walk, which costs more than the
     # rest of the check.
-    if type(tau) is not float and isinstance(tau, (bool, np.bool_, str, bytes, bytearray)):
-        problem = f"must be a real number, got {tau!r}"
+    if type(tau) is float:
+        value = tau
+    elif isinstance(tau, (bool, np.bool_, str, bytes, bytearray, np.complexfloating)):
+        value = None
     else:
-        tau = float(tau)
-        if 0.0 < tau <= 1.0:
-            return tau
-        problem = f"must lie in (0, 1], got {tau}"
+        try:
+            value = float(tau)
+        except TypeError:  # a Python complex, a list
+            value = None
+    if value is None:
+        problem = f"must be a real number, got {tau!r}"
+    elif 0.0 < value <= 1.0:
+        return value
+    else:
+        problem = f"must lie in (0, 1], got {value}"
     where = f" on edge {edge[0]}-{edge[1]}" if edge else ""
     raise ValueError(f"tau{where} {problem}")
 
@@ -77,9 +84,11 @@ class TauWeighting(_ValueRecord):
     Either a single constant for all edges, stored as a float, or a per-edge
     mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
     pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
-    an iterable of ``((i, j), tau)`` pairs. An edge named twice, in either
-    order, is an error. Treat instances as immutable. Weightings compare by
-    value; a per-edge one, holding a dict, cannot be hashed.
+    an iterable of ``((i, j), tau)`` pairs. A key that is not a pair of
+    integer labels raises :class:`~angleset.graphs.GraphError`, a
+    ``ValueError``; an edge named twice, in either order, is an error too.
+    Treat instances as immutable. Weightings compare by value; a per-edge
+    one, holding a dict, cannot be hashed.
     """
 
     __slots__ = ("constant", "per_edge")
@@ -94,7 +103,12 @@ class TauWeighting(_ValueRecord):
             constant = _check_tau_value(constant)
         else:
             fixed: dict[tuple[int, int], float] = {}
-            for (i, j), value in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+            for key, value in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+                try:
+                    i, j = key
+                except (TypeError, ValueError):
+                    raise GraphError(
+                        f"per-edge key {key!r} is not a pair of vertex labels") from None
                 e = edge_key(i, j)
                 if e in fixed:
                     raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
@@ -281,37 +295,20 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
 
 
-def _gram_verdict(g: Graph, w: TauWeighting, eigenvectors: bool = False
-                  ) -> tuple[ExistenceVerdict, np.ndarray, Spectrum | None]:
+def _gram_verdict(g: Graph, w: TauWeighting) -> tuple[ExistenceVerdict, np.ndarray]:
     """The verdict at ``PSD_TOL`` that :func:`~angleset.spectra.eigenvalues`
-    gives on the Gram matrix A of ``(g, w)``, that matrix, assembled once,
-    and, if ``eigenvectors`` is set, its :func:`~angleset.spectra.eigenpairs`
-    whenever the certificate fails.
+    gives on the Gram matrix A of ``(g, w)``, and that matrix, assembled
+    once.
 
     The certificate of :func:`_cholesky` at floor ``PSD_TOL`` decides a
-    definite matrix with no solve, and then no spectrum comes back: the
-    lines are A's own Cholesky factor. If it fails, ``eigenvalues`` decides,
-    unless ``eigenvectors`` is set. Then ``eigenpairs`` runs once, and
-    eigh's eigenvalues give the verdict when the least is at least
-    -``PSD_TOL`` and none lies within twice the a-priori bound
-    ``residual_bound`` of a cut, +-``PSD_TOL``: eigh's and eigvalsh's
-    eigenvalues both lie within that bound of the exact ones, so they fall
-    on the same side of each cut. Every other case, each refusal among
-    them, is decided by ``eigenvalues`` on the same matrix, so ``exists``
-    and ``rank`` are always those of a per-edge :func:`existence`, and a
-    refusal's ``min_eigenvalue`` is eigvalsh's. A verdict that eigh decides
-    holds eigh's least eigenvalue.
+    definite matrix with no solve; if it fails, ``eigenvalues`` decides. A
+    per-edge :func:`existence` returns this verdict, and
+    :func:`~angleset.configurations.construct_configuration` factors by it.
     """
     certified, a = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
     if certified:
-        return _certified_verdict(g, w), a, None
-    pairs = eigenpairs(a) if eigenvectors else None
-    if pairs is not None:
-        evals = pairs.eigenvalues
-        if (evals[-1] >= -PSD_TOL
-                and not np.any(np.abs(np.abs(evals) - PSD_TOL) <= 2.0 * pairs.residual_bound)):
-            return ExistenceVerdict.from_eigenvalues(evals), a, pairs
-    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a, pairs
+        return _certified_verdict(g, w), a
+    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a
 
 
 def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:

@@ -6,11 +6,10 @@ vertices meet at the prescribed angle, arccos(sqrt(tau)), and non-adjacent
 ones are orthogonal. Construction takes the PSD verdict a per-edge
 :func:`existence` gives, on the same assembled Gram matrix, and only
 factors: by Cholesky at full rank, and otherwise through the eigenpairs
-that the verdict's rank keeps, from the one eigensolve that gave the
-verdict. Verification reads every defining relation off the vectors' Gram
-matrix V V^T, through one residual matrix, and reports worst-case
-Frobenius residuals; the vectors of a construction come read-only with
-that product, so verifying them forms it no second time.
+that the verdict's rank keeps. Verification reads every defining relation
+off the vectors' Gram matrix V V^T, through one residual matrix, and
+reports worst-case Frobenius residuals; the vectors of a construction come
+read-only with that product, so verifying them forms it no second time.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -29,7 +28,7 @@ import numpy as np
 
 from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict
 from .graphs import Graph, _Record, _ValueRecord, check_vertex_count
-from .spectra import Spectrum
+from .spectra import eigenpairs
 
 __all__ = [
     "SubspaceConfiguration",
@@ -89,13 +88,11 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
 
     Assemble the Gram matrix A once and take the verdict at ``PSD_TOL`` of
     :func:`~angleset.admissible._gram_verdict` on it, the one a per-edge
-    :func:`~angleset.admissible.existence` gives, for a constant tau too.
-    The Cholesky certificate comes first; if it fails, A is solved once by
-    :func:`~angleset.spectra.eigenpairs` for the lines, and eigvalsh decides
-    refusals and cases with an eigenvalue within twice the solvers' error
-    bound of a cut. Raises ``ValueError`` when the matrix is not positive
-    semidefinite (no configuration exists), with eigvalsh's least
-    eigenvalue in the message.
+    :func:`~angleset.admissible.existence` gives, for a constant tau too:
+    the Cholesky certificate, and eigvalsh if it fails. Raises
+    ``ValueError`` when the matrix is not positive semidefinite (no
+    configuration exists), with eigvalsh's least eigenvalue in the message;
+    a refusal computes no eigenvectors.
 
     The vectors come in the canonical frame: row i is zero beyond column i
     and has a non-negative i-th entry. When the verdict's rank is n the
@@ -115,13 +112,13 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     The vectors are returned read-only, with that product, which
     :func:`verify_configuration` reads instead of forming it again.
     """
-    verdict, a, spectrum = _gram_verdict(g, TauWeighting.of(tau), eigenvectors=True)
+    verdict, a = _gram_verdict(g, TauWeighting.of(tau))
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "
             f"{verdict.min_eigenvalue:.6e}"
         )
-    vectors, dropped = _canonical_factor(a, verdict.rank, spectrum)
+    vectors, dropped = _canonical_factor(a, verdict.rank)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
     gram = vectors @ vectors.T
     vectors.flags.writeable = gram.flags.writeable = False
@@ -135,28 +132,27 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     return SubspaceConfiguration(vectors, gram)
 
 
-def _canonical_factor(a: np.ndarray, rank: int, spectrum: Spectrum | None
-                      ) -> tuple[np.ndarray, float]:
+def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
     """Lower-trapezoidal V with a non-negative diagonal and ``rank`` columns
     whose V V^T is the PSD matrix ``a`` up to its eigenvalues past ``rank``,
     and the Frobenius norm of those dropped eigenvalues.
 
-    At full rank V is the Cholesky factor. Otherwise the leading ``rank``
-    eigenpairs of ``spectrum``, the :func:`~angleset.spectra.eigenpairs`
-    of ``a``, scaled by sqrt(lambda), give a factor F, and with F^T = Q R
-    (QR factorisation, rows of R signed so that its diagonal is
-    non-negative) V is R^T: R^T R = F F^T, so the rotation changes neither
-    the Gram matrix nor the rank, and R^T does not depend on the basis
-    LAPACK picks inside a repeated eigenvalue. ``spectrum`` is ``None``
-    only for a matrix the certificate proved definite, which Cholesky
-    factors (see :func:`~angleset.admissible._cholesky`).
+    At full rank V is the Cholesky factor, if Cholesky completes in
+    rounding; a matrix the certificate proved definite always does (see
+    :func:`~angleset.admissible._cholesky`). Otherwise the leading ``rank``
+    eigenpairs of :func:`~angleset.spectra.eigenpairs`, scaled by
+    sqrt(lambda), give a factor F, and with F^T = Q R (QR factorisation,
+    rows of R signed so that its diagonal is non-negative) V is R^T:
+    R^T R = F F^T, so the rotation changes neither the Gram matrix nor the
+    rank, and R^T does not depend on the basis LAPACK picks inside a
+    repeated eigenvalue. ``rank`` comes from eigvalsh; eigh's eigenvalues
+    lie within twice their a-priori bound ``residual_bound`` of those.
     """
     if rank == a.shape[0]:
         factor = _cholesky(a, 1.0)
         if factor is not None:
             return factor, 0.0
-        if spectrum is None:  # the certificate rules this out
-            raise np.linalg.LinAlgError("certified Gram matrix has no Cholesky factor")
+    spectrum = eigenpairs(a)
     evals = spectrum.eigenvalues
     factor = spectrum.eigenvectors[:, :rank] * np.sqrt(evals[:rank])
     r = np.linalg.qr(factor.T, mode="r")

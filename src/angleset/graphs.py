@@ -204,8 +204,9 @@ class Graph(_ValueRecord):
             raise GraphError("vertex count must be at least 1")
         object.__setattr__(self, "n", n)
         if isinstance(edges, frozenset):
-            for i, j in edges:
-                if not (type(i) is int and type(j) is int and 0 < i < j <= n):
+            for e in edges:
+                if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
+                        and type(e[1]) is int and 0 < e[0] < e[1] <= n):
                     break
             else:
                 object.__setattr__(self, "edges", edges)  # already canonical: keep the object

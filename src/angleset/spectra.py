@@ -7,13 +7,13 @@ below ``DEFAULT_TOL`` times the Frobenius norm of the input. That is
 unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
-(``bench/README.md``). A per-edge Gram matrix, and the Gram matrix of any
-verdict the Cholesky certificate decides, constant tau included, is solved
-by :func:`eigenvalues` (LAPACK, no eigenvectors). A Gram matrix that
-:func:`~angleset.configurations.construct_configuration` cannot certify
-is solved once by :func:`eigenpairs`, whose eigenvalues give the verdict
-too; :func:`eigenvalues` runs as well and decides a refusal, or a case
-with an eigenvalue within twice the a-priori error bound of a cut.
+(``bench/README.md``). Gram matrices are solved by :func:`eigenvalues`
+(LAPACK, no eigenvectors): a per-edge one and any one that
+:func:`~angleset.configurations.construct_configuration` cannot certify,
+for the verdict, and that of a certified verdict, constant tau included,
+when its least eigenvalue is read. :func:`eigenpairs` runs only in
+``construct_configuration``, after that verdict, to factor a singular Gram
+matrix (or a definite one that Cholesky rejects in rounding).
 
 The Cholesky certificate that spares these solves is
 :func:`~angleset.admissible._cholesky`; this module's a-priori bounds,
@@ -68,12 +68,12 @@ class Spectrum(_Record):
     """Eigenvalues sorted descending, with optional orthonormal eigenvectors.
 
     ``eigenvectors`` is set only by :func:`eigenpairs`, which only
-    :func:`~angleset.configurations.construct_configuration` calls, through
-    :func:`~angleset.admissible._gram_verdict`, for a Gram matrix that the
-    Cholesky certificate leaves open, and holds the k-th
-    eigenvector in column k; within a degenerate eigenspace the basis
-    is whatever LAPACK produces, so tests of the eigenvectors themselves
-    should only rely on subspace-level statements. (The lines of
+    :func:`~angleset.configurations.construct_configuration` calls, for a
+    Gram matrix whose verdict keeps fewer than n dimensions or that
+    Cholesky rejects, and holds the k-th eigenvector in column k; within a
+    degenerate eigenspace the basis is whatever LAPACK produces, so tests
+    of the eigenvectors themselves should only rely on subspace-level
+    statements. (The lines of
     ``construct_configuration`` do not depend on that basis: they are rotated
     into a canonical frame.) ``residual_bound`` bounds every eigenvalue
     error: for :func:`eigen_symmetric` it is the final off-diagonal Frobenius

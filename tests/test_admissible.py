@@ -1,16 +1,20 @@
 import math
 import random
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import angleset.admissible
+import angleset.configurations
 import angleset.graphs
 from angleset import (
     PSD_TOL,
     ExistenceVerdict,
     Graph,
+    GraphError,
     NamedFamily,
     QuarterPosition,
     SigmaInterval,
@@ -95,6 +99,33 @@ class TestTauWeighting:
             TauWeighting.of({(1, 2): bad})
         with pytest.raises(ValueError, match="must be a real number"):
             existence(named("A", 3), bad)
+
+    @pytest.mark.parametrize(
+        "bad", [0.3 + 0j, np.complex128(0.3), np.complex64(0.3), [0.3], object()],
+        ids=["complex", "np-complex128", "np-complex64", "list", "object"],
+    )
+    def test_complex_and_non_numbers_are_refused(self, bad):
+        """A numpy complex scalar would lose its imaginary part to ``float``
+        with only a warning; a Python complex or a list would raise a bare
+        ``TypeError``."""
+        message = f"must be a real number, got {re.escape(repr(bad))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^tau {message}"):
+                TauWeighting.of(bad)
+            with pytest.raises(ValueError, match=f"^tau on edge 1-2 {message}"):
+                TauWeighting.of({(1, 2): bad})
+            with pytest.raises(ValueError, match=f"^tau {message}"):
+                existence(named("A", 3), bad)
+
+    @pytest.mark.parametrize(
+        "key", [1, (1, 2, 3), (1,), None], ids=["int", "triple", "single", "none"]
+    )
+    def test_per_edge_keys_must_be_pairs(self, key):
+        with pytest.raises(GraphError, match="is not a pair of vertex labels"):
+            TauWeighting.of({key: 0.2, (2, 3): 0.3})
+        with pytest.raises(ValueError, match="is not a pair of vertex labels"):
+            existence(named("A", 3), {(1, 2): 0.3, key: 0.2})
 
     @pytest.mark.parametrize(
         "key", [(True, 2), (1.0, 2), ("1", 2), (None, 2)], ids=["bool", "float", "str", "none"]
@@ -303,15 +334,26 @@ class TestAdjacencySpectrumReuse:
     @pytest.mark.parametrize("weights", ["constant", "per-edge"])
     def test_singular_construct_computes_eigenvectors_once(self, name_calls, weights):
         """A5 at its endpoint 1/3 has a singular Gram matrix: one dimension
-        drops, and only the eigenvectors can factor it. The one ``eigenpairs``
-        call gives the verdict too, the one a per-edge ``existence`` gives,
-        since no eigenvalue lies near a cut."""
+        drops, and only the eigenvectors can factor it. ``eigenvalues`` gives
+        the verdict, the one a per-edge ``existence`` gives, and one
+        ``eigenpairs`` call then factors it."""
         g = named("A", 5)
         tau = 1 / 3 if weights == "constant" else dict.fromkeys(g.edges, 1 / 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == 4
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (0, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
         assert existence(g, dict.fromkeys(g.edges, 1 / 3)).rank == 4
+
+    @pytest.mark.parametrize("weights", ["constant", "per-edge"])
+    def test_refused_construct_computes_no_eigenvectors(self, name_calls, weights):
+        """A3 at 0.6 has no configuration: ``eigenvalues`` refuses it, and
+        no eigenvectors are computed to be thrown away."""
+        g = named("A", 3)
+        tau = 0.6 if weights == "constant" else dict.fromkeys(g.edges, 0.6)
+        calls = name_calls("eigenvalues", "eigenpairs")
+        with pytest.raises(ValueError, match="no configuration exists"):
+            construct_configuration(g, tau)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
 
     def test_memoised_eigenvalues_are_read_only(self):
         g = named("D", 5)
@@ -971,8 +1013,9 @@ def test_construct_takes_the_per_edge_verdict_from_at_most_one_eigh(g, data):
     """At or just around the PSD endpoint, with one tau or tau drawn per
     edge, ``construct`` lives in the ``rank`` dimensions of a per-edge
     ``existence``, or both refuse it with the least eigenvalue of that
-    verdict, and ``construct`` computes eigenvectors at most once. Its lines
-    are those of the eigvalsh-first construction, bit for bit."""
+    verdict. ``construct`` computes eigenvectors once when it drops a
+    dimension, and never when it refuses. Its lines are those of the
+    eigvalsh-first construction, bit for bit."""
     end = _psd_endpoint(g)
     if data.draw(st.booleans(), label="per edge"):
         tau = {e: min(1.0, end * (1.0 - data.draw(NEAR_ENDPOINT))) for e in sorted(g.edges)}
@@ -982,14 +1025,15 @@ def test_construct_takes_the_per_edge_verdict_from_at_most_one_eigh(g, data):
         per_edge = dict.fromkeys(g.edges, tau)
     verdict = existence(g, per_edge)
     solved = []
-    real = angleset.admissible.eigenpairs
+    real = angleset.configurations.eigenpairs
     with pytest.MonkeyPatch.context() as patch:
-        # admissible._gram_verdict is construct's one caller of eigenpairs
-        patch.setattr(angleset.admissible, "eigenpairs", lambda m: solved.append(m) or real(m))
+        # configurations._canonical_factor is construct's one caller of eigenpairs
+        patch.setattr(angleset.configurations, "eigenpairs",
+                      lambda m: solved.append(m) or real(m))
         try:
             config = construct_configuration(g, tau)
         except ValueError as exc:
-            assert not verdict.exists
+            assert not verdict.exists and solved == []
             assert str(exc) == ("no configuration exists: Gram matrix has negative "
                                 f"eigenvalue {verdict.min_eigenvalue:.6e}")
         else:

@@ -173,16 +173,15 @@ class TestCholeskyCertificate:
     """``construct`` first factors A - s I by Cholesky, with s from
     ``admissible._cholesky_shift``: PSD_TOL plus the error bounds of eigvalsh
     and of Cholesky. Success proves rank n and costs no eigensolve. On
-    failure one ``eigenpairs`` call gives the spectrum, and its eigenvalues
-    the verdict, unless the least is below -PSD_TOL or one lies within
-    twice the solvers' error bound of a cut; then ``eigenvalues`` runs as
-    well and decides, so every refusal carries eigvalsh's least
-    eigenvalue."""
+    failure ``eigenvalues`` gives the verdict, the one a per-edge
+    ``existence`` gives, so every refusal carries eigvalsh's least
+    eigenvalue and computes no eigenvectors. ``eigenpairs`` runs only to
+    factor a verdict that keeps fewer than n dimensions."""
 
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_verdict_on_either_side_of_the_shift(self, name_calls, side):
         """Just above s the certificate holds; just below it, between
-        PSD_TOL and s, it fails, ``eigenpairs`` gives the verdict and
+        PSD_TOL and s, it fails, ``eigenvalues`` gives the verdict and
         Cholesky factors the definite matrix. Either way ``construct`` keeps
         the dimension eigvalsh's rank gives."""
         g, tau = path_at_least_eigenvalue(96, 1e-9)
@@ -195,7 +194,7 @@ class TestCholeskyCertificate:
         assert (lam[0] > shift) == (side == "above") and lam[0] > PSD_TOL
         calls = name_calls("eigenvalues", "eigenpairs")
         assert construct_configuration(g, tau).ambient_dim == int((lam > PSD_TOL).sum()) == 96
-        expected = (0, 0) if side == "above" else (0, 1)
+        expected = (0, 0) if side == "above" else (1, 0)
         assert (calls["eigenvalues"], calls["eigenpairs"]) == expected
 
     def test_near_cut_takes_the_verdict_from_eigenvalues(self, name_calls):
@@ -213,13 +212,13 @@ class TestCholeskyCertificate:
         assert dim == existence(g, tau).rank == 95
 
     def test_infeasible_error_text_comes_from_eigenvalues(self, name_calls):
-        """The least eigenvalue an error prints is eigvalsh's, on the matrix
-        eigh solved first."""
+        """The least eigenvalue an error prints is eigvalsh's, and a refusal
+        computes no eigenvectors."""
         g = named("A", 3)
         calls = name_calls("eigenvalues", "eigenpairs")
         with pytest.raises(ValueError) as info:
             construct_configuration(g, 0.6)
-        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 1)
+        assert (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
         lam = np.linalg.eigvalsh(gram_matrix(g, 0.6))[0]
         assert str(info.value).endswith(f"negative eigenvalue {lam:.6e}")
 
@@ -324,7 +323,7 @@ class TestCanonicalFrame:
         before = construct_configuration(g, 0.25).vectors
         assert before.shape == (g.n, g.n - 1)
         solved = []
-        monkeypatch.setattr(angleset.admissible, "eigenpairs",
+        monkeypatch.setattr(angleset.configurations, "eigenpairs",
                             lambda m: solved.append(m) or rotated_eigenpairs(m))
         # ... and the lines do not move.
         after = construct_configuration(g, 0.25).vectors

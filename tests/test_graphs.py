@@ -222,6 +222,21 @@ class TestOneEdgeGate:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "items", [{1, 2}, {(1, 2, 3)}, {(1,)}, {"12"}, {(1, 2), (1, 2, 3)}],
+        ids=["bare-labels", "triple", "single", "string", "pair-and-triple"],
+    )
+    def test_a_frozenset_of_malformed_items_meets_the_same_gate(self, items):
+        """The canonical-form test that keeps a frozenset by identity never
+        unpacks an item that is not a pair: the items raise what they raise
+        in a list, in the frozenset's order."""
+        messages = []
+        for edges in (frozenset(items), list(frozenset(items))):
+            with pytest.raises(GraphError) as info:
+                Graph(3, edges)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     @given(pair_lists())
     @settings(max_examples=300, deadline=None)
     def test_every_graph_source_applies_the_same_gate(self, case):
