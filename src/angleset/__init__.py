@@ -20,7 +20,6 @@ from .admissible import (
     trichotomy,
 )
 from .classify import (
-    INDEX_TOL,
     ComponentClass,
     GraphClass,
     IndexClass,
@@ -69,7 +68,6 @@ __all__ = [
     "Graph",
     "GraphClass",
     "GraphError",
-    "INDEX_TOL",
     "IndexClass",
     "IndexKind",
     "NamedFamily",

@@ -56,7 +56,8 @@ PSD_TOL = 1e-9
 def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
     """``tau`` as a float in (0, 1]. ``bool``, text and numpy complex
     scalars are refused, though ``float`` would read them, dropping the
-    imaginary part of a complex one; so is whatever ``float`` cannot read."""
+    imaginary part of a complex one; so is whatever ``float`` cannot read.
+    A number beyond the float range, such as ``10**400``, reads as ±inf."""
     # A float passes without the isinstance walk, which costs more than the
     # rest of the check.
     if type(tau) is float:
@@ -68,6 +69,8 @@ def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
             value = float(tau)
         except TypeError:  # a Python complex, a list
             value = None
+        except OverflowError:  # not echoed: a long int's repr may raise
+            value = math.inf if tau > 0 else -math.inf
     if value is None:
         problem = f"must be a real number, got {tau!r}"
     elif 0.0 < value <= 1.0:
@@ -84,9 +87,10 @@ class TauWeighting(_ValueRecord):
     Either a single constant for all edges, stored as a float, or a per-edge
     mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
     pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
-    an iterable of ``((i, j), tau)`` pairs. A key that is not a pair of
-    integer labels raises :class:`~angleset.graphs.GraphError`, a
-    ``ValueError``; an edge named twice, in either order, is an error too.
+    an iterable of ``((i, j), tau)`` pairs. An item that is not such a pair,
+    or a key that is not a pair of integer labels, raises
+    :class:`~angleset.graphs.GraphError`, a ``ValueError``; an edge named
+    twice, in either order, is an error too.
     Treat instances as immutable. Weightings compare by value; a per-edge
     one, holding a dict, cannot be hashed.
     """
@@ -103,7 +107,12 @@ class TauWeighting(_ValueRecord):
             constant = _check_tau_value(constant)
         else:
             fixed: dict[tuple[int, int], float] = {}
-            for key, value in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+            for item in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+                try:
+                    key, value = item
+                except (TypeError, ValueError):
+                    raise GraphError(
+                        f"per-edge item {item!r} is not an (edge, tau) pair") from None
                 try:
                     i, j = key
                 except (TypeError, ValueError):

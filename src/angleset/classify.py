@@ -1,12 +1,13 @@
 """Classification of graphs by spectral index.
 
-Two independent routes are provided. :func:`classify_structure` recognizes,
-per connected component, the exact shapes whose index is at most 2: paths,
-single-branch trees with the right leg profile, double-fork trees, stars and
-cycles. :func:`classify_index` simply compares the computed index against 2.
-The structural route is exact combinatorics (Smith's classification) and
-serves as ground truth, which ``trichotomy`` reads alone; the tests, not the
-runtime, check the numeric route against it.
+:func:`classify_structure` recognizes, per connected component, the exact
+shapes whose index is at most 2: paths, single-branch trees with the right
+leg profile, double-fork trees, stars and cycles. By Smith's classification
+a connected graph has index below, at or above 2 exactly when it is a Dynkin
+diagram, an extended one (cycles included), or neither, so the shapes alone
+decide the index class of every graph, with no tolerance. ``trichotomy``,
+:func:`classify_index` and the CLI read the class from them; the tests, not
+the runtime, check it against the numeric index.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ from .spectra import graph_index
 __all__ = [
     "ComponentClass",
     "GraphClass",
-    "INDEX_TOL",
     "IndexClass",
     "IndexKind",
     "classify_index",
     "classify_structure",
 ]
-
-INDEX_TOL = 1e-9
 
 _EXTENDED = frozenset({"A~", "D~", "E~6", "E~7", "E~8"})
 
@@ -44,7 +42,7 @@ class IndexKind(enum.Enum):
 
 
 class IndexClass(_ValueRecord):
-    """Numeric trichotomy of the index against 2, within ``INDEX_TOL``."""
+    """The index class of a graph, exact from its shapes, and its index."""
 
     __slots__ = ("kind", "index")
     kind: IndexKind
@@ -196,13 +194,6 @@ def classify_structure(g: Graph) -> GraphClass:
 
 
 def classify_index(g: Graph) -> IndexClass:
-    """Numeric trichotomy: the computed index counts as critical within
-    ``INDEX_TOL`` of 2, and as sub- or supercritical beyond it."""
-    r = graph_index(g)
-    if r > 2.0 + INDEX_TOL:
-        kind = IndexKind.SUPERCRITICAL
-    elif r < 2.0 - INDEX_TOL:
-        kind = IndexKind.SUBCRITICAL
-    else:
-        kind = IndexKind.CRITICAL
-    return IndexClass(kind, r)
+    """The index class read off the shapes of :func:`classify_structure`,
+    with the numeric index from :func:`~angleset.spectra.graph_index`."""
+    return IndexClass(classify_structure(g).predicted_index_kind, graph_index(g))

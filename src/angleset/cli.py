@@ -16,9 +16,10 @@ are rejected before any matrix is allocated, and sweeps of more than
 ``MAX_STEPS`` values before any value is listed.
 
 No subcommand takes a tolerance. ``exists`` and ``sweep`` judge
-semidefiniteness and rank at ``PSD_TOL``, ``classify`` the index class at
-``INDEX_TOL``, and ``construct`` and ``verify`` the residuals at ``VERIFY_TOL``,
-so no call can move a cut away from the one the other subcommands use.
+semidefiniteness and rank at ``PSD_TOL``, and ``construct`` and ``verify`` the
+residuals at ``VERIFY_TOL``, so no call can move a cut away from the one the
+other subcommands use. ``classify`` and ``sigma`` read the index class off the
+exact shapes, with no cut at all.
 
 :func:`main` may be called repeatedly in one process. Its parser is built on
 the first call and reused; :func:`build_parser` returns a fresh one each time.
@@ -33,7 +34,7 @@ import sys
 from pathlib import Path
 
 from .admissible import QuarterPosition, existence, sigma_cycle, sigma_tree
-from .classify import classify_index, classify_structure
+from .classify import classify_structure
 from .configurations import (
     configuration_document,
     construct_configuration,
@@ -48,7 +49,7 @@ from .graphs import (
     parse_edge_list,
     parse_named_spec,
 )
-from .spectra import graph_spectrum
+from .spectra import graph_index, graph_spectrum
 
 SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
 
@@ -151,13 +152,12 @@ def cmd_exists(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     shapes = classify_structure(g)
-    numeric = classify_index(g)
     payload = {
         "components": [
             {"label": c.label, "vertices": list(c.vertices)} for c in shapes.components
         ],
-        "index": numeric.index,
-        "index_class": numeric.kind.value,
+        "index": graph_index(g),
+        "index_class": shapes.predicted_index_kind.value,
     }
     _emit(args, payload, components=[c.label for c in shapes.components])
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from angleset import Graph, NamedFamily, generate_named, tree_from_pruefer
+from angleset import Graph, IndexKind, NamedFamily, generate_named, tree_from_pruefer
 
 CORPUS_SEED = 318008
 SAMPLES_7 = 1510
@@ -127,3 +127,13 @@ def dynkin_family_graphs() -> list[tuple[str, Graph]]:
     for tag in ("E6", "E7", "E8"):
         out.append((tag, generate_named(NamedFamily(tag))))
     return out
+
+
+def index_kind(r: float) -> IndexKind:
+    """The index class a numeric index r gives at a cut of 1e-9 about 2: the
+    yardstick the tests hold the exact shapes' class against."""
+    if r > 2.0 + 1e-9:
+        return IndexKind.SUPERCRITICAL
+    if r < 2.0 - 1e-9:
+        return IndexKind.SUBCRITICAL
+    return IndexKind.CRITICAL

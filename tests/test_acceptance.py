@@ -13,7 +13,6 @@ import time
 from angleset import (
     IndexKind,
     adjacency_matrix,
-    classify_index,
     classify_structure,
     construct_configuration,
     existence,
@@ -142,39 +141,46 @@ def test_criterion_05_index_bounds(boundary_trees, cycle_corpus, random_connecte
 def test_criterion_06_critical_classification(
     boundary_trees, cycle_corpus, random_connected_corpus
 ):
+    """The exact shapes' index class against the numeric index."""
     failures = []
-    everything = [g for g, _r, _q in boundary_trees]
-    everything += list(cycle_corpus) + list(random_connected_corpus)
-    for g in everything:
-        if classify_structure(g).predicted_index_kind is not classify_index(g).kind:
-            failures.append(f"{sorted(g.edges)}: structural and numeric routes disagree")
+    everything = [(g, r) for g, r, _q in boundary_trees]
+    everything += [(g, graph_spectrum(g).index)
+                   for g in [*cycle_corpus, *random_connected_corpus]]
+    for g, r in everything:
+        if classify_structure(g).predicted_index_kind is not corpus.index_kind(r):
+            failures.append(f"{sorted(g.edges)}: shape and index {r!r} disagree")
             break
 
     for tag, g in corpus.extended_family_graphs():
-        got = classify_index(g)
-        if got.kind is not IndexKind.CRITICAL or abs(got.index - 2) > 1e-9:
-            failures.append(f"{tag}: expected critical at index 2, got {got}")
+        r = graph_spectrum(g).index
+        if classify_structure(g).predicted_index_kind is not IndexKind.CRITICAL:
+            failures.append(f"{tag}: shape not critical")
+        if abs(r - 2) > 1e-9:
+            failures.append(f"{tag}: expected index 2, got {r!r}")
     for tag, g in corpus.dynkin_family_graphs():
-        if classify_index(g).kind is not IndexKind.SUBCRITICAL:
-            failures.append(f"{tag}: expected subcritical")
+        r = graph_spectrum(g).index
+        if classify_structure(g).predicted_index_kind is not IndexKind.SUBCRITICAL:
+            failures.append(f"{tag}: shape not subcritical")
+        if corpus.index_kind(r) is not IndexKind.SUBCRITICAL:
+            failures.append(f"{tag}: expected index below 2, got {r!r}")
 
     probes = 0
     for tag, g in corpus.extended_family_graphs():
         for at in g.vertices:
             probe = corpus.pendant_probe(g, at)
             probes += 1
-            if classify_index(probe).kind is not IndexKind.SUPERCRITICAL:
-                failures.append(f"{tag} + pendant at {at}: not supercritical")
+            if corpus.index_kind(graph_spectrum(probe).index) is not IndexKind.SUPERCRITICAL:
+                failures.append(f"{tag} + pendant at {at}: index not above 2")
             if (
                 classify_structure(probe).predicted_index_kind
                 is not IndexKind.SUPERCRITICAL
             ):
-                failures.append(f"{tag} + pendant at {at}: structure route disagrees")
+                failures.append(f"{tag} + pendant at {at}: shape not supercritical")
     _report(
         6,
         failures,
-        f"routes agree on {len(everything)} graphs; {probes} supergraph probes "
-        "all supercritical",
+        f"shape and index agree on {len(everything)} graphs; {probes} supergraph "
+        "probes all supercritical",
     )
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,33 @@ class TestTauWeighting:
                 TauWeighting.of({(1, 2): bad})
             with pytest.raises(ValueError, match=f"^tau {message}"):
                 existence(named("A", 3), bad)
+
+    @pytest.mark.parametrize(
+        "big, shown",
+        [(10**400, "inf"), (-(10**400), "-inf"), (10**5000, "inf"), (Fraction(10**400), "inf")],
+        ids=["1e400", "-1e400", "5001-digit", "fraction"],
+    )
+    def test_a_number_beyond_the_float_range_is_out_of_range(self, big, shown):
+        """``float`` raises ``OverflowError`` on these, and the repr of an
+        int past 4,300 digits raises, so the message shows the float value."""
+        message = rf"must lie in \(0, 1\], got {shown}$"
+        with pytest.raises(ValueError, match=f"^tau {message}"):
+            TauWeighting.of(big)
+        with pytest.raises(ValueError, match=f"^tau {message}"):
+            existence(named("A", 3), big)
+        with pytest.raises(ValueError, match=f"^tau on edge 1-2 {message}"):
+            existence(named("A", 3), {(1, 2): big, (2, 3): 0.2})
+
+    @pytest.mark.parametrize(
+        "item", [1, ((1, 2), 0.2, 5), ((1, 2),), None],
+        ids=["int", "triple", "single", "none"],
+    )
+    def test_per_edge_items_must_be_pairs(self, item):
+        message = f"^per-edge item {re.escape(repr(item))} is not an \\(edge, tau\\) pair$"
+        with pytest.raises(GraphError, match=message):
+            TauWeighting(per_edge=[((2, 3), 0.3), item])
+        with pytest.raises(GraphError, match=message):
+            TauWeighting(per_edge=[item])
 
     @pytest.mark.parametrize(
         "key", [1, (1, 2, 3), (1,), None], ids=["int", "triple", "single", "none"]

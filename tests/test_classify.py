@@ -1,6 +1,8 @@
 import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,13 @@ from angleset import (
     IndexKind,
     NamedFamily,
     QuarterPosition,
+    adjacency_matrix,
     classify_index,
     classify_structure,
+    component_vertex_sets,
     generate_named,
+    graph_index,
+    is_connected,
     parse_named_spec,
     sigma_tree,
     trichotomy,
@@ -20,6 +26,7 @@ from angleset import (
 from corpus import (
     dynkin_family_graphs,
     extended_family_graphs,
+    index_kind,
     pruefer_from_index,
     shuffled,
 )
@@ -170,7 +177,13 @@ class TestMultiComponent:
         )
 
 
-class TestNumericRoute:
+def _shape_kind(g):
+    return classify_structure(g).predicted_index_kind
+
+
+class TestClassifyIndex:
+    """``classify_index`` pairs the shape's class with the numeric index."""
+
     def test_triangle_is_exactly_critical(self):
         got = classify_index(generate_named(NamedFamily("A~", 2)))
         assert got.kind is IndexKind.CRITICAL
@@ -188,21 +201,18 @@ class TestNumericRoute:
         assert got.index == pytest.approx(3.0, abs=1e-12)
 
 
-class TestRouteAgreement:
+class TestShapeAgainstTheIndex:
     def test_on_generated_families(self):
         for tag, g in dynkin_family_graphs():
-            assert classify_index(g).kind is IndexKind.SUBCRITICAL, tag
-            assert classify_structure(g).predicted_index_kind is IndexKind.SUBCRITICAL
+            assert index_kind(graph_index(g)) is IndexKind.SUBCRITICAL, tag
+            assert _shape_kind(g) is IndexKind.SUBCRITICAL, tag
         for tag, g in extended_family_graphs():
-            assert classify_index(g).kind is IndexKind.CRITICAL, tag
-            assert classify_structure(g).predicted_index_kind is IndexKind.CRITICAL
+            assert index_kind(graph_index(g)) is IndexKind.CRITICAL, tag
+            assert _shape_kind(g) is IndexKind.CRITICAL, tag
 
     def test_on_random_connected_graphs(self, random_connected_corpus):
         for g in random_connected_corpus[:120]:
-            assert (
-                classify_structure(g).predicted_index_kind
-                is classify_index(g).kind
-            )
+            assert _shape_kind(g) is index_kind(graph_index(g))
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
@@ -210,7 +220,40 @@ class TestRouteAgreement:
 def test_structure_matches_index_on_random_trees(n, data):
     idx = data.draw(st.integers(min_value=0, max_value=n ** max(0, n - 2) - 1))
     g = tree_from_pruefer(n, pruefer_from_index(n, idx))
-    assert classify_structure(g).predicted_index_kind is classify_index(g).kind
+    assert _shape_kind(g) is index_kind(graph_index(g))
+
+
+@st.composite
+def gnp_graphs(draw):
+    """G(n, p) for n = 2..14 and p in {0.15, 0.25, 0.4}, each edge kept with
+    probability p by a drawn seed: forests, cycles and disconnected graphs
+    among them."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    p = draw(st.sampled_from([0.15, 0.25, 0.4]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return Graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if rng.random() < p])
+
+
+def test_shape_decides_the_index_class_of_random_graphs():
+    """Smith's classification on any graph, against numpy's index; the
+    draws must reach all three classes and all three kinds of graph."""
+    kinds, graphs = Counter(), Counter()
+
+    @given(gnp_graphs())
+    @settings(max_examples=1000, deadline=None)
+    def check(g):
+        index = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+        kind = _shape_kind(g)
+        assert kind is index_kind(index), (sorted(g.edges), index)
+        kinds[kind] += 1
+        forest = g.num_edges == g.n - len(component_vertex_sets(g))
+        graphs["forest" if forest else "cycle"] += 1
+        graphs["disconnected"] += not is_connected(g)
+
+    check()
+    assert set(kinds) == set(IndexKind), kinds
+    assert min(graphs["forest"], graphs["cycle"], graphs["disconnected"]) > 0, graphs
 
 
 @st.composite
@@ -246,7 +289,7 @@ def _quarter_of(upper):
 
 def _shape_matches_the_numeric_index(g):
     """``trichotomy`` reads the shape alone; the numeric index checks it."""
-    assert classify_structure(g).predicted_index_kind is classify_index(g).kind
+    assert _shape_kind(g) is index_kind(graph_index(g))
     assert trichotomy(g) is _quarter_of(sigma_tree(g).upper)
 
 
