@@ -13,15 +13,15 @@ tau those are 1 + sqrt(tau) spec(A), from the graph's memoised adjacency
 spectrum (:func:`graph_spectrum`), and per edge those of
 :func:`~angleset.spectra.eigenvalues` on the Gram matrix. A definite matrix
 is decided with no solve by the Cholesky certificate of :func:`_cholesky`,
-which states why its verdict is the one that eigen route gives.
+which states why its verdict is the one that eigen route gives, on the
+one matrix its caller assembled with :func:`gram_matrix`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable, Mapping
-from functools import cached_property
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class TauWeighting(_ValueRecord):
     Either a single constant for all edges, stored as a float, or a per-edge
     mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
     pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
-    an iterable of ``((i, j), tau)`` pairs. An item that is not such a pair,
-    or a key that is not a pair of integer labels, raises
+    an iterable of ``((i, j), tau)`` pairs. Anything else, an item that is
+    not such a pair, or a key that is not a pair of integer labels, raises
     :class:`~angleset.graphs.GraphError`, a ``ValueError``; an edge named
     twice, in either order, is an error too.
     Treat instances as immutable. Weightings compare by value; a per-edge
@@ -107,7 +107,12 @@ class TauWeighting(_ValueRecord):
             constant = _check_tau_value(constant)
         else:
             fixed: dict[tuple[int, int], float] = {}
-            for item in per_edge.items() if isinstance(per_edge, Mapping) else per_edge:
+            try:
+                items = iter(per_edge.items() if isinstance(per_edge, Mapping) else per_edge)
+            except TypeError:
+                raise GraphError("per_edge must be a mapping or an iterable of (edge, tau) "
+                                 f"pairs, got {per_edge!r}") from None
+            for item in items:
                 try:
                     key, value = item
                 except (TypeError, ValueError):
@@ -164,12 +169,8 @@ TauLike = TauWeighting | float | Mapping[tuple[int, int], float]
 
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
     """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere."""
-    return _gram_from_arrays(g.n, *TauWeighting.of(tau).edge_arrays(g))
-
-
-def _gram_from_arrays(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The n x n Gram matrix of the aligned edge arrays of
-    :meth:`TauWeighting.edge_arrays`."""
+    i, j, t = TauWeighting.of(tau).edge_arrays(g)
+    n = g.n
     a = np.zeros((n, n))
     a.ravel()[::n + 1] = 1.0
     a[i, j] = a[j, i] = np.sqrt(t)
@@ -210,7 +211,8 @@ def _cholesky(a: np.ndarray, diagonal: float) -> np.ndarray | None:
     constant tau reads 1 + sqrt(tau) spec(A) off Jacobi (the shift's
     n * eps * ||a||_F term covers the rounding of that sum). Completion at
     ``1 - s`` then puts every eigenvalue of ``a`` above the floor by more
-    than LAPACK's error bound, so the verdict is rank n. They then exceed
+    than LAPACK's error bound, so the verdict is rank n, and computes no
+    eigenvalue (its ``min_eigenvalue`` is ``None``). They then exceed
     n gamma_{n+1} / (1 - gamma_{n+1}), so by Demmel's bound (Higham,
     thm. 10.7) the factorisation at ``1`` completes too. Failure at
     ``1 - s`` proves nothing, and the eigen route decides.
@@ -225,14 +227,11 @@ def _cholesky(a: np.ndarray, diagonal: float) -> np.ndarray | None:
         diag[:] = 1.0
 
 
-def _certified_gram(n: int, i: np.ndarray, j: np.ndarray, t: np.ndarray,
-                    floor: float) -> tuple[bool, np.ndarray]:
-    """Whether :func:`_cholesky` certifies the Gram matrix of the aligned
-    edge arrays at ``floor``, and that matrix. Its Frobenius norm is
-    sqrt(n + 2 sum(t)), up to rounding."""
-    shift = _cholesky_shift(n, math.sqrt(n + 2.0 * float(t.sum())), floor)
-    a = _gram_from_arrays(n, i, j, t)
-    return _cholesky(a, 1.0 - shift) is not None, a
+def _certified(a: np.ndarray, floor: float) -> bool:
+    """Whether :func:`_cholesky` certifies every eigenvalue of the Gram
+    matrix ``a`` above ``floor``, at the shift of :func:`_cholesky_shift`."""
+    shift = _cholesky_shift(a.shape[0], float(np.linalg.norm(a)), floor)
+    return _cholesky(a, 1.0 - shift) is not None
 
 
 class ExistenceVerdict(_Record):
@@ -244,33 +243,27 @@ class ExistenceVerdict(_Record):
     dimension of the minimal realization. Both are what the eigen route of
     :func:`existence` gives, also when the Cholesky certificate decided them.
 
-    ``min_eigenvalue`` is the least eigenvalue that route computes, except
-    for a certified verdict: that one solves its Gram matrix, assembled
-    again, with :func:`~angleset.spectra.eigenvalues` by calling ``_least``
-    the first time it is read, and keeps the result in the instance
-    ``__dict__``. Verdicts compare by identity, since comparing their values
-    could cost a solve.
+    ``min_eigenvalue`` is the least eigenvalue that route computed, or
+    ``None`` when the certificate decided the verdict, which computes no
+    eigenvalue; ``eigenvalues(gram_matrix(g, tau)).min_eigenvalue`` solves
+    it then. Verdicts compare by identity.
     """
 
+    __slots__ = ("exists", "rank", "min_eigenvalue")
     exists: bool
     rank: int
-    _least: Callable[[], float]
+    min_eigenvalue: float | None
 
-    def __init__(self, exists: bool, rank: int, _least: Callable[[], float]) -> None:
+    def __init__(self, exists: bool, rank: int, min_eigenvalue: float | None) -> None:
         object.__setattr__(self, "exists", exists)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_least", _least)
-
-    @cached_property
-    def min_eigenvalue(self) -> float:
-        """Least Gram eigenvalue, solved on first read if not yet known."""
-        return self._least()
+        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
 
     @classmethod
     def from_eigenvalues(cls, evals: np.ndarray) -> "ExistenceVerdict":
         """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
         lam_min = float(evals[-1])
-        return cls(lam_min >= -PSD_TOL, int(np.count_nonzero(evals > PSD_TOL)), lambda: lam_min)
+        return cls(lam_min >= -PSD_TOL, int(np.count_nonzero(evals > PSD_TOL)), lam_min)
 
 
 def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
@@ -281,50 +274,39 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
     exists. For graphs with cycles PSD remains sufficient (the explicit
     construction still goes through) but is not claimed necessary.
 
-    A per-edge tau gets the verdict of :func:`_gram_verdict`, the one
-    ``construct`` factors by. A constant tau on a graph whose adjacency
-    spectrum is memoised, as ``sigma`` and ``classify`` leave it, reads the
-    verdict off 1 + sqrt(tau) spec(A). Any other constant tau first tries
-    the certificate of :func:`_cholesky` at a floor that covers Jacobi's
-    error too, and solves the adjacency spectrum if it fails. A certified
-    verdict is rank n and solves nothing until ``min_eigenvalue`` is read,
-    and then only its Gram matrix, by :func:`~angleset.spectra.eigenvalues`,
-    so it pins no n x n matrix and leaves the adjacency spectrum unsolved.
+    A per-edge tau gets the verdict of :func:`_gram_verdict` on its Gram
+    matrix, the one ``construct`` factors by. A constant tau on a graph
+    whose adjacency spectrum is memoised, as ``sigma`` and ``classify``
+    leave it, reads the verdict off 1 + sqrt(tau) spec(A). Any other
+    constant tau first tries the certificate of :func:`_cholesky` at a floor
+    that covers Jacobi's error too, and solves the adjacency spectrum if it
+    fails. Each call assembles the Gram matrix at most once, and a certified
+    verdict, rank n with no least eigenvalue, keeps neither it nor the graph.
     """
     w = TauWeighting.of(tau)
     c = w.constant
     if c is None:
-        return _gram_verdict(g, w)[0]
+        return _gram_verdict(gram_matrix(g, w))
     if _memoised_spectrum(g) is None:
-        i, j, t = w.edge_arrays(g)
         # A has 2m unit entries: ||A||_F = sqrt(2m)
-        floor = PSD_TOL + math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(t)))
-        if _certified_gram(g.n, i, j, t, floor)[0]:
-            return _certified_verdict(g, w)
+        floor = PSD_TOL + math.sqrt(c) * _jacobi_bound(g.n, math.sqrt(2.0 * len(g.edges)))
+        if _certified(gram_matrix(g, w), floor):
+            return ExistenceVerdict(True, g.n, None)
     return ExistenceVerdict.from_eigenvalues(1.0 + math.sqrt(c) * graph_spectrum(g).eigenvalues)
 
 
-def _gram_verdict(g: Graph, w: TauWeighting) -> tuple[ExistenceVerdict, np.ndarray]:
+def _gram_verdict(a: np.ndarray) -> ExistenceVerdict:
     """The verdict at ``PSD_TOL`` that :func:`~angleset.spectra.eigenvalues`
-    gives on the Gram matrix A of ``(g, w)``, and that matrix, assembled
-    once.
+    gives on the assembled Gram matrix ``a``.
 
     The certificate of :func:`_cholesky` at floor ``PSD_TOL`` decides a
     definite matrix with no solve; if it fails, ``eigenvalues`` decides. A
     per-edge :func:`existence` returns this verdict, and
     :func:`~angleset.configurations.construct_configuration` factors by it.
     """
-    certified, a = _certified_gram(g.n, *w.edge_arrays(g), PSD_TOL)
-    if certified:
-        return _certified_verdict(g, w), a
-    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues), a
-
-
-def _certified_verdict(g: Graph, w: TauWeighting) -> ExistenceVerdict:
-    """The rank-n verdict the certificate proves, whose least eigenvalue
-    :func:`~angleset.spectra.eigenvalues` solves on first read, from the
-    Gram matrix assembled again, so that the verdict pins no n x n matrix."""
-    return ExistenceVerdict(True, g.n, lambda: eigenvalues(gram_matrix(g, w)).min_eigenvalue)
+    if _certified(a, PSD_TOL):
+        return ExistenceVerdict(True, a.shape[0], None)
+    return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
 
 
 class SigmaInterval(_ValueRecord):

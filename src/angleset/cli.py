@@ -33,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import QuarterPosition, existence, sigma_cycle, sigma_tree
+from .admissible import QuarterPosition, existence, gram_matrix, sigma_cycle, sigma_tree
 from .classify import classify_structure
 from .configurations import (
     configuration_document,
@@ -49,7 +49,7 @@ from .graphs import (
     parse_edge_list,
     parse_named_spec,
 )
-from .spectra import graph_index, graph_spectrum
+from .spectra import eigenvalues, graph_index, graph_spectrum
 
 SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
 
@@ -140,12 +140,14 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    # One query, so existence solves only what it needs: a verdict the
-    # certificate decides reads its least eigenvalue from LAPACK on the Gram
-    # matrix, and only a query it leaves open solves the adjacency spectrum.
+    # One query, so existence solves only what it needs: only a query the
+    # certificate leaves open solves the adjacency spectrum. A certified
+    # verdict has no least eigenvalue; LAPACK solves the Gram matrix for it.
     verdict = existence(g, args.tau)
-    _emit(args, {"exists": verdict.exists, "min_eigenvalue": verdict.min_eigenvalue,
-                 "rank": verdict.rank})
+    lam = verdict.min_eigenvalue
+    if lam is None:
+        lam = eigenvalues(gram_matrix(g, args.tau)).min_eigenvalue
+    _emit(args, {"exists": verdict.exists, "min_eigenvalue": lam, "rank": verdict.rank})
     return 0
 
 
@@ -201,7 +203,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     # Rows cross the endpoint, where the certificate fails and a constant tau
     # solves the adjacency spectrum by Jacobi: solve it once first, so every
-    # row reads its verdict and least eigenvalue off that one memo.
+    # row reads its verdict and least eigenvalue off that one memo (no row
+    # is certified, so none lacks that value).
     graph_spectrum(g)
     rows = []
     for tau in taus:

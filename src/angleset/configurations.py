@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict
+from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict, gram_matrix
 from .graphs import Graph, _Record, _ValueRecord, check_vertex_count
 from .spectra import eigenpairs
 
@@ -46,8 +46,9 @@ VERIFY_TOL = 1e-8
 class SubspaceConfiguration(_Record):
     """One vector per vertex: ``vectors`` has shape (n, ambient_dim), with
     row i - 1 for vertex i. Any real 2-D array or list of rows is stored as
-    a float array, with no copy of a float one; complex or non-2-D input
-    raises ``ValueError``. Configurations compare by identity.
+    a float array, with no copy of a float one; entries that are not
+    integers or floats (complex, bool, text, Python objects) or non-2-D
+    input raise ``ValueError``. Configurations compare by identity.
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
@@ -63,10 +64,11 @@ class SubspaceConfiguration(_Record):
 
     def __init__(self, vectors: np.ndarray, _gram: np.ndarray | None = None) -> None:
         # Tested before the conversion, which would drop the imaginary part
-        # with a ComplexWarning.
-        if np.iscomplexobj(vectors):
-            raise ValueError("vectors must be real, got complex entries")
-        vectors = np.asarray(vectors, dtype=float)
+        # with a ComplexWarning, read "1" and True as 1.0 and None as nan.
+        vectors = np.asarray(vectors)
+        if vectors.dtype.kind not in "iuf":
+            raise ValueError(f"vectors must be real numbers, got {vectors.dtype.name} entries")
+        vectors = vectors.astype(float, copy=False)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-D array of rows, got {vectors.ndim}-D")
         object.__setattr__(self, "vectors", vectors)
@@ -86,10 +88,11 @@ class SubspaceConfiguration(_Record):
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     """Build a configuration realizing ``(g, tau)`` from the Gram matrix.
 
-    Assemble the Gram matrix A once and take the verdict at ``PSD_TOL`` of
-    :func:`~angleset.admissible._gram_verdict` on it, the one a per-edge
-    :func:`~angleset.admissible.existence` gives, for a constant tau too:
-    the Cholesky certificate, and eigvalsh if it fails. Raises
+    Assemble the Gram matrix A once with
+    :func:`~angleset.admissible.gram_matrix` and take the verdict at
+    ``PSD_TOL`` of :func:`~angleset.admissible._gram_verdict` on it, the one
+    a per-edge :func:`~angleset.admissible.existence` gives, for a constant
+    tau too: the Cholesky certificate, and eigvalsh if it fails. Raises
     ``ValueError`` when the matrix is not positive semidefinite (no
     configuration exists), with eigvalsh's least eigenvalue in the message;
     a refusal computes no eigenvectors.
@@ -112,7 +115,8 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     The vectors are returned read-only, with that product, which
     :func:`verify_configuration` reads instead of forming it again.
     """
-    verdict, a = _gram_verdict(g, TauWeighting.of(tau))
+    a = gram_matrix(g, tau)
+    verdict = _gram_verdict(a)
     if not verdict.exists:
         raise ValueError(
             "no configuration exists: Gram matrix has negative eigenvalue "

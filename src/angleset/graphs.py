@@ -111,8 +111,8 @@ def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
 class _Record:
     """Base of the package's record types. A record's fields are the names
     its class body annotates, in order (``_field_names``). They are also
-    listed in ``__slots__`` unless the class keeps a ``cached_property``
-    memo, which needs an instance ``__dict__``. Its ``__init__`` takes the
+    listed in ``__slots__`` unless the class keeps memos, which need an
+    instance ``__dict__``; only :class:`Graph` does. Its ``__init__`` takes the
     fields positionally in that order and sets each once, with
     ``object.__setattr__``; assigning or deleting any attribute of an
     instance afterwards raises ``AttributeError``. So copies and pickles

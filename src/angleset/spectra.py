@@ -8,12 +8,13 @@ unconditionally stable on symmetric matrices, but it is pure Python and cubic
 in n per sweep: on a 2-vCPU machine the adjacency matrix of a random graph
 takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
 (``bench/README.md``). Gram matrices are solved by :func:`eigenvalues`
-(LAPACK, no eigenvectors): a per-edge one and any one that
-:func:`~angleset.configurations.construct_configuration` cannot certify,
-for the verdict, and that of a certified verdict, constant tau included,
-when its least eigenvalue is read. :func:`eigenpairs` runs only in
+(LAPACK, no eigenvectors) for the verdict that the Cholesky certificate
+leaves open, per edge and in
+:func:`~angleset.configurations.construct_configuration` at any tau; a
+certified verdict solves nothing. :func:`eigenpairs` runs only in
 ``construct_configuration``, after that verdict, to factor a singular Gram
-matrix (or a definite one that Cholesky rejects in rounding).
+matrix (or a definite one that Cholesky rejects in rounding). All three
+take their input through one gate, :func:`_symmetric`.
 
 The Cholesky certificate that spares these solves is
 :func:`~angleset.admissible._cholesky`; this module's a-priori bounds,
@@ -103,14 +104,22 @@ class Spectrum(_Record):
         return float(self.eigenvalues[-1])
 
 
-def _symmetric(m) -> np.ndarray:
-    """``m`` as a float array; ``ValueError`` unless square and symmetric."""
+def _symmetric(m) -> tuple[np.ndarray, float]:
+    """``m`` as a float array and its Frobenius norm, on which every route's
+    error bound rests; ``ValueError`` unless square, finite, of a norm
+    within the float range, and symmetric."""
     mat = np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        fro = float(np.linalg.norm(mat))
+    if not math.isfinite(fro):
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has a non-finite entry")
+        raise ValueError("matrix Frobenius norm overflows the float range")
     if not np.array_equal(mat, mat.T):
         raise ValueError("matrix is not symmetric")
-    return mat
+    return mat, fro
 
 
 def eigen_symmetric(m) -> Spectrum:
@@ -118,12 +127,12 @@ def eigen_symmetric(m) -> Spectrum:
 
     Sweeps stop once the off-diagonal Frobenius norm is at most
     ``DEFAULT_TOL * ||m||_F``. Raises :class:`ConvergenceError` if
-    ``MAX_SWEEPS`` sweeps run first and ``ValueError`` for non-symmetric input.
+    ``MAX_SWEEPS`` sweeps run first and ``ValueError`` for input that
+    :func:`_symmetric` refuses.
     """
-    mat = _symmetric(m)
+    mat, fro = _symmetric(m)
     n = mat.shape[0]
     a: list[list[float]] = mat.tolist()
-    fro = math.sqrt(sum(x * x for row in a for x in row))
     target = DEFAULT_TOL * fro
     # Entries at or below `skip` cannot push the off-norm above target even if
     # every off-diagonal slot held one, so rotating on them is wasted work.
@@ -184,18 +193,18 @@ def eigen_symmetric(m) -> Spectrum:
     return Spectrum(eigenvalues, residual_bound=off)
 
 
-def _lapack_bound(mat: np.ndarray) -> float:
-    """A-priori error bound ``n * eps * ||mat||_F`` on every eigenvalue LAPACK
-    computes for the symmetric ``mat``.
+def _lapack_bound(n: int, fro: float) -> float:
+    """A-priori error bound ``n * eps * fro`` on every eigenvalue LAPACK
+    computes for a symmetric n x n matrix M of Frobenius norm ``fro``.
 
     Its symmetric solvers are backward stable: the computed eigenvalues are
-    exact for some mat + E with ``||E||_2`` a small multiple of
-    ``eps * ||mat||_2``, and by Weyl's inequality no eigenvalue moves by more
+    exact for some M + E with ``||E||_2`` a small multiple of
+    ``eps * ||M||_2``, and by Weyl's inequality no eigenvalue moves by more
     than ``||E||_2``. Taking n as the multiple and the Frobenius norm, which
-    is at least the spectral norm, gives a bound that costs O(n^2) and no
-    product.
+    is at least the spectral norm and which :func:`_symmetric` computes
+    anyway, gives a bound that costs no product.
     """
-    return mat.shape[0] * _EPS * float(np.linalg.norm(mat))
+    return n * _EPS * fro
 
 
 def _jacobi_bound(n: int, fro: float) -> float:
@@ -226,10 +235,11 @@ def eigenvalues(m) -> Spectrum:
     (``np.linalg.eigvalsh``), descending, with no eigenvectors.
 
     ``residual_bound`` is the a-priori bound ``n * eps * ||m||_F`` (see
-    :func:`_lapack_bound`). Raises ``ValueError`` for non-symmetric input.
+    :func:`_lapack_bound`). Raises ``ValueError`` for input that
+    :func:`_symmetric` refuses.
     """
-    mat = _symmetric(m)
-    return Spectrum(np.linalg.eigvalsh(mat)[::-1], residual_bound=_lapack_bound(mat))
+    mat, fro = _symmetric(m)
+    return Spectrum(np.linalg.eigvalsh(mat)[::-1], residual_bound=_lapack_bound(len(mat), fro))
 
 
 def eigenpairs(m) -> Spectrum:
@@ -238,11 +248,11 @@ def eigenpairs(m) -> Spectrum:
     k in column k.
 
     ``residual_bound`` is the same a-priori bound as :func:`eigenvalues`
-    gives. Raises ``ValueError`` for non-symmetric input.
+    gives. Raises ``ValueError`` for input that :func:`_symmetric` refuses.
     """
-    mat = _symmetric(m)
+    mat, fro = _symmetric(m)
     evals, evecs = np.linalg.eigh(mat)
-    return Spectrum(evals[::-1], residual_bound=_lapack_bound(mat),
+    return Spectrum(evals[::-1], residual_bound=_lapack_bound(len(mat), fro),
                     eigenvectors=evecs[:, ::-1])
 
 

@@ -64,6 +64,22 @@ def eig_calls(monkeypatch):
 
 
 @pytest.fixture
+def assemblies(monkeypatch):
+    """The vertex count of every Gram matrix ``gram_matrix`` assembles, one
+    entry per call, counted in every angleset module that holds it by name."""
+    built = []
+    real = angleset.admissible.gram_matrix
+
+    def counted(g, tau):
+        built.append(g.n)
+        return real(g, tau)
+
+    for module in _holders("gram_matrix", real):
+        monkeypatch.setattr(module, "gram_matrix", counted)
+    return built
+
+
+@pytest.fixture
 def tau_checks(monkeypatch):
     """The edge of each tau value that ``TauWeighting`` range-checks, one
     entry per check (``None`` for a constant)."""

@@ -146,6 +146,13 @@ class TestTauWeighting:
         with pytest.raises(GraphError, match=message):
             TauWeighting(per_edge=[item])
 
+    @pytest.mark.parametrize("per_edge", [5, 0.2, True], ids=["int", "float", "bool"])
+    def test_per_edge_must_be_iterable(self, per_edge):
+        message = ("^per_edge must be a mapping or an iterable of \\(edge, tau\\) pairs, "
+                   f"got {re.escape(repr(per_edge))}$")
+        with pytest.raises(GraphError, match=message):
+            TauWeighting(per_edge=per_edge)
+
     @pytest.mark.parametrize(
         "key", [1, (1, 2, 3), (1,), None], ids=["int", "triple", "single", "none"]
     )
@@ -245,10 +252,14 @@ class TestExistence:
         assert existence(g, {(1, 2): 0.3, (2, 3): 0.3}).rank == 3
 
     def test_min_eigenvalue_closed_form(self):
-        # bipartite graph: lambda_min = 1 - r sqrt(tau)
+        # bipartite graph: lambda_min = 1 - r sqrt(tau). At 0.16 the matrix
+        # is definite and the certificate decides, solving no eigenvalue.
         g = named("star", 4)
         v = existence(g, 0.16)
-        assert v.min_eigenvalue == pytest.approx(1 - 2 * 0.4, abs=1e-12)
+        assert (v.exists, v.rank, v.min_eigenvalue) == (True, 5, None)
+        lam = eigenvalues(gram_matrix(g, 0.16)).min_eigenvalue
+        assert lam == pytest.approx(1 - 2 * 0.4, abs=1e-12)
+        assert existence(g, 0.36).min_eigenvalue == pytest.approx(1 - 2 * 0.6, abs=1e-12)
 
     def test_full_rank_when_strictly_inside(self):
         g = named("D", 5)
@@ -267,7 +278,10 @@ class TestExistence:
             }
             v = existence(g, moved)
             assert v.exists == reference.exists and v.rank == reference.rank
-            assert v.min_eigenvalue == pytest.approx(reference.min_eigenvalue, abs=1e-12)
+            assert v.min_eigenvalue is reference.min_eigenvalue is None  # certified
+            lam = eigenvalues(gram_matrix(g, moved)).min_eigenvalue
+            assert lam == pytest.approx(eigenvalues(gram_matrix(base, tau)).min_eigenvalue,
+                                        abs=1e-12)
 
 
 class TestAdjacencySpectrumReuse:
@@ -305,21 +319,26 @@ class TestAdjacencySpectrumReuse:
     def test_per_edge_tau_solves_its_own_gram_matrix(self, eig_calls, name_calls):
         """A per-edge weighting takes its Gram eigenvalues from the LAPACK
         ``eigenvalues`` call ``construct`` makes, never from Jacobi, and
-        computes no eigenvectors. A definite one solves only when its least
-        eigenvalue is read, and so does a definite constant tau, from the
-        same call, leaving the adjacency spectrum unsolved."""
+        computes no eigenvectors. A definite one, like a definite constant
+        tau, is certified and solves nothing, leaving the adjacency spectrum
+        unsolved; an indefinite one is left to eigvalsh."""
         g = named("A", 4)
         calls = name_calls("eigenvalues", "eigenpairs")
-        assert existence(g, 0.2).min_eigenvalue > 0.0
-        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert existence(g, 0.2).min_eigenvalue is None
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
         assert _memoised_spectrum(g) is None
         weights = {(1, 2): 0.2, (2, 3): 0.3, (3, 4): 0.2}
+        certified = existence(g, weights)
+        assert (certified.exists, certified.rank, certified.min_eigenvalue) == (True, 4, None)
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (0, 0)
+        # t12 + t23 > 1: the path 1-2-3 alone is indefinite, so eigvalsh decides
+        weights = {(1, 2): 0.5, (2, 3): 0.6, (3, 4): 0.2}
         first = existence(g, weights)
-        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (1, 0)
+        assert not first.exists
         second = existence(g, weights)
         assert (second.exists, second.rank, second.min_eigenvalue) == \
             (first.exists, first.rank, first.min_eigenvalue)
-        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (3, 0)
+        assert eig_calls == [] and (calls["eigenvalues"], calls["eigenpairs"]) == (2, 0)
         a = gram_matrix(g, weights)
         lapack = eigenvalues(a)
         assert first.min_eigenvalue == lapack.eigenvalues[-1]
@@ -338,11 +357,12 @@ class TestAdjacencySpectrumReuse:
         LAPACK solves this matrix in well under a second; Jacobi, cubic per
         sweep, would take minutes."""
         g = named("A", 1000)
-        verdict = existence(g, dict.fromkeys(g.edges, 0.2))
+        tau = dict.fromkeys(g.edges, 0.2)
+        verdict = existence(g, tau)
         assert eig_calls == []
+        assert (verdict.exists, verdict.rank, verdict.min_eigenvalue) == (True, 1000, None)
         expected = 1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 1001)
-        assert verdict.min_eigenvalue == pytest.approx(expected, abs=1e-12)
-        assert verdict.exists and verdict.rank == 1000
+        assert eigenvalues(gram_matrix(g, tau)).min_eigenvalue == pytest.approx(expected, abs=1e-12)
 
     def test_constant_tau_construct_solves_once(self, eig_calls, name_calls):
         """``construct`` makes at most one solve, from LAPACK, not from
@@ -400,6 +420,15 @@ def _psd_endpoint(g):
     return min(1.0, 1.0 / (q * q))
 
 
+def _least_eigenvalue(verdict, g, tau):
+    """The verdict's least Gram eigenvalue, or for a certified verdict,
+    which holds none, the one eigvalsh gives on its Gram matrix, as CLI
+    ``exists`` prints it."""
+    if verdict.min_eigenvalue is None:
+        return eigenvalues(gram_matrix(g, tau)).min_eigenvalue
+    return verdict.min_eigenvalue
+
+
 def _construct_agrees(g, tau):
     """``construct_configuration`` succeeds iff ``existence`` says a
     configuration exists, and then lives in ``rank`` dimensions and
@@ -436,7 +465,7 @@ def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
             verdict = existence(g, tau)
             assert verdict.exists == (lam_min >= -PSD_TOL)
             assert verdict.rank == int((evals > PSD_TOL).sum())
-            worst = max(worst, abs(verdict.min_eigenvalue - lam_min))
+            worst = max(worst, abs(_least_eigenvalue(verdict, g, tau) - lam_min))
             seen.add(verdict.exists)
             if corpus_fixture != "boundary_trees":
                 again = _construct_agrees(g, tau)
@@ -586,10 +615,10 @@ class TestCertifiedExistence:
     """``existence`` tries a Cholesky certificate before any eigensolve. Its
     ``exists`` and ``rank`` must be the eigen route's, bit for bit, on a
     fresh graph and on one whose adjacency spectrum is memoised; a certified
-    verdict makes no solve until ``min_eigenvalue`` is read, and then exactly
-    one, by eigvalsh on the Gram matrix, within the two routes' error bounds
-    of the eigen route's value. Every other verdict's least eigenvalue is
-    the eigen route's, bit for bit."""
+    verdict makes no solve and holds no least eigenvalue, and eigvalsh on
+    its Gram matrix lies within the two routes' error bounds of the eigen
+    route's value. Every other verdict's least eigenvalue is the eigen
+    route's, bit for bit, from exactly one solve."""
 
     @pytest.fixture
     def check(self, eig_calls, name_calls):
@@ -611,21 +640,21 @@ class TestCertifiedExistence:
                 made = solves() - before
                 assert made in (0, 1), (g, tau)
                 assert (verdict.exists, verdict.rank) == want[:2], (g, tau)
-                lam = verdict.min_eigenvalue
-                assert verdict.min_eigenvalue == lam  # kept: no second solve
-                assert solves() - before == 1, (g, tau)
                 if made == 0:
                     certified += 1
-                    assert (verdict.exists, verdict.rank) == (True, g.n)
+                    assert (verdict.exists, verdict.rank, verdict.min_eigenvalue) == \
+                        (True, g.n, None)
                     assert _memoised_spectrum(fresh) is None, (g, tau)
                     lapack = eigenvalues(gram_matrix(g, tau))
-                    assert lam == lapack.eigenvalues[-1], (g, tau)
+                    lam = lapack.min_eigenvalue
                     assert abs(lam - want[2]) <= route_bound + lapack.residual_bound, (g, tau)
                 else:
-                    assert lam == want[2], (g, tau)
+                    assert verdict.min_eigenvalue == want[2], (g, tau)
                 graph_spectrum(fresh)
                 memo = existence(fresh, tau)
-                assert (memo.exists, memo.rank, memo.min_eigenvalue) == want, (g, tau)
+                assert (memo.exists, memo.rank) == want[:2], (g, tau)
+                # a per-edge tau ignores the memo, and is certified again
+                assert _least_eigenvalue(memo, g, tau) == want[2], (g, tau)
             return certified
 
         return run
@@ -665,21 +694,33 @@ class TestCertifiedExistence:
         assert certified >= 3 * 150  # the half-way taus and the 0.999 one
 
     @pytest.mark.parametrize("weights", ["constant", "per-edge"])
-    def test_a_definite_query_solves_only_when_its_least_eigenvalue_is_read(
+    def test_a_definite_query_holds_no_least_eigenvalue_and_solves_nothing(
         self, eig_calls, name_calls, weights
     ):
         g = named("A", 20)
         tau = 0.2 if weights == "constant" else dict.fromkeys(g.edges, 0.2)
         calls = name_calls("eigenvalues", "eigenpairs")
         verdict = existence(g, tau)
-        assert (verdict.exists, verdict.rank) == (True, 20)
+        assert (verdict.exists, verdict.rank, verdict.min_eigenvalue) == (True, 20, None)
         assert eig_calls == [] and calls["eigenvalues"] == calls["eigenpairs"] == 0
-        lam = verdict.min_eigenvalue
-        assert lam == pytest.approx(1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 21), abs=1e-12)
-        assert verdict.min_eigenvalue == lam
-        assert (eig_calls, calls["eigenvalues"], calls["eigenpairs"]) == ([], 1, 0)
-        assert lam == eigenvalues(gram_matrix(g, tau)).eigenvalues[-1]
         assert _memoised_spectrum(g) is None
+        lam = eigenvalues(gram_matrix(g, tau)).min_eigenvalue
+        assert lam == pytest.approx(1 - 2 * math.sqrt(0.2) * math.cos(math.pi / 21), abs=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.2, 0.6, {(1, 2): 0.2, (2, 3): 0.2},
+                                     {(1, 2): 0.6, (2, 3): 0.6}],
+                             ids=["constant-definite", "constant-indefinite",
+                                  "per-edge-definite", "per-edge-indefinite"])
+    def test_one_gram_assembly_per_call(self, assemblies, tau):
+        """The certificate and the eigvalsh that a failed one leaves the
+        verdict to share one Gram matrix; a constant tau with the adjacency
+        spectrum memoised assembles none."""
+        g = named("A", 3)
+        existence(g, tau)
+        assert assemblies == [3]
+        graph_spectrum(g)
+        existence(g, tau)
+        assert assemblies == [3] * (2 if isinstance(tau, dict) else 1)
 
     def test_the_constant_tau_floor_covers_the_jacobi_bound(self, eig_calls, name_calls):
         """On A64 with least Gram eigenvalue 2 PSD_TOL the per-edge shift,
@@ -703,7 +744,7 @@ class TestCertifiedExistence:
         def refuses(*args):
             raise AssertionError("certificate attempted")
 
-        monkeypatch.setattr(angleset.admissible, "_certified_gram", refuses)
+        monkeypatch.setattr(angleset.admissible, "_certified", refuses)
         verdict = existence(g, 0.2)
         assert (verdict.exists, verdict.rank, eig_calls) == (True, 12, [12])
 
@@ -738,7 +779,7 @@ class TestOnePassPerGraphFact:
         def refuses(*args):
             raise AssertionError("certificate attempted")
 
-        monkeypatch.setattr(angleset.admissible, "_certified_gram", refuses)
+        monkeypatch.setattr(angleset.admissible, "_certified", refuses)
         checked = 0
         for g, r, _ in boundary_trees:
             assert _memoised_spectrum(g) is not None
@@ -998,20 +1039,21 @@ def connected_graphs(draw, max_n=12):
 
 @given(connected_graphs(), st.floats(min_value=0.5, max_value=0.99))
 @settings(max_examples=80, deadline=None)
-def test_a_certified_constant_tau_reads_its_least_eigenvalue_from_lapack(g, scale):
+def test_a_certified_constant_tau_leaves_its_least_eigenvalue_to_lapack(g, scale):
     """Strictly inside the PSD interval the certificate decides a constant
-    tau, the read solves no adjacency spectrum, and the least eigenvalue is
-    1 + sqrt(tau) lambda_min(A) to within the LAPACK a-priori bounds of the
-    Gram and the adjacency solve."""
+    tau with no solve, and the least eigenvalue that eigvalsh gives on the
+    Gram matrix is 1 + sqrt(tau) lambda_min(A) to within the LAPACK
+    a-priori bounds of the Gram and the adjacency solve."""
     tau = scale * _psd_endpoint(g)
     verdict = existence(g, tau)
-    assert (verdict.exists, verdict.rank) == (True, g.n)
-    lam = verdict.min_eigenvalue
+    assert (verdict.exists, verdict.rank, verdict.min_eigenvalue) == (True, g.n, None)
     assert _memoised_spectrum(g) is None
+    lapack = eigenvalues(gram_matrix(g, tau))
+    lam = lapack.min_eigenvalue
     assert lam > PSD_TOL
     a = adjacency_matrix(g)
     root = math.sqrt(tau)
-    band = _lapack_bound(gram_matrix(g, tau)) + root * _lapack_bound(a)
+    band = lapack.residual_bound + root * _lapack_bound(g.n, float(np.linalg.norm(a)))
     assert abs(lam - (1.0 + root * np.linalg.eigvalsh(a)[0])) <= band
 
 

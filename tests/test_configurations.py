@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from angleset import (
     tree_from_pruefer,
     verify_configuration,
 )
-import angleset.admissible
 import angleset.configurations
 from angleset.admissible import _cholesky_shift
 from angleset.configurations import VERIFY_TOL, VerificationReport
@@ -40,21 +40,6 @@ def named(family, size=None):
 
 def spec_graph(spec):
     return generate_named(parse_named_spec(spec))
-
-
-@pytest.fixture
-def assemblies(monkeypatch):
-    """The size of every Gram matrix assembled from edge arrays, one entry
-    per assembly. Only ``admissible`` assembles them."""
-    built = []
-    real = angleset.admissible._gram_from_arrays
-
-    def counted(n, *args, **kwargs):
-        built.append(n)
-        return real(n, *args, **kwargs)
-
-    monkeypatch.setattr(angleset.admissible, "_gram_from_arrays", counted)
-    return built
 
 
 class TestSubspaceConfiguration:
@@ -86,6 +71,14 @@ class TestSubspaceConfiguration:
             warnings.simplefilter("error")  # no ComplexWarning either
             with pytest.raises(ValueError, match="must be real"):
                 SubspaceConfiguration(rows)
+
+    @pytest.mark.parametrize("rows", [[["1", "0"], ["0", "1"]], np.array([[b"1", b"0"]]),
+                                      [[True, False], [False, True]], np.eye(2, dtype=bool),
+                                      [[Fraction(1), "0"], [0, "1"]], [[None, 0.0]]],
+                             ids=["text", "bytes", "bool-list", "bool-array", "mixed", "none"])
+    def test_vectors_that_are_not_numbers_are_refused(self, rows):
+        with pytest.raises(ValueError, match="^vectors must be real numbers, got (str|bytes|bool|obj)"):
+            SubspaceConfiguration(rows)
 
     @pytest.mark.parametrize("rows", [np.ones(3), [1.0, 0.0], 1.0, np.ones((2, 2, 1))])
     def test_vectors_must_be_two_dimensional(self, rows):

@@ -1,10 +1,13 @@
 """The contract of the exported record types: fields that cannot be
 assigned, value or identity equality as each type states, the memos that
-``Graph`` and ``ExistenceVerdict`` keep, and no dataclass among them."""
+``Graph`` keeps, what a certified ``ExistenceVerdict`` holds, and no
+dataclass among them."""
 
 import copy
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from angleset import (
     SubspaceConfiguration,
     TauWeighting,
     VerificationReport,
+    existence,
     graph_spectrum,
     is_connected,
 )
@@ -48,7 +52,7 @@ VALUE_RECORDS = {
 IDENTITY_RECORDS = {
     Spectrum: lambda: Spectrum(np.array([1.0, -1.0]), 0.0),
     SubspaceConfiguration: lambda: SubspaceConfiguration(np.eye(2)),
-    ExistenceVerdict: lambda: ExistenceVerdict(True, 2, lambda: 1.0),
+    ExistenceVerdict: lambda: ExistenceVerdict(True, 2, 1.0),
 }
 
 BUILDERS = {cls: pair[0] for cls, pair in VALUE_RECORDS.items()} | IDENTITY_RECORDS
@@ -110,9 +114,7 @@ def test_identity_records_compare_by_identity(cls):
 @pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
 def test_records_survive_copy_and_pickle(cls):
     record = BUILDERS[cls]()
-    twins = [copy.copy(record), copy.deepcopy(record)]
-    if cls is not ExistenceVerdict:  # pickle refuses its lambda
-        twins.append(pickle.loads(pickle.dumps(record)))
+    twins = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for twin in twins:
         assert type(twin) is cls and repr(twin) == repr(record)
         assert twin == record or cls in IDENTITY_RECORDS
@@ -152,12 +154,25 @@ def test_graph_memos_attach_to_the_instance():
     assert hash(g) == hash(Graph(4, [(1, 2), (2, 3), (3, 4)]))
 
 
-def test_a_verdict_solves_its_least_eigenvalue_once():
-    calls = []
-    verdict = ExistenceVerdict(True, 3, lambda: calls.append(1) or -0.5)
-    assert calls == []
-    assert verdict.min_eigenvalue == verdict.min_eigenvalue == -0.5
-    assert calls == [1] and vars(verdict)["min_eigenvalue"] == -0.5
+@pytest.mark.parametrize("per_edge", [False, True], ids=["constant", "per-edge"])
+def test_a_certified_verdict_holds_no_least_eigenvalue(eig_calls, name_calls, per_edge):
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    calls = name_calls("eigenvalues", "eigenpairs")
+    verdict = existence(g, dict.fromkeys(g.edges, 0.2) if per_edge else 0.2)
+    assert (verdict.exists, verdict.rank, verdict.min_eigenvalue) == (True, 4, None)
+    assert (eig_calls, calls["eigenvalues"], calls["eigenpairs"]) == ([], 0, 0)
+    assert not hasattr(verdict, "__dict__")
+
+
+@pytest.mark.parametrize("per_edge", [False, True], ids=["constant", "per-edge"])
+def test_a_certified_verdict_does_not_keep_its_graph_alive(per_edge):
+    g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+    verdict = existence(g, dict.fromkeys(g.edges, 0.2) if per_edge else 0.2)
+    assert verdict.min_eigenvalue is None  # certified
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_from_edges_stays_a_classmethod():

@@ -77,6 +77,35 @@ class TestEigenSymmetricInput:
         assert exc.value.off_norm > exc.value.target
 
 
+ROUTES = {"jacobi": eigen_symmetric, "eigvalsh": eigenvalues, "eigh": eigenpairs}
+
+
+@pytest.mark.parametrize("solve", ROUTES.values(), ids=ROUTES.keys())
+class TestSharedInputGate:
+    """The three routes share one gate. It refuses what no error bound
+    covers, since each bound is a multiple of the Frobenius norm, with its
+    own message and no warning (tier-1 makes a RuntimeWarning an error)."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_an_entry_that_is_not_finite(self, solve, bad):
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            solve([[bad]])
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            solve([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            solve([[1.0, bad], [0.0, 1.0]])  # reported before the asymmetry
+
+    @pytest.mark.parametrize("big", [1e160, 1e300, -1e200])
+    def test_refuses_a_norm_beyond_the_float_range(self, solve, big):
+        with pytest.raises(ValueError, match="^matrix Frobenius norm overflows the float range$"):
+            solve([[0.0, big], [big, 0.0]])
+
+    def test_keeps_a_large_norm_within_the_range(self, solve):
+        s = solve([[0.0, 1e153], [1e153, 0.0]])
+        assert s.eigenvalues.tolist() == pytest.approx([1e153, -1e153], rel=1e-12)
+        assert math.isfinite(s.residual_bound)
+
+
 class TestFrozenSpectra:
     @pytest.mark.parametrize("tag,expected", sorted(FROZEN_SPECTRA.items()))
     def test_known_eigenvalues(self, tag, expected):
