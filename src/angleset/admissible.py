@@ -26,7 +26,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from .classify import IndexKind, classify_structure
-from .graphs import Graph, GraphError, _Record, _ValueRecord, _integer, edge_key, is_tree
+from .graphs import (Graph, GraphError, _edge_name, _integer, _Record, _shown, _ValueRecord,
+                     edge_key, is_tree)
 from .spectra import (
     _EPS,
     _jacobi_bound,
@@ -72,12 +73,12 @@ def _check_tau_value(tau, edge: tuple[int, int] | None = None) -> float:
         except OverflowError:  # not echoed: a long int's repr may raise
             value = math.inf if tau > 0 else -math.inf
     if value is None:
-        problem = f"must be a real number, got {tau!r}"
+        problem = f"must be a real number, got {_shown(tau)}"
     elif 0.0 < value <= 1.0:
         return value
     else:
         problem = f"must lie in (0, 1], got {value}"
-    where = f" on edge {edge[0]}-{edge[1]}" if edge else ""
+    where = f" on edge {_edge_name(edge)}" if edge else ""
     raise ValueError(f"tau{where} {problem}")
 
 
@@ -111,21 +112,21 @@ class TauWeighting(_ValueRecord):
                 items = iter(per_edge.items() if isinstance(per_edge, Mapping) else per_edge)
             except TypeError:
                 raise GraphError("per_edge must be a mapping or an iterable of (edge, tau) "
-                                 f"pairs, got {per_edge!r}") from None
+                                 f"pairs, got {_shown(per_edge)}") from None
             for item in items:
                 try:
                     key, value = item
                 except (TypeError, ValueError):
                     raise GraphError(
-                        f"per-edge item {item!r} is not an (edge, tau) pair") from None
+                        f"per-edge item {_shown(item)} is not an (edge, tau) pair") from None
                 try:
                     i, j = key
                 except (TypeError, ValueError):
                     raise GraphError(
-                        f"per-edge key {key!r} is not a pair of vertex labels") from None
+                        f"per-edge key {_shown(key)} is not a pair of vertex labels") from None
                 e = edge_key(i, j)
                 if e in fixed:
-                    raise ValueError(f"edge {e[0]}-{e[1]} weighted twice")
+                    raise ValueError(f"edge {_edge_name(e)} weighted twice")
                 fixed[e] = _check_tau_value(value, e)
             per_edge = fixed
         object.__setattr__(self, "constant", constant)
@@ -154,10 +155,10 @@ class TauWeighting(_ValueRecord):
                 t = np.fromiter(map(self.per_edge.__getitem__, edges), dtype=float, count=m)
             except KeyError:
                 a, b = min(g.edges - self.per_edge.keys())
-                raise ValueError(f"per-edge weighting misses edge {a}-{b}") from None
+                raise ValueError(f"per-edge weighting misses edge {_edge_name((a, b))}") from None
             if len(self.per_edge) != m:
                 a, b = min(self.per_edge.keys() - g.edges)
-                raise ValueError(f"per-edge weighting names non-edge {a}-{b}")
+                raise ValueError(f"per-edge weighting names non-edge {_edge_name((a, b))}")
         return i, j, t
 
 
@@ -317,8 +318,8 @@ class SigmaInterval(_ValueRecord):
     upper: float
 
     def __init__(self, upper: float) -> None:
-        if not 0.0 < upper <= 1.0:
-            raise ValueError(f"interval endpoint must lie in (0, 1], got {upper}")
+        if not (isinstance(upper, (int, float)) and 0.0 < upper <= 1.0):
+            raise ValueError(f"interval endpoint must lie in (0, 1], got {_shown(upper)}")
         object.__setattr__(self, "upper", upper)
 
 
@@ -342,17 +343,15 @@ def sigma_cycle(n: int) -> SigmaInterval:
     1/4; the two agree only on trees.
     """
     if type(n) is not int:
-        n = _integer(n, f"cycle length must be an integer, got {n!r}")
+        n = _integer(n, "cycle length")
     if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
-    return SigmaInterval(_coxeter_endpoint(n))
-
-
-def _coxeter_endpoint(h: int) -> float:
-    """Endpoint 1/(4cos^2(pi/h)), capped at 1, of the Dynkin shapes with
-    Coxeter number ``h``; the path on n vertices has h = n + 1."""
-    c = math.cos(math.pi / h)
-    return min(1.0, 1.0 / (4.0 * c * c))
+        raise ValueError(f"cycle needs at least 3 vertices, got {_shown(n)}")
+    # cos(pi/n) rounds to 1.0 for every n >= 10**9, so the endpoint is
+    # exactly 1/4 there; pi / n overflows once n passes the float range.
+    if n >= 10**9:
+        return SigmaInterval(0.25)
+    c = math.cos(math.pi / n)
+    return SigmaInterval(min(1.0, 1.0 / (4.0 * c * c)))
 
 
 class QuarterPosition(enum.Enum):

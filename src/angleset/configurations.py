@@ -17,6 +17,10 @@ and a non-negative i-th coordinate. For a positive definite Gram matrix that
 is its Cholesky factor, which is sparse on sparse graphs; a singular one is
 rotated into the same frame by a QR factorisation, so it does not depend on
 the basis LAPACK picks inside a repeated eigenvalue.
+
+A configuration document, the JSON form of the lines, their graph and tau,
+is read by :func:`load_configuration`, which checks only the document's own
+shape; each field is judged by the gate of the record it fills.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .admissible import PSD_TOL, TauLike, TauWeighting, _cholesky, _gram_verdict, gram_matrix
-from .graphs import Graph, _Record, _ValueRecord, check_vertex_count
+from .graphs import Graph, _Record, _shown, _ValueRecord, check_vertex_count
 from .spectra import eigenpairs
 
 __all__ = [
@@ -45,10 +49,15 @@ VERIFY_TOL = 1e-8
 
 class SubspaceConfiguration(_Record):
     """One vector per vertex: ``vectors`` has shape (n, ambient_dim), with
-    row i - 1 for vertex i. Any real 2-D array or list of rows is stored as
-    a float array, with no copy of a float one; entries that are not
-    integers or floats (complex, bool, text, Python objects) or non-2-D
-    input raise ``ValueError``. Configurations compare by identity.
+    row i - 1 for vertex i. Configurations compare by identity.
+
+    This constructor is the one gate for vector entries. Any real 2-D array,
+    or sequence of rows, of finite integers and floats is stored as a float
+    array, with no copy of a float one. Everything else raises
+    ``ValueError``: entries of any other kind (complex, bool, text, None,
+    Python objects), also one ``True`` among numbers in rows, which numpy
+    would read as 1; rows of unequal length; input that is not 2-D; and a
+    NaN, an infinity or an integer beyond the float range.
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
@@ -63,14 +72,18 @@ class SubspaceConfiguration(_Record):
     _gram: np.ndarray | None
 
     def __init__(self, vectors: np.ndarray, _gram: np.ndarray | None = None) -> None:
+        if not isinstance(vectors, np.ndarray):
+            vectors = _array_of_rows(vectors)
         # Tested before the conversion, which would drop the imaginary part
-        # with a ComplexWarning, read "1" and True as 1.0 and None as nan.
-        vectors = np.asarray(vectors)
+        # with a ComplexWarning, and read "1" as 1.0 and None as nan.
         if vectors.dtype.kind not in "iuf":
-            raise ValueError(f"vectors must be real numbers, got {vectors.dtype.name} entries")
+            kind = vectors.dtype.name.rstrip("0123456789")  # "str", not numpy's "str96"
+            raise ValueError(f"vectors must be real numbers, got {kind} entries")
         vectors = vectors.astype(float, copy=False)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-D array of rows, got {vectors.ndim}-D")
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors must be finite, got a NaN or infinite entry")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_gram", _gram)
 
@@ -83,6 +96,32 @@ class SubspaceConfiguration(_Record):
     def size(self) -> int:
         """Number of vertices covered."""
         return self.vectors.shape[0]
+
+
+def _array_of_rows(rows) -> np.ndarray:
+    """``rows`` as an array. The entries of a list or tuple of rows are
+    walked for their types first: numpy reads ``True`` as 1 beside other
+    numbers, and rows of Python ints and floats alone convert fastest with
+    the float dtype given, which also reads an int past 64 bits."""
+    types = set()
+    if isinstance(rows, (list, tuple)):
+        try:
+            types = set(map(type, chain.from_iterable(rows)))
+        except TypeError:  # a row that is a number: the shape check names it
+            pass
+    if bool in types or np.bool_ in types:
+        raise ValueError("vectors must be real numbers, got bool entries")
+    try:
+        if types and types <= {int, float}:
+            try:
+                return np.array(rows, dtype=float)
+            except TypeError:  # rows that are sets or dicts: numpy's own dtype names them
+                pass
+        return np.asarray(rows)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError("vectors must be a 2-D array of rows of equal length") from None
+    except OverflowError:
+        raise ValueError("vectors must be finite, got an integer past the float range") from None
 
 
 def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
@@ -277,37 +316,12 @@ def _tau_to_json(w: TauWeighting):
     return [[i, j, value] for (i, j), value in sorted(w.per_edge.items())]
 
 
-def _labeled(item, length: int) -> bool:
-    """Whether ``item`` is a list of ``length`` entries whose first two are
-    integer vertex labels (``type`` rules out JSON's ``true`` and ``1.0``)."""
-    return (type(item) is list and len(item) == length
-            and type(item[0]) is int and type(item[1]) is int)
-
-
-def _tau_from_json(data) -> TauWeighting:
-    if type(data) in (int, float):
-        return TauWeighting(constant=data)
-    if type(data) is list and all(_labeled(t, 3) and type(t[2]) in (int, float) for t in data):
-        return TauWeighting(per_edge=[((i, j), v) for i, j, v in data])
-    raise ValueError(f"cannot read tau from {data!r}: need a number or [i, j, tau] triples")
-
-
-_MALFORMED_GRAPH = "graph must be a list of [i, j] integer label pairs"
-
-
-def _graph_from_json(data, n: int) -> Graph:
-    """The graph on ``n`` vertices of a document's ``graph`` list.
-
-    The list and every pair in it are checked for their JSON shape first,
-    so a malformed pair anywhere is reported before anything else. The
-    pairs then go to ``Graph(n, data)``, which names the first loop or
-    repeated edge in list order, then an edge out of range.
-    """
-    if type(data) is not list:
-        raise ValueError(_MALFORMED_GRAPH)
-    if not all(_labeled(e, 2) for e in data):
-        raise ValueError(_MALFORMED_GRAPH)
-    return Graph(n, data)
+def _weighted_edge(triple) -> tuple[tuple, object]:
+    """The ``((i, j), tau)`` item of a document's ``[i, j, tau]`` triple."""
+    if type(triple) is not list or len(triple) != 3:
+        raise ValueError(f"per-edge tau must be [i, j, tau] triples, got {_shown(triple)}")
+    i, j, value = triple
+    return (i, j), value
 
 
 def configuration_document(
@@ -331,12 +345,15 @@ def configuration_document(
 def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeighting]:
     """Rebuild a configuration from its exported document.
 
-    The graph's vertex count is the number of vectors. ``doc`` must be an
-    object, ``ambient_dim`` an integer, ``graph`` a list of integer pairs,
-    ``vectors`` a list of rows of finite numbers and a per-edge ``tau`` a
-    list of ``[i, j, tau]`` triples; anything else raises ``ValueError``.
-    More than ``MAX_VERTICES`` vectors raise
-    :class:`~angleset.graphs.GraphError` before any row is read.
+    The document's own rules: ``doc`` is an object with the four fields,
+    ``ambient_dim`` an integer that matches the rows, ``graph`` a list, a
+    ``tau`` that is a list holds ``[i, j, tau]`` triples, and more than
+    ``MAX_VERTICES`` vectors raise :class:`~angleset.graphs.GraphError`
+    before any row is read. Every other rule is the gate of the record a
+    field fills: ``vectors`` go to :class:`SubspaceConfiguration`, the pairs
+    of ``graph`` to ``Graph(n, pairs)`` with n the number of vectors, and
+    ``tau`` to :class:`~angleset.admissible.TauWeighting`, as the constant or
+    the per-edge items. Each raises ``ValueError`` on bad input.
     """
     if not isinstance(doc, dict):
         raise ValueError(
@@ -350,25 +367,17 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
     except KeyError as exc:
         raise ValueError(f"configuration document missing field: {exc}") from None
     if type(ambient) is not int:
-        raise ValueError(f"ambient_dim must be an integer, got {ambient!r}")
-    if not vectors:
-        raise ValueError("configuration document has no vectors")
+        raise ValueError(f"ambient_dim must be an integer, got {_shown(ambient)}")
     if type(vectors) is list:
         check_vertex_count(len(vectors))
-    # ``type`` rules out a flat row, a bare number, and the strings and
-    # ``true`` that a float conversion would accept.
-    if (type(vectors) is not list or not all(type(row) is list for row in vectors)
-            or not set(map(type, chain.from_iterable(vectors))) <= {int, float}):
-        raise ValueError("cannot read vectors: need a list of rows of numbers")
-    try:
-        rows = np.array(vectors, dtype=float)
-    except (ValueError, OverflowError) as exc:  # rows of unequal length, huge ints
-        raise ValueError(f"cannot read vectors: {exc}") from None
-    if not np.isfinite(rows).all():  # json reads NaN, Infinity and 1e400
-        raise ValueError("cannot read vectors: every entry must be finite")
-    config = SubspaceConfiguration(rows)
+    config = SubspaceConfiguration(vectors)
     if config.ambient_dim != ambient:
         raise ValueError(
-            f"ambient_dim {ambient} does not match vector length {config.ambient_dim}"
+            f"ambient_dim {_shown(ambient)} does not match vector length {config.ambient_dim}"
         )
-    return config, _graph_from_json(edge_data, config.size), _tau_from_json(tau_data)
+    if type(edge_data) is not list:
+        raise ValueError(f"graph must be a list of [i, j] pairs, got {type(edge_data).__name__}")
+    g = Graph(config.size, edge_data)
+    if type(tau_data) is list:
+        return config, g, TauWeighting(per_edge=map(_weighted_edge, tau_data))
+    return config, g, TauWeighting(constant=tau_data)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import operator
 import re
+import reprlib
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -47,17 +48,40 @@ MAX_VERTICES = 2000
 def check_vertex_count(n: int) -> None:
     """:class:`GraphError` if ``n`` vertices are more than ``MAX_VERTICES``."""
     if n > MAX_VERTICES:
-        # A count of thousands of digits would make a message as long.
-        count = n if n < 10**12 else "over 10^12"
-        raise GraphError(f"graph has {count} vertices, above the limit of {MAX_VERTICES}")
+        raise GraphError(f"graph has {_shown(n)} vertices, above the limit of {MAX_VERTICES}")
 
 
-def _shown(token: str) -> str:
-    """``repr(token)`` for an error message, cut to its first 20 characters
-    and its length when ``token`` is longer than 40."""
-    if len(token) <= 40:
-        return repr(token)
-    return f"{token[:20]!r}... ({len(token)} characters)"
+class _ShortRepr(reprlib.Repr):
+    """reprlib's repr, which shows the first few items of a container, but
+    an int past 1,000 bits is named by its size: Python may refuse to
+    convert one past 640 digits (``sys.set_int_max_str_digits``)."""
+
+    def repr_int(self, x, level):
+        bits = x.bit_length()
+        return f"<{bits}-bit int>" if bits > 1000 else super().repr_int(x, level)
+
+
+_SHOWN_MAX = 60
+_SHORT = _ShortRepr()
+_SHORT.maxlevel, _SHORT.maxlong, _SHORT.maxother = 3, 30, _SHOWN_MAX
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, in at most ``_SHOWN_MAX``
+    characters: a string past 40 characters as its first 20 and its length,
+    anything else through :class:`_ShortRepr`, then cut."""
+    if type(value) is not str:
+        text = _SHORT.repr(value)
+    elif len(value) <= 40:
+        text = repr(value)
+    else:
+        text = f"{value[:20]!r}... ({len(value)} characters)"
+    return text if len(text) <= _SHOWN_MAX else f"{text[:_SHOWN_MAX - 3]}..."
+
+
+def _edge_name(e: tuple[int, int]) -> str:
+    """``i-j`` for the integer labels of an edge, each through :func:`_shown`."""
+    return f"{_shown(e[0])}-{_shown(e[1])}"
 
 
 def edge_key(i, j) -> tuple[int, int]:
@@ -67,43 +91,45 @@ def edge_key(i, j) -> tuple[int, int]:
     Python ints. Anything else raises :class:`GraphError`.
     """
     if type(i) is not int or type(j) is not int:
-        message = f"vertex labels must be integers, got edge ({i!r}, {j!r})"
-        i, j = _integer(i, message), _integer(j, message)
+        try:
+            i, j = _integer(i, "vertex label"), _integer(j, "vertex label")
+        except GraphError:
+            raise GraphError(
+                f"vertex labels must be integers, got edge {_shown((i, j))}") from None
     return (i, j) if i < j else (j, i)
 
 
-def _integer(value, message: str) -> int:
+def _integer(value, what: str) -> int:
     """``value`` as a Python int if it is a Python or numpy integer other
-    than ``bool``; otherwise :class:`GraphError` with ``message``."""
+    than ``bool``; otherwise :class:`GraphError`, which names ``what``."""
     # bool is an int subclass, so operator.index(True) would be 1.
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise GraphError(message)
+    raise GraphError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The :func:`edge_key` of every pair, as a frozenset. One walk in the
-    given order raises :class:`GraphError` at the first item that is not a
-    pair, the first loop or the first pair named twice, in either order;
-    so does ``pairs`` if it is not iterable."""
+    """The :func:`edge_key` of every pair, as a frozenset, by the walk of
+    :class:`Graph`'s gate before its range check."""
     try:
         items = iter(pairs)
     except TypeError:
-        raise GraphError(f"edges must be an iterable of vertex pairs, got {pairs!r}") from None
+        raise GraphError(
+            f"edges must be an iterable of vertex pairs, got {_shown(pairs)}") from None
     seen: set[tuple[int, int]] = set()
     for item in items:
         try:
             i, j = item
         except (TypeError, ValueError):
-            raise GraphError(f"edge {item!r} is not a pair of vertex labels") from None
+            raise GraphError(f"edge {_shown(item)} is not a pair of vertex labels") from None
         e = edge_key(i, j)
         if e[0] == e[1]:
-            raise GraphError(f"loop edge {e[0]}-{e[1]}")
+            raise GraphError(f"loop edge {_edge_name(e)}")
         if e in seen:
-            raise GraphError(f"duplicate edge {e[0]}-{e[1]}")
+            raise GraphError(f"duplicate edge {_edge_name(e)}")
         seen.add(e)
     return frozenset(seen)
 
@@ -199,7 +225,7 @@ class Graph(_ValueRecord):
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
         if type(n) is not int:
-            n = _integer(n, f"vertex count must be an integer, got {n!r}")
+            n = _integer(n, "vertex count")
         if n < 1:
             raise GraphError("vertex count must be at least 1")
         object.__setattr__(self, "n", n)
@@ -214,7 +240,7 @@ class Graph(_ValueRecord):
         edges = _edge_set(edges)
         for i, j in edges:
             if i < 1 or j > n:
-                raise GraphError(f"edge {i}-{j} out of vertex range 1..{n}")
+                raise GraphError(f"edge {_edge_name((i, j))} out of vertex range 1..{_shown(n)}")
         object.__setattr__(self, "edges", edges)
 
     @classmethod
@@ -222,8 +248,7 @@ class Graph(_ValueRecord):
         """The graph on ``n`` vertices with these vertex pairs as its edges.
 
         ``n`` defaults to the largest endpoint, and to 1 with no edges. The
-        pairs pass the gate of ``Graph(n, edges)``: either order, integer
-        labels, and no loop or repeat.
+        pairs pass the gate of ``Graph(n, edges)``.
         """
         if n is None:
             edges = _edge_set(edges)
@@ -358,7 +383,7 @@ def parse_edge_list(text: str) -> Graph:
             continue
         allow_header = False
         if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'i j', got {line!r}")
+            raise GraphError(f"line {lineno}: expected 'i j', got {_shown(line)}")
         try:
             i, j = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
@@ -366,10 +391,10 @@ def parse_edge_list(text: str) -> Graph:
         if i < 1 or j < 1:
             raise GraphError(f"line {lineno}: vertex labels start at 1")
         if i == j:
-            raise GraphError(f"line {lineno}: loop edge {i}-{j}")
+            raise GraphError(f"line {lineno}: loop edge {_edge_name((i, j))}")
         e = edge_key(i, j)
         if e in seen:
-            raise GraphError(f"line {lineno}: duplicate edge {e[0]}-{e[1]}")
+            raise GraphError(f"line {lineno}: duplicate edge {_edge_name(e)}")
         seen.add(e)
         max_label = max(max_label, e[1])
     if declared is None:
@@ -380,7 +405,7 @@ def parse_edge_list(text: str) -> Graph:
         declared = max_label
     elif max_label > declared:
         raise GraphError(
-            f"edge endpoint {max_label} exceeds declared vertex count {declared}"
+            f"edge endpoint {_shown(max_label)} exceeds declared vertex count {_shown(declared)}"
         )
     return Graph(declared, frozenset(seen))
 
@@ -425,14 +450,14 @@ class NamedFamily(_ValueRecord):
             if size is None:
                 raise GraphError(f"family {family} needs a size parameter")
             if type(size) is not int:
-                size = _integer(size, f"family {family} size must be an integer, got {size!r}")
+                size = _integer(size, f"family {family} size")
             if size < least:
-                raise GraphError(f"family {family} needs size >= {least}, got {size}")
+                raise GraphError(f"family {family} needs size >= {least}, got {_shown(size)}")
         elif family in E_ARMS:
             if size is not None:
                 raise GraphError(f"family {family} takes no size parameter")
         else:
-            raise GraphError(f"unknown family tag {family!r}")
+            raise GraphError(f"unknown family tag {_shown(family)}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "size", size)
 
@@ -511,17 +536,17 @@ def tree_from_pruefer(n: int, seq: Sequence[int]) -> Graph:
     must be integers, as for :class:`Graph`, or :class:`GraphError` is raised.
     """
     if type(n) is not int:
-        n = _integer(n, f"vertex count must be an integer, got {n!r}")
+        n = _integer(n, "vertex count")
     if n < 2:
         raise GraphError("Pruefer decoding needs n >= 2")
-    seq = [v if type(v) is int else _integer(v, f"Pruefer entry must be an integer, got {v!r}")
-           for v in seq]
+    seq = [v if type(v) is int else _integer(v, "Pruefer entry") for v in seq]
     if len(seq) != n - 2:
-        raise GraphError(f"Pruefer sequence for n={n} must have length {n - 2}")
+        raise GraphError(
+            f"Pruefer sequence for n={_shown(n)} must have length {_shown(n - 2)}")
     degree = [1] * (n + 1)
     for v in seq:
         if not 1 <= v <= n:
-            raise GraphError(f"Pruefer entry {v} out of range 1..{n}")
+            raise GraphError(f"Pruefer entry {_shown(v)} out of range 1..{n}")
         degree[v] += 1
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)

@@ -816,6 +816,14 @@ class TestSigmaInterval:
         with pytest.raises(ValueError, match="endpoint"):
             SigmaInterval(bad)
 
+    @pytest.mark.parametrize("bad,shown", [("0.5", "'0.5'"), (None, "None"), ([0.5], r"\[0\.5\]")],
+                             ids=["text", "none", "list"])
+    def test_an_endpoint_that_is_not_a_number(self, bad, shown):
+        """No order with a float: the same ``ValueError`` as a number out of
+        range, not a bare ``TypeError``."""
+        with pytest.raises(ValueError, match=rf"^interval endpoint must lie in \(0, 1\], got {shown}$"):
+            SigmaInterval(bad)
+
 
 class TestSigmaFormulas:
     @pytest.mark.parametrize("n", range(2, 12))
@@ -880,6 +888,24 @@ class TestSigmaFormulas:
 
     def test_cycle_takes_a_numpy_length(self):
         assert sigma_cycle(np.int64(6)).upper == sigma_cycle(6).upper
+
+    def test_cycle_endpoint_is_the_closed_form_to_the_bit(self):
+        """1/(4cos^2(pi/n)) capped at 1, as a float, for every length it can
+        be evaluated at; from 10^9 on it is exactly 1/4."""
+        lengths = [*range(3, 10_001), *(10 ** k for k in range(4, 301))]
+        for n in lengths:
+            c = math.cos(math.pi / n)
+            assert sigma_cycle(n).upper == min(1.0, 1.0 / (4.0 * c * c)), n
+        assert all(sigma_cycle(10 ** k).upper == 0.25 for k in range(9, 301))
+
+    @pytest.mark.parametrize("n", [10 ** 309, 10 ** 400, 10 ** 5000], ids=["e309", "e400", "e5000"])
+    def test_cycle_longer_than_the_float_range(self, n):
+        """pi / n would overflow; the endpoint is 1/4, as at every n >= 10^9."""
+        assert sigma_cycle(n) == SigmaInterval(0.25)
+
+    def test_cycle_length_below_three_is_named_briefly(self):
+        with pytest.raises(ValueError, match="^cycle needs at least 3 vertices, got <16610-bit int>$"):
+            sigma_cycle(-10 ** 5000)
 
     def test_cycle_formula_is_not_the_cycle_psd_threshold(self):
         # The formula tops the PSD threshold of the even cycle itself: C6 has

@@ -325,44 +325,50 @@ class TestConstructAndVerify:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "vectors,ambient", [([1.0, 0.0, 0.0], 3), (1.0, 1)], ids=["flat-row", "number"]
+        "vectors,ambient,dims", [([1.0, 0.0, 0.0], 3, 1), (1.0, 1, 0)], ids=["flat-row", "number"]
     )
-    def test_verify_rejects_vectors_that_are_not_rows(self, capsys, tmp_path, vectors, ambient):
+    def test_verify_rejects_vectors_that_are_not_rows(self, capsys, tmp_path, vectors, ambient,
+                                                     dims):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(
             {"ambient_dim": ambient, "vectors": vectors, "tau": 0.5, "graph": []}
         ))
         code, out, err = run(capsys, "verify", "--in", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: cannot read vectors: need a list of rows of numbers\n"
+        assert err == f"error: vectors must be a 2-D array of rows, got {dims}-D\n"
 
     @pytest.mark.parametrize(
-        "vectors",
-        [[["1.0"], ["1.0"]], [["1.0", "0.0"], [1.0, 0.0]], [[1.0, "0.0"], [1.0, 0.0]],
-         [[True], [True]], [[True, False], [True, False]], [[1.0, 0.0], [True, 0.0]]],
+        "vectors,kind",
+        [([["1.0"], ["1.0"]], "str"), ([["1.0", "0.0"], [1.0, 0.0]], "str"),
+         ([[1.0, "0.0"], [1.0, 0.0]], "str"), ([[True], [True]], "bool"),
+         ([[True, False], [True, False]], "bool"), ([[1.0, 0.0], [True, 0.0]], "bool")],
         ids=["string-rows", "all-string-row", "one-string", "booleans", "all-boolean-rows",
              "one-true"],
     )
-    def test_verify_rejects_non_numeric_entries(self, capsys, tmp_path, vectors):
+    def test_verify_rejects_non_numeric_entries(self, capsys, tmp_path, vectors, kind):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(
             {"ambient_dim": len(vectors[0]), "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
         ))
         code, out, err = run(capsys, "verify", "--in", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: cannot read vectors: need a list of rows of numbers\n"
+        assert err == f"error: vectors must be real numbers, got {kind} entries\n"
 
     @pytest.mark.parametrize(
-        "vectors", [[[10 ** 400], [1.0]], [[1.0], [1.0, 0.0]]], ids=["huge-integer", "ragged"]
+        "vectors,message",
+        [([[10 ** 400], [1.0]], "vectors must be finite, got an integer past the float range"),
+         ([[1.0], [1.0, 0.0]], "vectors must be a 2-D array of rows of equal length")],
+        ids=["huge-integer", "ragged"],
     )
-    def test_verify_rejects_vectors_no_float_array_holds(self, capsys, tmp_path, vectors):
+    def test_verify_rejects_vectors_no_float_array_holds(self, capsys, tmp_path, vectors,
+                                                          message):
         path = tmp_path / "unfit.json"
         path.write_text(json.dumps(
             {"ambient_dim": 1, "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
         ))
         code, out, err = run(capsys, "verify", "--in", str(path))
         assert (code, out) == (1, "")
-        assert err.startswith("error: cannot read vectors: ")
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -374,7 +380,7 @@ class TestConstructAndVerify:
                         '"tau": 0.25, "graph": [[1, 2]]}' % entry)
         code, out, err = run(capsys, "verify", "--in", str(path), "--format", fmt)
         assert (code, out) == (1, "")
-        assert err == "error: cannot read vectors: every entry must be finite\n"
+        assert err == "error: vectors must be finite, got a NaN or infinite entry\n"
 
     @pytest.mark.parametrize("entry", ["1e308", "1e160"])
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -409,6 +415,21 @@ class TestConstructAndVerify:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert "ambient_dim must be an integer" in err or "must be a JSON object" in err
+
+    def test_verify_refuses_a_large_document_in_one_short_line(self, capsys, tmp_path):
+        """A 1.6 MB document whose per-edge tau holds strings: the refusal
+        quotes the first bad value, cut short, not the whole list."""
+        n = MAX_VERTICES
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({
+            "ambient_dim": 1, "vectors": [[1.0]] * n, "graph": [[v, v + 1] for v in range(1, n)],
+            "tau": [[v, v + 1, "0.2" * 260] for v in range(1, n)],
+        }))
+        assert path.stat().st_size > 1_600_000
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: tau on edge 1-2 must be a real number, "
+                       "got '0.20.20.20.20.20.20.'... (780 characters)\n")
 
     @pytest.mark.parametrize("second", [[1, 2, 0.7], [2, 1, 0.7]], ids=["same", "reversed"])
     def test_verify_rejects_an_edge_weighted_twice(self, capsys, tmp_path, second):

@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import math
 import warnings
@@ -84,6 +86,41 @@ class TestSubspaceConfiguration:
     def test_vectors_must_be_two_dimensional(self, rows):
         with pytest.raises(ValueError, match="must be a 2-D array of rows"):
             SubspaceConfiguration(rows)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, True], [0.0, 1.0]], [[1, True], [0, 1]], ((1.0, 0.0), (np.True_, 1.0)),
+         [np.array([True, False]), np.array([0.0, 1.0])]],
+        ids=["float-rows", "int-rows", "numpy-bool", "bool-array-row"],
+    )
+    def test_a_bool_among_numbers_is_refused(self, rows):
+        """numpy reads ``True`` as 1 when numbers sit beside it, so the
+        array alone would hold no trace of it."""
+        assert np.asarray(rows).dtype.kind in "if"
+        with pytest.raises(ValueError, match="^vectors must be real numbers, got bool entries$"):
+            SubspaceConfiguration(rows)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+    def test_non_finite_entries_are_refused(self, entry, as_array):
+        rows = [[1.0, 0.0], [entry, 1.0]]
+        with pytest.raises(ValueError, match="^vectors must be finite, got a NaN or infinite entry$"):
+            SubspaceConfiguration(np.array(rows) if as_array else rows)
+
+    @pytest.mark.parametrize("rows", [[[1.0], [1.0, 0.0]], [[1.0, 0.0], 1.0]],
+                             ids=["short-row", "number-row"])
+    def test_rows_of_unequal_length_are_refused(self, rows):
+        with pytest.raises(ValueError,
+                           match="^vectors must be a 2-D array of rows of equal length$"):
+            SubspaceConfiguration(rows)
+
+    def test_integers_past_64_bits(self):
+        """numpy holds such an int as an object; one within the float range
+        is stored as its float, one past it is refused."""
+        assert SubspaceConfiguration([[2 ** 64, 0], [0, 1]]).vectors[0, 0] == 2.0 ** 64
+        with pytest.raises(ValueError,
+                           match="^vectors must be finite, got an integer past the float range$"):
+            SubspaceConfiguration([[10 ** 400, 0], [0, 1]])
 
 
 class TestConstruct:
@@ -450,8 +487,10 @@ class TestVerify:
 
     def test_a_nan_entry_is_refused(self):
         """A NaN raises no floating-point error, so it would otherwise come
-        back as four NaN residuals and a plain ``passed: false``."""
-        c = SubspaceConfiguration(np.array([[math.nan, 0, 0], [0.5, 0.8, 0], [0, 0.5, 0.8]]))
+        back as four NaN residuals and a plain ``passed: false``. The
+        constructor refuses one, so it is written into the array after."""
+        c = SubspaceConfiguration(np.array([[1.0, 0, 0], [0.5, 0.8, 0], [0, 0.5, 0.8]]))
+        c.vectors[0, 0] = math.nan
         with pytest.raises(ValueError, match="^cannot verify: a residual is not finite$"):
             verify_configuration(c, named("A", 3), 0.3)
 
@@ -468,14 +507,15 @@ class TestVerify:
         assert not report.passed and report.max_residual > VERIFY_TOL
 
 
-# Each as a JSON document with tau 1.0 on the edge 1-2.
+# Each as a JSON document with tau 1.0 on the edge 1-2, with the kind of
+# entry that SubspaceConfiguration names.
 NON_NUMERIC_VECTORS = [
-    pytest.param([["1.0"], ["1.0"]], id="string-rows"),
-    pytest.param([["1.0", "0.0"], [1.0, 0.0]], id="all-string-row"),
-    pytest.param([[1.0, "0.0"], [1.0, 0.0]], id="one-string"),
-    pytest.param([[True], [True]], id="booleans"),
-    pytest.param([[True, False], [True, False]], id="all-boolean-rows"),
-    pytest.param([[1.0, 0.0], [True, 0.0]], id="one-true"),
+    pytest.param([["1.0"], ["1.0"]], "str", id="string-rows"),
+    pytest.param([["1.0", "0.0"], [1.0, 0.0]], "str", id="all-string-row"),
+    pytest.param([[1.0, "0.0"], [1.0, 0.0]], "str", id="one-string"),
+    pytest.param([[True], [True]], "bool", id="booleans"),
+    pytest.param([[True, False], [True, False]], "bool", id="all-boolean-rows"),
+    pytest.param([[1.0, 0.0], [True, 0.0]], "bool", id="one-true"),
 ]
 
 
@@ -598,15 +638,28 @@ class TestDocumentRoundTrip:
 
     def test_empty_vectors(self):
         doc = {"ambient_dim": 0, "vectors": [], "tau": 0.5, "graph": []}
-        with pytest.raises(ValueError, match="no vectors"):
+        with pytest.raises(ValueError, match="^vectors must be a 2-D array of rows, got 1-D$"):
             load_configuration(doc)
 
     @pytest.mark.parametrize(
-        "tau", ["x", True, [5], [[1, 2]], [[1.0, 2, 0.5]], [[1, 2, "0.5"]], [[1, 2, None]]]
+        "tau,message",
+        [
+            ("x", "^tau must be a real number, got 'x'$"),
+            (True, "^tau must be a real number, got True$"),
+            ([5], r"^per-edge tau must be \[i, j, tau\] triples, got 5$"),
+            ([[1, 2]], r"^per-edge tau must be \[i, j, tau\] triples, got \[1, 2\]$"),
+            ([[1.0, 2, 0.5]], r"^vertex labels must be integers, got edge \(1\.0, 2\)$"),
+            ([[1, 2, "0.5"]], "^tau on edge 1-2 must be a real number, got '0.5'$"),
+            ([[1, 2, None]], "^tau on edge 1-2 must be a real number, got None$"),
+        ],
+        ids=["text", "bool", "number-item", "pair", "float-label", "text-value", "null-value"],
     )
-    def test_unreadable_tau(self, tau):
+    def test_unreadable_tau(self, tau, message):
+        """A list is read per edge and anything else as the constant, each
+        by the gate of ``TauWeighting``; the document checks only that each
+        item is a triple."""
         doc = {"ambient_dim": 1, "vectors": [[1.0]], "tau": tau, "graph": []}
-        with pytest.raises(ValueError, match="cannot read tau"):
+        with pytest.raises(ValueError, match=message):
             load_configuration(doc)
 
     # The last two are a flat row and a bare number: reshaped, each would
@@ -619,12 +672,12 @@ class TestDocumentRoundTrip:
         with pytest.raises(ValueError):
             load_configuration(doc)
 
-    @pytest.mark.parametrize("vectors", NON_NUMERIC_VECTORS)
-    def test_non_numeric_entries(self, vectors):
+    @pytest.mark.parametrize("vectors,kind", NON_NUMERIC_VECTORS)
+    def test_non_numeric_entries(self, vectors, kind):
         """Strings and booleans convert to floats, and each of these documents
         would then pass verification; they are rejected instead."""
         doc = {"ambient_dim": len(vectors[0]), "vectors": vectors, "tau": 1.0, "graph": [[1, 2]]}
-        with pytest.raises(ValueError, match="^cannot read vectors: need a list of rows of numbers$"):
+        with pytest.raises(ValueError, match=f"^vectors must be real numbers, got {kind} entries$"):
             load_configuration(doc)
 
     def test_integer_entries_are_numbers(self):
@@ -634,11 +687,25 @@ class TestDocumentRoundTrip:
         assert verify_configuration(config, g, w).passed
 
     @pytest.mark.parametrize(
-        "graph", [5, "1 2", {"1": 2}, [5], [[1.9, 2]], [[1.0, 2]], [[True, 2]], [[1, 2, 3]], [["1", "2"]]]
+        "graph,message",
+        [
+            (5, r"^graph must be a list of \[i, j\] pairs, got int$"),
+            ("1 2", r"^graph must be a list of \[i, j\] pairs, got str$"),
+            ({"1": 2}, r"^graph must be a list of \[i, j\] pairs, got dict$"),
+            ([5], "^edge 5 is not a pair of vertex labels$"),
+            ([[1.9, 2]], r"^vertex labels must be integers, got edge \(1\.9, 2\)$"),
+            ([[1.0, 2]], r"^vertex labels must be integers, got edge \(1\.0, 2\)$"),
+            ([[True, 2]], r"^vertex labels must be integers, got edge \(True, 2\)$"),
+            ([[1, 2, 3]], r"^edge \[1, 2, 3\] is not a pair of vertex labels$"),
+            ([["1", "2"]], r"^vertex labels must be integers, got edge \('1', '2'\)$"),
+        ],
+        ids=["number", "text", "object", "number-item", "fractional-label", "float-label",
+             "bool-label", "triple", "text-labels"],
     )
-    def test_malformed_graph(self, graph):
+    def test_malformed_graph(self, graph, message):
+        """The document asks for a list; ``Graph`` judges its pairs."""
         doc = {"ambient_dim": 1, "vectors": [[1.0], [0.0]], "tau": 0.5, "graph": graph}
-        with pytest.raises(ValueError, match="graph must be a list of"):
+        with pytest.raises(ValueError, match=message):
             load_configuration(doc)
 
     @pytest.mark.parametrize(
@@ -648,16 +715,100 @@ class TestDocumentRoundTrip:
             ([[2, 2], [1, 2], [2, 1]], "^loop edge 2-2$"),
             ([[1, 2], [2, 1], [3, 3]], "^duplicate edge 1-2$"),
             ([[1, 3]], "^edge 1-3 out of vertex range 1..2$"),
-            ([[2, 2], [1, 2.0]], "^graph must be a list of"),
-            ([[1, 2], [2, 1], ["1", 2]], "^graph must be a list of"),
+            ([[2, 2], [1, 2.0]], "^loop edge 2-2$"),
+            ([[1, 2], [2, 1], ["1", 2]], "^duplicate edge 1-2$"),
         ],
     )
     def test_graph_errors_in_list_order(self, graph, message):
-        """A malformed pair anywhere wins; otherwise the first loop or
-        repeated edge in the list is named, then an edge out of range."""
+        """The first bad item in list order is named, as ``Graph`` names it
+        (a malformed pair, a loop or a repeated edge), then an edge out of
+        range."""
         doc = {"ambient_dim": 1, "vectors": [[1.0], [0.0]], "tau": 0.5, "graph": graph}
         with pytest.raises(ValueError, match=message):
             load_configuration(doc)
+
+
+@functools.cache
+def valid_documents():
+    """Exported documents with a constant and a per-edge tau, as JSON reads
+    them, each with the configuration, graph and weighting it holds."""
+    cases = []
+    for g, tau in ((named("D", 5), 0.2), (named("A", 4), {(1, 2): 0.4, (2, 3): 0.35, (3, 4): 0.3})):
+        c = construct_configuration(g, tau)
+        doc = json.loads(json.dumps(configuration_document(c, g, tau)))
+        cases.append((doc, c.vectors, g, TauWeighting.of(tau)))
+    return cases
+
+
+# Oversized values, drawn by index: Hypothesis may repr what it samples
+# from, and the repr of 10**5000 raises.
+LARGE = (
+    10 ** 400, -10 ** 400, 10 ** 5000, list(range(10 ** 5)),
+    dict.fromkeys(map(str, range(20_000)), 0.5), [[1.0]] * (MAX_VERTICES + 1),
+    [[1, 2]] * 5000, [[1, 2, "0.5"]] * 5000, "x" * 10 ** 6,
+)
+
+# What a document may hold in place of any value: every JSON type, entries
+# JSON cannot write (NaN, infinities, huge ints), and oversized containers.
+SCALARS = (
+    st.sampled_from([math.nan, -math.inf, True, None, "0.5"]) | st.booleans()
+    | st.integers(-3, 9) | st.floats() | st.text(max_size=50)
+    | st.integers(0, len(LARGE) - 1).map(LARGE.__getitem__)
+)
+JUNK = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with at most one field changed: the field replaced
+    or dropped, one of its items replaced, or one entry of an item replaced,
+    added or removed (ragged rows, bad pairs and triples)."""
+    doc, vectors, g, w = draw(st.sampled_from(valid_documents()))
+    doc = copy.deepcopy(doc)
+    field = draw(st.sampled_from([None, "vectors", "tau", "graph", "ambient_dim"]))
+    if field is None:
+        return doc, (vectors, g, w)
+    how = draw(st.sampled_from(["replace", "drop", "item", "entry", "append", "pop"]))
+    value = doc[field]
+    if how == "drop":
+        del doc[field]
+    elif how == "replace" or type(value) is not list or not value:
+        doc[field] = draw(JUNK)
+    else:
+        item = draw(st.sampled_from(value))
+        if how == "item" or type(item) is not list or not item:
+            value[value.index(item)] = draw(JUNK)
+        elif how == "entry":
+            item[draw(st.integers(0, len(item) - 1))] = draw(SCALARS | JUNK)
+        elif how == "append":
+            item.append(draw(SCALARS | JUNK))
+        else:
+            item.pop()
+    return doc, None
+
+
+@given(mutated_documents())
+@settings(max_examples=400, deadline=None)
+def test_documents_load_or_are_refused_in_one_short_line(case):
+    """``load_configuration`` raises nothing but ``ValueError`` (GraphError
+    included), and its message is one line of at most 120 characters; an
+    untouched document reloads to what it holds."""
+    doc, held = case
+    try:
+        config, g, w = load_configuration(doc)
+    except ValueError as exc:
+        message = str(exc)
+        assert held is None, f"an untouched document was refused: {message}"
+        assert "\n" not in message and len(message) <= 120, message[:300]
+        return
+    if held is not None:
+        vectors, g0, w0 = held
+        assert np.array_equal(config.vectors, vectors) and g == g0 and w == w0
 
 
 @given(

@@ -12,10 +12,12 @@ from angleset import (
     Graph,
     GraphError,
     NamedFamily,
+    TauWeighting,
     adjacency_matrix,
     component_vertex_sets,
     configuration_document,
     construct_configuration,
+    existence,
     generate_named,
     is_connected,
     is_tree,
@@ -24,7 +26,7 @@ from angleset import (
     parse_named_spec,
     tree_from_pruefer,
 )
-from angleset.graphs import check_vertex_count
+from angleset.graphs import _SHOWN_MAX, _shown, check_vertex_count
 
 
 def degrees(g):
@@ -391,7 +393,7 @@ class TestNamedFamilies:
     def test_a_huge_but_readable_size_is_parsed(self):
         fam = parse_named_spec("A" + "9" * 4000)
         assert fam.size == 10**4000 - 1
-        with pytest.raises(GraphError, match="^graph has over 10\\^12 vertices, above the limit"):
+        with pytest.raises(GraphError, match="^graph has <13288-bit int> vertices, above the limit"):
             check_vertex_count(fam.vertex_count)
 
     @pytest.mark.parametrize("family,size", [("A", 5.0), ("D", 4.5), ("star", "3"),
@@ -456,6 +458,74 @@ class TestNamedFamilies:
         g = generate_named(NamedFamily("star", 4))
         assert g.n == 5
         assert degrees(g) == [4, 1, 1, 1, 1]
+
+
+# A long list, a large dict and an int past Python's 4,300-digit repr limit.
+LARGE_VALUES = [
+    pytest.param(list(range(10 ** 5)), id="list"),
+    pytest.param({k: k for k in range(20_000)}, id="dict"),
+    pytest.param(10 ** 5000, id="int"),
+]
+
+# Every refusal that quotes a value the caller gave.
+ECHO_SITES = {
+    "existence": lambda x: existence(Graph(2, [(1, 2)]), x),
+    "per-edge": lambda x: TauWeighting(per_edge=[x]),
+    "graph-pair": lambda x: Graph(3, [x]),
+    "ambient-dim": lambda x: load_configuration(
+        {"ambient_dim": x, "vectors": [[1.0]], "tau": 0.5, "graph": []}),
+    "pruefer": lambda x: tree_from_pruefer(x, []),
+}
+
+
+class TestBoundedEchoes:
+    @pytest.mark.parametrize("value", LARGE_VALUES)
+    def test_shown_is_short(self, value):
+        text = _shown(value)
+        assert len(text) <= _SHOWN_MAX and "\n" not in text
+
+    def test_a_long_int_is_named_by_its_size(self):
+        """Python refuses the repr of an int past 4,300 digits, also inside
+        a container."""
+        assert _shown(10 ** 5000) == "<16610-bit int>"
+        assert _shown([1, 10 ** 5000]) == "[1, <16610-bit int>]"
+
+    def test_short_values_are_their_repr(self):
+        for value in (5, 1.5, "x", (1.0, 2), [1, 2, 3], None, True, 10 ** 20):
+            assert _shown(value) == repr(value)
+
+    @pytest.mark.parametrize("value", LARGE_VALUES)
+    @pytest.mark.parametrize("site", ECHO_SITES)
+    def test_refusal_quotes_a_bounded_value(self, site, value):
+        with pytest.raises(ValueError) as info:
+            ECHO_SITES[site](value)
+        message = str(info.value)
+        assert len(message) <= 120 and "\n" not in message, message[:200]
+        # Python's own refusal to convert a long int names no input.
+        assert "set_int_max_str_digits" not in message, message
+
+    def test_a_huge_vertex_count_is_not_spelled_out(self):
+        with pytest.raises(GraphError, match="^Pruefer sequence for n=<1329-bit int> must have "
+                                             "length <1329-bit int>$"):
+            tree_from_pruefer(10 ** 400, [])
+
+    def test_edge_list_lines_are_quoted_briefly(self):
+        with pytest.raises(GraphError, match=r"^line 1: expected 'i j', got '1 2 3 3 3 3 3 3 3 3 '"
+                                             r"\.\.\. \(200003 characters\)$"):
+            parse_edge_list("1 2 " + "3 " * 10 ** 5)
+        big = "9" * 4000
+        with pytest.raises(GraphError, match="^line 1: loop edge <13288-bit int>-<13288-bit int>$"):
+            parse_edge_list(f"{big} {big}")
+        with pytest.raises(GraphError, match="^edge endpoint <13288-bit int> exceeds declared "
+                                             "vertex count 2$"):
+            parse_edge_list(f"n 2\n1 {big}")
+
+    def test_huge_labels_are_not_spelled_out(self):
+        big = 10 ** 400
+        with pytest.raises(GraphError, match="^loop edge <1329-bit int>-<1329-bit int>$"):
+            Graph(3, [(big, big)])
+        with pytest.raises(GraphError, match="^edge 1-<1329-bit int> out of vertex range 1..3$"):
+            Graph(3, [(1, big)])
 
 
 class TestPredicates:
