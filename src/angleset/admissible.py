@@ -26,8 +26,8 @@ from collections.abc import Mapping
 import numpy as np
 
 from .classify import IndexKind, classify_structure
-from .graphs import (Graph, GraphError, _edge_name, _integer, _Record, _shown, _ValueRecord,
-                     edge_key, is_tree)
+from .graphs import (Graph, GraphError, _edge_name, _edge_of, _integer, _Record, _shown,
+                     _ValueRecord, is_tree)
 from .spectra import (
     _EPS,
     _jacobi_bound,
@@ -86,12 +86,12 @@ class TauWeighting(_ValueRecord):
     """Assignment of an angle parameter in (0, 1] to every edge.
 
     Either a single constant for all edges, stored as a float, or a per-edge
-    mapping, stored as a dict keyed by :func:`~angleset.graphs.edge_key`
-    pairs ``(i, j)`` with ``i < j``. Like ``dict``, ``per_edge`` also takes
-    an iterable of ``((i, j), tau)`` pairs. Anything else, an item that is
-    not such a pair, or a key that is not a pair of integer labels, raises
-    :class:`~angleset.graphs.GraphError`, a ``ValueError``; an edge named
-    twice, in either order, is an error too.
+    mapping, stored as a dict keyed by pairs ``(i, j)`` with ``i < j``. Like
+    ``dict``, ``per_edge`` also takes an iterable of ``((i, j), tau)``
+    pairs. Anything else or an item that is not such a pair raises
+    :class:`~angleset.graphs.GraphError`, a ``ValueError``; so does a key
+    that ``Graph`` refuses as an edge, with its message, and an edge
+    weighted twice, in either order.
     Treat instances as immutable. Weightings compare by value; a per-edge
     one, holding a dict, cannot be hashed.
     """
@@ -119,18 +119,12 @@ class TauWeighting(_ValueRecord):
                 except (TypeError, ValueError):
                     raise GraphError(
                         f"per-edge item {_shown(item)} is not an (edge, tau) pair") from None
-                try:
-                    i, j = key
-                except (TypeError, ValueError):
-                    raise GraphError(
-                        f"per-edge key {_shown(key)} is not a pair of vertex labels") from None
-                e = edge_key(i, j)
+                e = _edge_of(key)
                 if e in fixed:
                     raise ValueError(f"edge {_edge_name(e)} weighted twice")
                 fixed[e] = _check_tau_value(value, e)
             per_edge = fixed
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "per_edge", per_edge)
+        super().__init__(constant, per_edge)
 
     @classmethod
     def of(cls, value: "TauLike") -> "TauWeighting":
@@ -255,11 +249,6 @@ class ExistenceVerdict(_Record):
     rank: int
     min_eigenvalue: float | None
 
-    def __init__(self, exists: bool, rank: int, min_eigenvalue: float | None) -> None:
-        object.__setattr__(self, "exists", exists)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
-
     @classmethod
     def from_eigenvalues(cls, evals: np.ndarray) -> "ExistenceVerdict":
         """Verdict on descending eigenvalues; the ``rank`` kept form a prefix."""
@@ -320,7 +309,7 @@ class SigmaInterval(_ValueRecord):
     def __init__(self, upper: float) -> None:
         if not (isinstance(upper, (int, float)) and 0.0 < upper <= 1.0):
             raise ValueError(f"interval endpoint must lie in (0, 1], got {_shown(upper)}")
-        object.__setattr__(self, "upper", upper)
+        super().__init__(upper)
 
 
 def sigma_tree(g: Graph) -> SigmaInterval:

@@ -48,10 +48,6 @@ class IndexClass(_ValueRecord):
     kind: IndexKind
     index: float
 
-    def __init__(self, kind: IndexKind, index: float) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-
 
 class ComponentClass(_ValueRecord):
     """Shape label of one connected component.
@@ -66,11 +62,6 @@ class ComponentClass(_ValueRecord):
     family: str
     size: int | None
     vertices: tuple[int, ...]
-
-    def __init__(self, family: str, size: int | None, vertices: tuple[int, ...]) -> None:
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "vertices", vertices)
 
     @property
     def is_extended(self) -> bool:
@@ -107,9 +98,6 @@ class GraphClass(_ValueRecord):
 
     __slots__ = ("components",)
     components: tuple[ComponentClass, ...]
-
-    def __init__(self, components: tuple[ComponentClass, ...]) -> None:
-        object.__setattr__(self, "components", components)
 
     @property
     def predicted_index_kind(self) -> IndexKind:

@@ -56,8 +56,9 @@ class SubspaceConfiguration(_Record):
     array, with no copy of a float one. Everything else raises
     ``ValueError``: entries of any other kind (complex, bool, text, None,
     Python objects), also one ``True`` among numbers in rows, which numpy
-    would read as 1; rows of unequal length; input that is not 2-D; and a
-    NaN, an infinity or an integer beyond the float range.
+    would read as 1; rows of unequal length; input that is not 2-D; no
+    rows or no coordinates, as no unit vector lives in R^0; and a NaN, an
+    infinity or an integer beyond the float range.
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
@@ -82,10 +83,12 @@ class SubspaceConfiguration(_Record):
         vectors = vectors.astype(float, copy=False)
         if vectors.ndim != 2:
             raise ValueError(f"vectors must be a 2-D array of rows, got {vectors.ndim}-D")
+        if not vectors.size:
+            raise ValueError("vectors must have at least one row and one coordinate, "
+                             f"got shape {vectors.shape}")
         if not np.isfinite(vectors).all():
             raise ValueError("vectors must be finite, got a NaN or infinite entry")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "_gram", _gram)
+        super().__init__(vectors, _gram)
 
     @property
     def ambient_dim(self) -> int:
@@ -220,13 +223,6 @@ class VerificationReport(_ValueRecord):
     orthogonality: float
     gram: float
 
-    def __init__(self, idempotency: float, braid: float, orthogonality: float,
-                 gram: float) -> None:
-        object.__setattr__(self, "idempotency", idempotency)
-        object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "orthogonality", orthogonality)
-        object.__setattr__(self, "gram", gram)
-
     @property
     def max_residual(self) -> float:
         return max(self.idempotency, self.braid, self.orthogonality, self.gram)
@@ -346,8 +342,8 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
     """Rebuild a configuration from its exported document.
 
     The document's own rules: ``doc`` is an object with the four fields,
-    ``ambient_dim`` an integer that matches the rows, ``graph`` a list, a
-    ``tau`` that is a list holds ``[i, j, tau]`` triples, and more than
+    ``ambient_dim`` an integer that matches the rows, ``graph`` a list,
+    ``tau`` not null and, as a list, ``[i, j, tau]`` triples, and more than
     ``MAX_VERTICES`` vectors raise :class:`~angleset.graphs.GraphError`
     before any row is read. Every other rule is the gate of the record a
     field fills: ``vectors`` go to :class:`SubspaceConfiguration`, the pairs
@@ -380,4 +376,6 @@ def load_configuration(doc: dict) -> tuple[SubspaceConfiguration, Graph, TauWeig
     g = Graph(config.size, edge_data)
     if type(tau_data) is list:
         return config, g, TauWeighting(per_edge=map(_weighted_edge, tau_data))
+    if tau_data is None:
+        raise ValueError("tau must be a number or a list of [i, j, tau] triples, got None")
     return config, g, TauWeighting(constant=tau_data)

@@ -26,7 +26,6 @@ __all__ = [
     "adjacency_matrix",
     "check_vertex_count",
     "component_vertex_sets",
-    "edge_key",
     "generate_named",
     "is_connected",
     "is_tree",
@@ -84,21 +83,6 @@ def _edge_name(e: tuple[int, int]) -> str:
     return f"{_shown(e[0])}-{_shown(e[1])}"
 
 
-def edge_key(i, j) -> tuple[int, int]:
-    """The canonical key ``(min, max)`` of the vertex pair ``i``, ``j``.
-
-    Labels must be Python or numpy integers, not ``bool``; they come back as
-    Python ints. Anything else raises :class:`GraphError`.
-    """
-    if type(i) is not int or type(j) is not int:
-        try:
-            i, j = _integer(i, "vertex label"), _integer(j, "vertex label")
-        except GraphError:
-            raise GraphError(
-                f"vertex labels must be integers, got edge {_shown((i, j))}") from None
-    return (i, j) if i < j else (j, i)
-
-
 def _integer(value, what: str) -> int:
     """``value`` as a Python int if it is a Python or numpy integer other
     than ``bool``; otherwise :class:`GraphError`, which names ``what``."""
@@ -111,8 +95,29 @@ def _integer(value, what: str) -> int:
     raise GraphError(f"{what} must be an integer, got {_shown(value)}")
 
 
+def _edge_of(item) -> tuple[int, int]:
+    """The edge ``(min, max)``, Python-int labels, of a vertex pair in either
+    order; :class:`GraphError` for an item that is not a pair, a label that
+    is not a Python or numpy integer (``bool`` is not) and a loop. The one
+    vertex-pair rule: :class:`Graph`, :func:`parse_edge_list` and the keys
+    of :class:`~angleset.admissible.TauWeighting` read pairs through it."""
+    try:
+        i, j = item
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {_shown(item)} is not a pair of vertex labels") from None
+    if type(i) is not int or type(j) is not int:
+        try:
+            i, j = _integer(i, "vertex label"), _integer(j, "vertex label")
+        except GraphError:
+            raise GraphError(
+                f"vertex labels must be integers, got edge {_shown((i, j))}") from None
+    if i == j:
+        raise GraphError(f"loop edge {_edge_name((i, j))}")
+    return (i, j) if i < j else (j, i)
+
+
 def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The :func:`edge_key` of every pair, as a frozenset, by the walk of
+    """The :func:`_edge_of` of every pair, as a frozenset, by the walk of
     :class:`Graph`'s gate before its range check."""
     try:
         items = iter(pairs)
@@ -121,13 +126,7 @@ def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
             f"edges must be an iterable of vertex pairs, got {_shown(pairs)}") from None
     seen: set[tuple[int, int]] = set()
     for item in items:
-        try:
-            i, j = item
-        except (TypeError, ValueError):
-            raise GraphError(f"edge {_shown(item)} is not a pair of vertex labels") from None
-        e = edge_key(i, j)
-        if e[0] == e[1]:
-            raise GraphError(f"loop edge {_edge_name(e)}")
+        e = _edge_of(item)
         if e in seen:
             raise GraphError(f"duplicate edge {_edge_name(e)}")
         seen.add(e)
@@ -138,13 +137,15 @@ class _Record:
     """Base of the package's record types. A record's fields are the names
     its class body annotates, in order (``_field_names``). They are also
     listed in ``__slots__`` unless the class keeps memos, which need an
-    instance ``__dict__``; only :class:`Graph` does. Its ``__init__`` takes the
-    fields positionally in that order and sets each once, with
-    ``object.__setattr__``; assigning or deleting any attribute of an
-    instance afterwards raises ``AttributeError``. So copies and pickles
-    are rebuilt through ``__init__`` from the fields, without the memos.
-    Records compare by identity; those of :class:`_ValueRecord` compare by
-    their fields.
+    instance ``__dict__``; only :class:`Graph` does. ``_Record.__init__``
+    takes the fields positionally in that order, exactly as many as there
+    are (``TypeError`` otherwise), and is the one place that sets them, each
+    once, with ``object.__setattr__``. A record type that checks its input
+    keeps an ``__init__`` for the checks alone, which ends by passing the
+    fields on to it. Assigning or deleting any attribute of an instance
+    afterwards raises ``AttributeError``. So copies and pickles are rebuilt
+    through ``__init__`` from the fields, without the memos. Records compare
+    by identity; those of :class:`_ValueRecord` compare by their fields.
 
     Plain classes rather than frozen dataclasses: a dataclass execs the
     source of its generated methods when its class is defined, which cost
@@ -159,6 +160,14 @@ class _Record:
         # A subclass that annotates nothing keeps the fields of its base.
         if names := tuple(cls.__annotations__):
             cls._field_names = names
+
+    def __init__(self, *values) -> None:
+        names = self._field_names
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(names)} fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._field_names)
@@ -203,9 +212,10 @@ class Graph(_ValueRecord):
     vertex count, must be a Python or numpy integer, not ``bool``. One walk
     in the given order raises :class:`GraphError` at the first item that is
     not a pair, the first loop or the first pair named twice; after it, so
-    does an edge outside ``1..n``. A frozenset (or a subclass) already in
-    that form is kept as it is, not copied. Vertices without incident edges
-    are allowed. Graphs compare and hash by ``n`` and ``edges``.
+    does an edge outside ``1..n``. Every source of edges takes this one
+    path, a frozenset too, which is stored as a new frozenset. Vertices
+    without incident edges are allowed. Graphs compare and hash by ``n``
+    and ``edges``.
 
     A graph memoises three things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
@@ -228,20 +238,11 @@ class Graph(_ValueRecord):
             n = _integer(n, "vertex count")
         if n < 1:
             raise GraphError("vertex count must be at least 1")
-        object.__setattr__(self, "n", n)
-        if isinstance(edges, frozenset):
-            for e in edges:
-                if not (type(e) is tuple and len(e) == 2 and type(e[0]) is int
-                        and type(e[1]) is int and 0 < e[0] < e[1] <= n):
-                    break
-            else:
-                object.__setattr__(self, "edges", edges)  # already canonical: keep the object
-                return
         edges = _edge_set(edges)
         for i, j in edges:
             if i < 1 or j > n:
                 raise GraphError(f"edge {_edge_name((i, j))} out of vertex range 1..{_shown(n)}")
-        object.__setattr__(self, "edges", edges)
+        super().__init__(n, edges)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
@@ -390,9 +391,10 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {lineno}: vertex labels must be integers") from None
         if i < 1 or j < 1:
             raise GraphError(f"line {lineno}: vertex labels start at 1")
-        if i == j:
-            raise GraphError(f"line {lineno}: loop edge {_edge_name((i, j))}")
-        e = edge_key(i, j)
+        try:
+            e = _edge_of((i, j))
+        except GraphError as exc:
+            raise GraphError(f"line {lineno}: {exc}") from None
         if e in seen:
             raise GraphError(f"line {lineno}: duplicate edge {_edge_name(e)}")
         seen.add(e)
@@ -407,7 +409,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(
             f"edge endpoint {_shown(max_label)} exceeds declared vertex count {_shown(declared)}"
         )
-    return Graph(declared, frozenset(seen))
+    return Graph(declared, seen)
 
 
 # Sized families: their spec prefix (``A5``, ``C6``, ``K1,4``) and least size.
@@ -458,8 +460,7 @@ class NamedFamily(_ValueRecord):
                 raise GraphError(f"family {family} takes no size parameter")
         else:
             raise GraphError(f"unknown family tag {_shown(family)}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "size", size)
+        super().__init__(family, size)
 
     @property
     def vertex_count(self) -> int:
@@ -509,22 +510,20 @@ def generate_named(spec: NamedFamily) -> Graph:
     """
     f, n = spec.family, spec.vertex_count
     if f in ("A", "path"):
-        return Graph(n, frozenset(_path_edges(n)))
+        return Graph(n, _path_edges(n))
     if f == "D":
-        edges = [(1, 3), (2, 3)] + _path_edges(n)[2:]
-        return Graph(n, frozenset(edges))
+        return Graph(n, [(1, 3), (2, 3)] + _path_edges(n)[2:])
     if f in E_ARMS:
         left, right, _ = E_ARMS[f]
         spine = left + right + 1
         arm = [left + 1, *range(spine + 1, n + 1)]
-        return Graph(n, frozenset(_path_edges(spine) + list(zip(arm, arm[1:]))))
+        return Graph(n, _path_edges(spine) + list(zip(arm, arm[1:])))
     if f in ("A~", "cycle"):
-        return Graph(n, frozenset(_path_edges(n) + [(1, n)]))
+        return Graph(n, _path_edges(n) + [(1, n)])
     if f == "D~":
-        edges = [(1, 3), (2, 3)] + _path_edges(n - 2)[2:] + [(n - 2, n - 1), (n - 2, n)]
-        return Graph(n, frozenset(edges))
+        return Graph(n, [(1, 3), (2, 3)] + _path_edges(n - 2)[2:] + [(n - 2, n - 1), (n - 2, n)])
     if f == "star":
-        return Graph(n, frozenset((1, v) for v in range(2, n + 1)))
+        return Graph(n, [(1, v) for v in range(2, n + 1)])
     raise GraphError(f"unknown family tag {f!r}")  # pragma: no cover
 
 

@@ -88,12 +88,6 @@ class Spectrum(_Record):
     residual_bound: float
     eigenvectors: np.ndarray | None
 
-    def __init__(self, eigenvalues: np.ndarray, residual_bound: float,
-                 eigenvectors: np.ndarray | None = None) -> None:
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "residual_bound", residual_bound)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
-
     @property
     def index(self) -> float:
         """Largest eigenvalue."""
@@ -190,7 +184,7 @@ def eigen_symmetric(m) -> Spectrum:
         off = off_norm()
 
     eigenvalues = np.array(sorted((a[i][i] for i in range(n)), reverse=True))
-    return Spectrum(eigenvalues, residual_bound=off)
+    return Spectrum(eigenvalues, off, None)
 
 
 def _lapack_bound(n: int, fro: float) -> float:
@@ -239,7 +233,7 @@ def eigenvalues(m) -> Spectrum:
     :func:`_symmetric` refuses.
     """
     mat, fro = _symmetric(m)
-    return Spectrum(np.linalg.eigvalsh(mat)[::-1], residual_bound=_lapack_bound(len(mat), fro))
+    return Spectrum(np.linalg.eigvalsh(mat)[::-1], _lapack_bound(len(mat), fro), None)
 
 
 def eigenpairs(m) -> Spectrum:
@@ -252,8 +246,7 @@ def eigenpairs(m) -> Spectrum:
     """
     mat, fro = _symmetric(m)
     evals, evecs = np.linalg.eigh(mat)
-    return Spectrum(evals[::-1], residual_bound=_lapack_bound(len(mat), fro),
-                    eigenvectors=evecs[:, ::-1])
+    return Spectrum(evals[::-1], _lapack_bound(len(mat), fro), evecs[:, ::-1])
 
 
 def graph_spectrum(g: Graph) -> Spectrum:

@@ -157,10 +157,15 @@ class TestTauWeighting:
         "key", [1, (1, 2, 3), (1,), None], ids=["int", "triple", "single", "none"]
     )
     def test_per_edge_keys_must_be_pairs(self, key):
-        with pytest.raises(GraphError, match="is not a pair of vertex labels"):
+        message = f"^edge {re.escape(repr(key))} is not a pair of vertex labels$"
+        with pytest.raises(GraphError, match=message):
             TauWeighting.of({key: 0.2, (2, 3): 0.3})
-        with pytest.raises(ValueError, match="is not a pair of vertex labels"):
+        with pytest.raises(ValueError, match=message):
             existence(named("A", 3), {(1, 2): 0.3, key: 0.2})
+
+    def test_a_loop_key_is_refused_when_the_weighting_is_built(self):
+        with pytest.raises(GraphError, match="^loop edge 1-1$"):
+            TauWeighting(per_edge={(1, 2): 0.3, (1, 1): 0.2})
 
     @pytest.mark.parametrize(
         "key", [(True, 2), (1.0, 2), ("1", 2), (None, 2)], ids=["bool", "float", "str", "none"]

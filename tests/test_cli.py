@@ -338,6 +338,25 @@ class TestConstructAndVerify:
         assert err == f"error: vectors must be a 2-D array of rows, got {dims}-D\n"
 
     @pytest.mark.parametrize(
+        "vectors,message",
+        [([[]], "vectors must have at least one row and one coordinate, got shape (1, 0)"),
+         ([[], []], "vectors must have at least one row and one coordinate, got shape (2, 0)"),
+         ([], "vectors must be a 2-D array of rows, got 1-D")],
+        ids=["empty-row", "empty-rows", "no-rows"],
+    )
+    def test_verify_rejects_vectors_with_no_rows_or_coordinates(self, capsys, tmp_path,
+                                                                vectors, message):
+        """Such a document used to load and verify as failed; a JSON list of
+        no rows is one-dimensional to numpy."""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(
+            {"ambient_dim": 0, "vectors": vectors, "tau": 0.5, "graph": []}
+        ))
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "vectors,kind",
         [([["1.0"], ["1.0"]], "str"), ([["1.0", "0.0"], [1.0, 0.0]], "str"),
          ([[1.0, "0.0"], [1.0, 0.0]], "str"), ([[True], [True]], "bool"),

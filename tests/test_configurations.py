@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -85,6 +86,20 @@ class TestSubspaceConfiguration:
     @pytest.mark.parametrize("rows", [np.ones(3), [1.0, 0.0], 1.0, np.ones((2, 2, 1))])
     def test_vectors_must_be_two_dimensional(self, rows):
         with pytest.raises(ValueError, match="must be a 2-D array of rows"):
+            SubspaceConfiguration(rows)
+
+    @pytest.mark.parametrize(
+        "rows,shape",
+        [(np.zeros((0, 3)), (0, 3)), (np.zeros((3, 0)), (3, 0)), ([[]], (1, 0)),
+         ([[], []], (2, 0))],
+        ids=["no-rows", "no-coordinates", "empty-row", "empty-rows"],
+    )
+    def test_no_rows_or_no_coordinates_are_refused(self, rows, shape):
+        """No unit vector lives in R^0, and no vertex has no vector: verify
+        would report such a configuration as failed, not refuse it."""
+        message = ("^vectors must have at least one row and one coordinate, "
+                   f"got shape {re.escape(str(shape))}$")
+        with pytest.raises(ValueError, match=message):
             SubspaceConfiguration(rows)
 
     @pytest.mark.parametrize(
@@ -651,8 +666,10 @@ class TestDocumentRoundTrip:
             ([[1.0, 2, 0.5]], r"^vertex labels must be integers, got edge \(1\.0, 2\)$"),
             ([[1, 2, "0.5"]], "^tau on edge 1-2 must be a real number, got '0.5'$"),
             ([[1, 2, None]], "^tau on edge 1-2 must be a real number, got None$"),
+            (None, r"^tau must be a number or a list of \[i, j, tau\] triples, got None$"),
         ],
-        ids=["text", "bool", "number-item", "pair", "float-label", "text-value", "null-value"],
+        ids=["text", "bool", "number-item", "pair", "float-label", "text-value", "null-value",
+             "null"],
     )
     def test_unreadable_tau(self, tau, message):
         """A list is read per edge and anything else as the constant, each
@@ -919,24 +936,22 @@ def same_bits(a: VerificationReport, b: VerificationReport) -> bool:
     )
 
 
-class CountedEdges(frozenset):
-    """An edge set that counts the walks over it."""
-
-    walks = 0
-
-    def __iter__(self):
-        type(self).walks += 1
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("per_edge", [False, True], ids=["constant", "per-edge"])
 def test_construct_and_verify_align_the_edges_once(monkeypatch, per_edge):
-    base = named("D", 9)
-    edges = CountedEdges(base.edges)
-    g = Graph(base.n, edges)
-    assert g.edges is edges  # the gate keeps a canonical edge set
-    tau = {e: 0.2 for e in base.edges} if per_edge else 0.2
-    monkeypatch.setattr(CountedEdges, "walks", 0)
+    """Construct and verify read the edges through the graph's one edge
+    index, which walks the edge set: it is built once for both."""
+    builds = []
+    real = vars(Graph)["_edge_index"].func
+
+    def counted(g):
+        builds.append(g)
+        return real(g)
+
+    memo = functools.cached_property(counted)
+    memo.__set_name__(Graph, "_edge_index")
+    monkeypatch.setattr(Graph, "_edge_index", memo)
+    g = named("D", 9)
+    tau = {e: 0.2 for e in g.edges} if per_edge else 0.2
     report = verify_configuration(construct_configuration(g, tau), g, tau)
     assert report.passed
-    assert CountedEdges.walks == 1
+    assert len(builds) == 1 and builds[0] is g

@@ -79,7 +79,7 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize("edge", [(1, 2.5), (True, 2), (1.0, 2.0)])
     def test_direct_construction_rejects_non_integer_labels(self, edge):
-        """``Graph(n, edges)`` keeps the label rule of ``edge_key``, with its
+        """``Graph(n, edges)`` keeps the one vertex-pair rule, with its
         message: 2.5 would read as vertex 2 in a matrix index and write a
         document ``load_configuration`` refuses."""
         message = f"^vertex labels must be integers, got edge {re.escape(repr(edge))}$"
@@ -190,16 +190,10 @@ class TestOneEdgeGate:
         g = Graph(3, ((j, i) for i, j in [(1, 2), (2, 3)]))
         assert g.edges == {(1, 2), (2, 3)} and type(g.edges) is frozenset
 
-    def test_a_canonical_frozenset_is_kept_by_identity(self):
-        class Tagged(frozenset):
-            pass
-
-        for edges in (frozenset({(1, 2), (2, 3)}), Tagged({(1, 2), (2, 3)})):
-            assert Graph(3, edges).edges is edges
-
     @pytest.mark.parametrize(
-        "edges", [frozenset({(2, 1)}), frozenset({(np.int64(1), 2)}), {(1, 2)}],
-        ids=["reversed", "numpy-label", "set"],
+        "edges", [frozenset({(2, 1)}), frozenset({(np.int64(1), 2)}), {(1, 2)},
+                  frozenset({(1, 2)})],
+        ids=["reversed", "numpy-label", "set", "canonical"],
     )
     def test_any_other_edge_set_is_stored_canonical(self, edges):
         g = Graph(2, edges)
@@ -219,7 +213,10 @@ class TestOneEdgeGate:
         ids=["bare-labels", "triple", "single", "first-bad-item", "none", "int"],
     )
     def test_a_malformed_pair_is_refused(self, edges, message):
-        for build in (lambda: Graph(3, edges), lambda: Graph.from_edges(edges)):
+        builds = [lambda: Graph(3, edges), lambda: Graph.from_edges(edges)]
+        if isinstance(edges, list):  # the same items as the keys of a weighting
+            builds.append(lambda: TauWeighting(per_edge=[(p, 0.2) for p in edges]))
+        for build in builds:
             with pytest.raises(GraphError) as info:
                 build()
             assert str(info.value) == message
@@ -229,9 +226,8 @@ class TestOneEdgeGate:
         ids=["bare-labels", "triple", "single", "string", "pair-and-triple"],
     )
     def test_a_frozenset_of_malformed_items_meets_the_same_gate(self, items):
-        """The canonical-form test that keeps a frozenset by identity never
-        unpacks an item that is not a pair: the items raise what they raise
-        in a list, in the frozenset's order."""
+        """A frozenset takes the walk of a list: its items raise what they
+        raise in a list, in the frozenset's order."""
         messages = []
         for edges in (frozenset(items), list(frozenset(items))):
             with pytest.raises(GraphError) as info:
@@ -255,9 +251,37 @@ class TestOneEdgeGate:
         doc = {"ambient_dim": 1, "vectors": [[1.0]] * n, "tau": 0.5,
                "graph": [[int(i), int(j)] for i, j in pairs]}
         assert outcome(lambda: load_configuration(doc)[1]) == want
-        if not faults:
-            text = f"n {n}\n" + "".join(f"{i} {j}\n" for i, j in pairs)
-            assert parse_edge_list(text).edges == want
+        # The edge-list reader names the line of the first pair it refuses
+        # (the header is line 1): a label below 1 at once, a loop or a
+        # repeat with Graph's message, a label above n after the last line.
+        text = f"n {n}\n" + "".join(f"{i} {j}\n" for i, j in pairs)
+        seen = set()
+        for k, p in enumerate(pairs, start=2):
+            i, j = sorted(map(int, p))
+            if i < 1:
+                expected = f"line {k}: vertex labels start at 1"
+                break
+            if i == j or (i, j) in seen:
+                expected = f"line {k}: {want}"
+                break
+            seen.add((i, j))
+        else:
+            top = max((j for _, j in seen), default=0)
+            expected = (want if top <= n
+                        else f"edge endpoint {top} exceeds declared vertex count {n}")
+        assert outcome(lambda: parse_edge_list(text)) == expected
+        # The same pairs as the keys of a weighting: no vertex range, and a
+        # repeat is an edge weighted twice.
+        try:
+            keys = set(TauWeighting(per_edge=[(p, 0.2) for p in pairs]).per_edge)
+        except ValueError as exc:
+            keys = str(exc)
+        if isinstance(want, str) and want.startswith("loop"):
+            assert keys == want
+        elif isinstance(want, str) and want.startswith("duplicate"):
+            assert keys == f"{want.removeprefix('duplicate ')} weighted twice"
+        else:
+            assert keys == {tuple(sorted(map(int, p))) for p in pairs}
 
 
 class TestParseEdgeList:

@@ -72,8 +72,8 @@ def test_every_export_has_a_caller():
 def test_every_public_member_has_a_caller():
     # The same scan over the public methods, properties, classmethods, enum
     # members and fields of every exported class. Fields are read from the
-    # class annotations: Graph and ExistenceVerdict keep theirs in each
-    # instance's __dict__, so vars(cls) does not list them.
+    # class annotations: Graph keeps its in each instance's __dict__, so
+    # vars(cls) does not list them.
     read = names_read_in_library_and_benchmark()
     classes = {
         obj

@@ -30,6 +30,7 @@ from angleset import (
     graph_spectrum,
     is_connected,
 )
+from angleset.graphs import _Record
 
 # Each value type with a builder of equal fresh instances and one that
 # differs from them in a single field.
@@ -50,7 +51,7 @@ VALUE_RECORDS = {
 
 # Types whose instances compare by identity.
 IDENTITY_RECORDS = {
-    Spectrum: lambda: Spectrum(np.array([1.0, -1.0]), 0.0),
+    Spectrum: lambda: Spectrum(np.array([1.0, -1.0]), 0.0, None),
     SubspaceConfiguration: lambda: SubspaceConfiguration(np.eye(2)),
     ExistenceVerdict: lambda: ExistenceVerdict(True, 2, 1.0),
 }
@@ -89,6 +90,29 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
         assert getattr(record, name) is value
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_a_record_takes_exactly_its_fields(cls):
+    fields = BUILDERS[cls]()._fields()
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    if "__init__" not in vars(cls):  # the generic constructor, with no defaults
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+    # A record type's own __init__ passes its fields on to the generic one.
+    blank = cls.__new__(cls)
+    for wrong in (fields[:-1], (*fields, None)):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {len(fields)} fields, got"):
+            _Record.__init__(blank, *wrong)
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_slots_are_the_annotated_fields(cls):
+    if "__slots__" in vars(cls):  # Graph keeps its memos in an instance __dict__
+        assert vars(cls)["__slots__"] == tuple(cls.__annotations__)
+    else:
+        assert cls is Graph
 
 
 @pytest.mark.parametrize("cls", VALUE_RECORDS, ids=lambda cls: cls.__name__)
