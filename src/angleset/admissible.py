@@ -25,9 +25,9 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .classify import IndexKind, classify_structure
+from .classify import IndexKind, _coxeter_endpoint, classify_structure
 from .graphs import (Graph, GraphError, _edge_name, _edge_of, _integer, _Record, _shown,
-                     _ValueRecord, is_tree)
+                     _ValueRecord, check_vertex_count, is_tree)
 from .spectra import (
     _EPS,
     _jacobi_bound,
@@ -163,7 +163,10 @@ TauLike = TauWeighting | float | Mapping[tuple[int, int], float]
 
 
 def gram_matrix(g: Graph, tau: TauLike) -> np.ndarray:
-    """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere."""
+    """Gram matrix: unit diagonal, sqrt(tau_ij) on edges, zero elsewhere.
+    :func:`~angleset.graphs.check_vertex_count` refuses a graph past
+    ``MAX_VERTICES`` before anything is allocated."""
+    check_vertex_count(g.n)
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
     n = g.n
     a = np.zeros((n, n))
@@ -266,12 +269,12 @@ def existence(g: Graph, tau: TauLike) -> ExistenceVerdict:
 
     A per-edge tau gets the verdict of :func:`_gram_verdict` on its Gram
     matrix, the one ``construct`` factors by. A constant tau on a graph
-    whose adjacency spectrum is memoised, as ``sigma`` and ``classify``
-    leave it, reads the verdict off 1 + sqrt(tau) spec(A). Any other
-    constant tau first tries the certificate of :func:`_cholesky` at a floor
-    that covers Jacobi's error too, and solves the adjacency spectrum if it
-    fails. Each call assembles the Gram matrix at most once, and a certified
-    verdict, rank n with no least eigenvalue, keeps neither it nor the graph.
+    whose adjacency spectrum is memoised reads the verdict off
+    1 + sqrt(tau) spec(A). Any other constant tau first tries the
+    certificate of :func:`_cholesky` at a floor that covers Jacobi's error
+    too, and solves the adjacency spectrum if it fails. Each call assembles
+    the Gram matrix at most once, and a certified verdict, rank n with no
+    least eigenvalue, keeps neither it nor the graph.
     """
     w = TauWeighting.of(tau)
     c = w.constant
@@ -313,13 +316,23 @@ class SigmaInterval(_ValueRecord):
 
 
 def sigma_tree(g: Graph) -> SigmaInterval:
-    """Admissible interval (0, 1/r^2] of a tree with at least one edge."""
+    """Admissible interval (0, 1/r^2] of a tree with at least one edge.
+
+    A shape that :func:`~angleset.classify.classify_structure` recognises
+    gets its exact endpoint from its Coxeter number (1/4 on an extended
+    shape) and solves nothing, so it stays allocation-free past
+    ``MAX_VERTICES``. Any other tree takes r from
+    :func:`~angleset.spectra.graph_index`.
+    """
     if not is_tree(g):
         raise ValueError("admissible-interval formula applies to trees only")
     if g.n < 2:
         raise ValueError("tree must have at least one edge")
-    r = graph_index(g)
-    return SigmaInterval(min(1.0, 1.0 / (r * r)))
+    upper = classify_structure(g).components[0].endpoint
+    if upper is None:
+        r = graph_index(g)
+        upper = min(1.0, 1.0 / (r * r))
+    return SigmaInterval(upper)
 
 
 def sigma_cycle(n: int) -> SigmaInterval:
@@ -327,9 +340,10 @@ def sigma_cycle(n: int) -> SigmaInterval:
     be a Python or numpy integer, not ``bool``, or ``ValueError`` is raised.
 
     Equals the interval of the path on ``n - 1`` vertices: the endpoint is
-    1/(4cos^2(pi/n)), strictly above 1/4. Note this is not the
-    semidefiniteness threshold of the cycle's own Gram matrix, which caps at
-    1/4; the two agree only on trees.
+    1/(4cos^2(pi/n)), strictly above 1/4, by the rule of that path's
+    Coxeter number h = n. Note this is not the semidefiniteness threshold
+    of the cycle's own Gram matrix, which caps at 1/4; the two agree only on
+    trees.
     """
     if type(n) is not int:
         n = _integer(n, "cycle length")
@@ -339,8 +353,7 @@ def sigma_cycle(n: int) -> SigmaInterval:
     # exactly 1/4 there; pi / n overflows once n passes the float range.
     if n >= 10**9:
         return SigmaInterval(0.25)
-    c = math.cos(math.pi / n)
-    return SigmaInterval(min(1.0, 1.0 / (4.0 * c * c)))
+    return SigmaInterval(_coxeter_endpoint(n))
 
 
 class QuarterPosition(enum.Enum):

@@ -8,11 +8,19 @@ diagram, an extended one (cycles included), or neither, so the shapes alone
 decide the index class of every graph, with no tolerance. ``trichotomy``,
 :func:`classify_index` and the CLI read the class from them; the tests, not
 the runtime, check it against the numeric index.
+
+A recognised shape also carries its Coxeter number h, from which its
+closed-form admissible endpoint and its index follow exactly: a Dynkin
+shape has index 2cos(pi/h), an extended one index 2. ``sigma_tree`` and
+CLI ``sigma`` and ``classify`` answer such a shape from these values and
+solve nothing. The shapes are memoised on the graph, so those calls share
+one shape pass.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 from .graphs import E_ARMS, Graph, _ValueRecord, component_vertex_sets
 from .spectra import graph_index
@@ -33,6 +41,27 @@ _EXTENDED = frozenset({"A~", "D~", "E~6", "E~7", "E~8"})
 _TRIDENTS = {tuple(sorted(arms)): (tag, int(tag[-1])) for tag, arms in E_ARMS.items()}
 
 _E_COXETER = {"E6": 12, "E7": 18, "E8": 30}
+
+# 4cos^2(pi/h) where it is an integer. cos(pi/h) is not exact in floating
+# point, and 1/(4cos^2(pi/3)) computed from it gives 0.9999999999999996.
+_EXACT_FOUR_COS2 = {2: 0.0, 3: 1.0, 4: 2.0, 6: 3.0}
+
+
+def _four_cos2(h: int) -> float:
+    """4cos^2(pi/h): the squared index of a Dynkin shape with Coxeter
+    number h, exact where it is an integer."""
+    exact = _EXACT_FOUR_COS2.get(h)
+    if exact is not None:
+        return exact
+    c = math.cos(math.pi / h)
+    return 4.0 * c * c
+
+
+def _coxeter_endpoint(h: int) -> float:
+    """The endpoint min(1, 1/(4cos^2(pi/h))) of the admissible interval of a
+    Dynkin shape with Coxeter number h, and of the h-cycle."""
+    x = _four_cos2(h)
+    return 1.0 / x if x > 1.0 else 1.0
 
 
 class IndexKind(enum.Enum):
@@ -68,21 +97,43 @@ class ComponentClass(_ValueRecord):
         return self.family in _EXTENDED
 
     @property
+    def coxeter_number(self) -> int | None:
+        """The Coxeter number h: n + 1 for A_n, 2(n - 1) for D_n and 12, 18,
+        30 for E6, E7, E8; the n-cycle A~_{n-1} takes h = n, the h of the
+        path its interval equals. ``None`` for every other shape."""
+        if self.family in ("A", "A~"):
+            return self.size + 1
+        if self.family == "D":
+            return 2 * (self.size - 1)
+        return _E_COXETER.get(self.family)
+
+    @property
     def closed_form(self) -> str | None:
         """Exact admissible-interval endpoint, ``None`` if unrecognized: a
-        Dynkin shape with Coxeter number h has 1/(4cos^2(pi/h)), the n-cycle
-        that of h = n, and every other extended shape 1/4."""
-        if self.family in ("A", "A~"):
-            h = self.size + 1
-        elif self.family == "D":
-            h = 2 * (self.size - 1)
-        elif self.family in _E_COXETER:
-            h = _E_COXETER[self.family]
-        elif self.is_extended:
-            return "1/4"
-        else:
-            return None
-        return f"1/(4cos^2(pi/{h}))"
+        Dynkin shape with Coxeter number h, and the h-cycle, have
+        1/(4cos^2(pi/h)), and every other extended shape 1/4."""
+        h = self.coxeter_number
+        if h is not None:
+            return f"1/(4cos^2(pi/{h}))"
+        return "1/4" if self.is_extended else None
+
+    @property
+    def endpoint(self) -> float | None:
+        """The value of :attr:`closed_form`, capped at 1 (A1 and A2 reach
+        it); ``None`` if unrecognized."""
+        h = self.coxeter_number
+        if h is not None:
+            return _coxeter_endpoint(h)
+        return 0.25 if self.is_extended else None
+
+    @property
+    def index(self) -> float | None:
+        """Largest adjacency eigenvalue: 2 for an extended shape,
+        2cos(pi/h) for a Dynkin one; ``None`` if unrecognized."""
+        if self.is_extended:
+            return 2.0
+        h = self.coxeter_number
+        return None if h is None else math.sqrt(_four_cos2(h))
 
     @property
     def label(self) -> str:
@@ -109,6 +160,13 @@ class GraphClass(_ValueRecord):
         if any(c.is_extended for c in self.components):
             return IndexKind.CRITICAL
         return IndexKind.SUBCRITICAL
+
+    @property
+    def index(self) -> float | None:
+        """The graph's index, the largest of its components', when every
+        component is recognised; ``None`` otherwise."""
+        indexes = [c.index for c in self.components]
+        return None if None in indexes else max(indexes)
 
 
 def _arm(nbrs: list[list[int]], degree: list[int], branch: int,
@@ -169,19 +227,26 @@ def _component_shape(nbrs: list[list[int]], degree: list[int],
 def classify_structure(g: Graph) -> GraphClass:
     """Label every connected component by exact shape recognition, each
     shaped in place, with no subgraph copy, from neighbour lists built for
-    this call and dropped with it."""
-    nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]  # slot 0: vertex 0
-    for i, j in g.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    degree = [len(s) for s in nbrs]
-    return GraphClass(tuple(
-        ComponentClass(*_component_shape(nbrs, degree, verts), verts)
-        for verts in component_vertex_sets(g)
-    ))
+    the first call and dropped with it. The labels are memoised on ``g``,
+    so later calls on the same instance shape nothing."""
+    shapes = g.__dict__.get("_structure")
+    if shapes is None:
+        nbrs: list[list[int]] = [[] for _ in range(g.n + 1)]  # slot 0: vertex 0
+        for i, j in g.edges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        degree = [len(s) for s in nbrs]
+        shapes = GraphClass(tuple(
+            ComponentClass(*_component_shape(nbrs, degree, verts), verts)
+            for verts in component_vertex_sets(g)
+        ))
+        g.__dict__["_structure"] = shapes
+    return shapes
 
 
 def classify_index(g: Graph) -> IndexClass:
     """The index class read off the shapes of :func:`classify_structure`,
-    with the numeric index from :func:`~angleset.spectra.graph_index`."""
+    with the numeric index from :func:`~angleset.spectra.graph_index`, also
+    on a recognised shape, whose exact index :attr:`GraphClass.index`
+    gives."""
     return IndexClass(classify_structure(g).predicted_index_kind, graph_index(g))

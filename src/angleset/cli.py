@@ -6,8 +6,10 @@ file (``--file``). Each subcommand computes one payload that :func:`_emit`
 prints, as JSON with ``--format json`` and otherwise as ``key: value`` lines,
 or for ``sweep`` as CSV rows. ``construct`` always prints JSON.
 ``sigma`` covers a tree with at least one edge or a single cycle, and adds the
-closed form of a recognized shape. Exit code 0 means the computation ran; a
-negative answer (no configuration exists, verification failed) is still 0.
+closed form of a recognized shape, whose value is then the answer: ``sigma``
+and ``classify`` solve nothing on a Dynkin or extended shape. Exit code 0
+means the computation ran; a negative answer (no configuration exists,
+verification failed) is still 0.
 Malformed arguments (a missing ``--tau``, ``--tau abc``, an unknown option)
 exit 2 with argparse's usage and ``angleset <cmd>: error: ...``, or
 ``angleset: error: ...`` for an unknown subcommand or option. Bad input exits
@@ -154,11 +156,12 @@ def cmd_exists(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     shapes = classify_structure(g)
+    index = shapes.index
     payload = {
         "components": [
             {"label": c.label, "vertices": list(c.vertices)} for c in shapes.components
         ],
-        "index": graph_index(g),
+        "index": graph_index(g) if index is None else index,
         "index_class": shapes.predicted_index_kind.value,
     }
     _emit(args, payload, components=[c.label for c in shapes.components])

@@ -268,12 +268,14 @@ def verify_configuration(
     Lines, not signed vectors, are judged: negating v_i changes no residual.
 
     An entry as large as 1e160 is finite but overflows these products; any
-    overflow, or a NaN, raises ``ValueError`` ("cannot verify: ...").
+    overflow, or a NaN, raises ``ValueError`` ("cannot verify: ..."). A
+    graph past ``MAX_VERTICES`` is refused before G is formed.
     """
     if config.size != g.n:
         raise ValueError(
             f"configuration covers {config.size} vertices, graph has {g.n}"
         )
+    check_vertex_count(g.n)  # before G and R, each n x n
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -40,7 +40,9 @@ class GraphError(ValueError):
 
 
 # Dense n x n matrices of this size take 32 MB each. The command line builds
-# no larger graph, and load_configuration reads no larger document.
+# no larger graph, load_configuration reads no larger document, and the
+# library's dense n x n routes (adjacency_matrix, gram_matrix and
+# verify_configuration) refuse a larger one before they allocate.
 MAX_VERTICES = 2000
 
 
@@ -116,21 +118,33 @@ def _edge_of(item) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _edge_set(pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """The :func:`_edge_of` of every pair, as a frozenset, by the walk of
-    :class:`Graph`'s gate before its range check."""
+def _edge_set(pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[tuple[int, int]], int, int]:
+    """The :func:`_edge_of` of every pair, as a frozenset, with the least
+    label below 1 (else 1) and the largest label (0 with no pairs), by the
+    one walk of :class:`Graph`'s gate, which checks the range from them."""
     try:
         items = iter(pairs)
     except TypeError:
         raise GraphError(
             f"edges must be an iterable of vertex pairs, got {_shown(pairs)}") from None
     seen: set[tuple[int, int]] = set()
+    low, top = 1, 0
     for item in items:
         e = _edge_of(item)
         if e in seen:
             raise GraphError(f"duplicate edge {_edge_name(e)}")
         seen.add(e)
-    return frozenset(seen)
+        i, j = e
+        if i < low:
+            low = i
+        if j > top:
+            top = j
+    return frozenset(seen), low, top
+
+
+# The vertex count ``from_edges`` hands to ``Graph`` when it is given none:
+# the largest label the gate's walk meets, 1 with no edges.
+_LARGEST_LABEL = object()
 
 
 class _Record:
@@ -212,49 +226,51 @@ class Graph(_ValueRecord):
     vertex count, must be a Python or numpy integer, not ``bool``. One walk
     in the given order raises :class:`GraphError` at the first item that is
     not a pair, the first loop or the first pair named twice; after it, so
-    does an edge outside ``1..n``. Every source of edges takes this one
-    path, a frozenset too, which is stored as a new frozenset. Vertices
-    without incident edges are allowed. Graphs compare and hash by ``n``
-    and ``edges``.
+    does an edge outside ``1..n``, from the least and largest labels the
+    walk kept. :meth:`from_edges` takes ``n`` from the largest label of the
+    same walk. Every source of edges takes this one path, a frozenset too,
+    which is stored as a new frozenset. Vertices without incident edges are
+    allowed. Graphs compare and hash by ``n`` and ``edges``.
 
-    A graph memoises three things it derives from its edges, each the first
+    A graph memoises four things it derives from its edges, each the first
     time it is needed: the edge index (``_edge_index``: the edges in one
     fixed order with their read-only 0-based endpoint arrays), the component
     roots (``_component_roots``, found by union-find over the edge set,
     which :func:`is_connected`, :func:`is_tree` and
-    :func:`component_vertex_sets` read) and the adjacency spectrum
-    (:func:`~angleset.spectra.graph_spectrum`, solved from the edge index).
-    Each memo lives in the instance ``__dict__`` and dies with its ``Graph``
-    object. It keeps no neighbour sets:
+    :func:`component_vertex_sets` read), the shapes of its components
+    (:func:`~angleset.classify.classify_structure`) and the adjacency
+    spectrum (:func:`~angleset.spectra.graph_spectrum`, solved from the edge
+    index). Each memo lives in the instance ``__dict__`` and dies with its
+    ``Graph`` object. It keeps no neighbour sets:
     :func:`~angleset.classify.classify_structure` builds the only neighbour
-    lists, for one call.
+    lists, for its first call.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
-        if type(n) is not int:
-            n = _integer(n, "vertex count")
-        if n < 1:
-            raise GraphError("vertex count must be at least 1")
-        edges = _edge_set(edges)
-        for i, j in edges:
-            if i < 1 or j > n:
-                raise GraphError(f"edge {_edge_name((i, j))} out of vertex range 1..{_shown(n)}")
+        if n is not _LARGEST_LABEL:
+            if type(n) is not int:
+                n = _integer(n, "vertex count")
+            if n < 1:
+                raise GraphError("vertex count must be at least 1")
+        edges, low, top = _edge_set(edges)
+        if n is _LARGEST_LABEL:
+            n = max(1, top)
+        if low < 1 or top > n:
+            e = next(e for e in edges if e[0] < 1 or e[1] > n)
+            raise GraphError(f"edge {_edge_name(e)} out of vertex range 1..{_shown(n)}")
         super().__init__(n, edges)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], n: int | None = None) -> "Graph":
         """The graph on ``n`` vertices with these vertex pairs as its edges.
 
-        ``n`` defaults to the largest endpoint, and to 1 with no edges. The
-        pairs pass the gate of ``Graph(n, edges)``.
+        ``n`` defaults to the largest endpoint, and to 1 with no edges,
+        which the one walk of the gate of ``Graph(n, edges)`` finds.
         """
-        if n is None:
-            edges = _edge_set(edges)
-            n = max([1, *(j for _, j in edges)])
-        return cls(n, edges)
+        return cls(_LARGEST_LABEL if n is None else n, edges)
 
     @property
     def vertices(self) -> range:
@@ -285,7 +301,10 @@ class Graph(_ValueRecord):
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix of ``g`` (symmetric, zero diagonal)."""
+    """Dense 0/1 adjacency matrix of ``g`` (symmetric, zero diagonal);
+    :func:`check_vertex_count` refuses a graph past ``MAX_VERTICES`` before
+    anything is allocated."""
+    check_vertex_count(g.n)
     _, i, j = g._edge_index
     a = np.zeros((g.n, g.n), dtype=int)
     a[i, j] = a[j, i] = 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 import angleset.admissible
+import angleset.classify
 import angleset.spectra
 from angleset import graph_spectrum
 
@@ -114,3 +115,18 @@ def name_calls(monkeypatch):
         return calls
 
     return watch
+
+
+@pytest.fixture
+def shape_passes(monkeypatch):
+    """The vertex count of every component ``classify_structure`` shapes,
+    one entry per component shaped; a memoised graph adds none."""
+    shaped = []
+    real = angleset.classify._component_shape
+
+    def counted(nbrs, degree, verts):
+        shaped.append(len(verts))
+        return real(nbrs, degree, verts)
+
+    monkeypatch.setattr(angleset.classify, "_component_shape", counted)
+    return shaped

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 import warnings
 from fractions import Fraction
 
@@ -800,6 +801,62 @@ class TestOnePassPerGraphFact:
         assert checked >= len(boundary_trees) - 1
 
 
+class TestClosedFormEndpoint:
+    """``sigma_tree`` answers a recognised tree from its Coxeter number."""
+
+    @pytest.mark.parametrize("tag", ["A2", "D6", "E8", "D~6", "E~7", "K1,5"])
+    def test_tree_questions_share_one_shape_pass(self, shape_passes, tag):
+        g = generate_named(parse_named_spec(tag))
+        sigma_tree(g)
+        trichotomy(g)
+        classify_index(g)
+        assert shape_passes == [g.n]
+
+    def test_a_recognised_tree_solves_nothing(self, eig_calls, name_calls):
+        solves = name_calls("eigenvalues", "eigenpairs")
+        for g in (named("A", 300), named("D", 300), named("E8"), named("D~", 300), named("E~8")):
+            sigma_tree(g)
+            assert _memoised_spectrum(g) is None
+        assert eig_calls == [] and not solves
+
+    def test_a_recognised_tree_past_the_vertex_cap(self):
+        """No matrix is built, so ``MAX_VERTICES`` does not apply."""
+        g = named("A", 50_000)
+        c = math.cos(math.pi / 50_001)
+        assert sigma_tree(g).upper == pytest.approx(1 / (4 * c * c), rel=1e-15)
+        assert trichotomy(g) is QuarterPosition.ABOVE
+
+
+class TestLibrarySizeGate:
+    """The dense n x n routes refuse a graph past ``MAX_VERTICES`` before
+    they allocate: a 50,000-vertex Gram matrix would take 18.6 GiB."""
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        return named("A", 50_000)
+
+    @pytest.mark.parametrize("call", ["existence", "per-edge existence", "construct",
+                                      "graph_spectrum", "verify"])
+    def test_refused_within_ten_milliseconds(self, path, call):
+        run = {
+            "existence": lambda: existence(path, 0.2),
+            "per-edge existence": lambda: existence(path, weights),
+            "construct": lambda: construct_configuration(path, 0.2),
+            "graph_spectrum": lambda: graph_spectrum(path),
+            "verify": lambda: verify_configuration(lines, path, 0.2),
+        }[call]
+        weights = TauWeighting(per_edge=dict.fromkeys(path.edges, 0.2))
+        lines = SubspaceConfiguration(np.ones((path.n, 1)))
+        best = math.inf
+        for _ in range(3):  # the best of three, against a busy machine
+            start = time.perf_counter()
+            with pytest.raises(GraphError,
+                               match="^graph has 50000 vertices, above the limit of 2000$"):
+                run()
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+
+
 class TestSigmaInterval:
     @pytest.mark.parametrize("tag", ["A5", "D6", "E8", "K1,5", "D~4"])
     def test_existence_holds_on_the_whole_interval_and_not_past_it(self, tag):
@@ -811,7 +868,8 @@ class TestSigmaInterval:
         upper = sigma_tree(g).upper
         near_zero = existence(g, 1e-9)
         assert near_zero.exists and near_zero.rank == g.n
-        assert near_zero.min_eigenvalue == pytest.approx(1.0, abs=1e-3)
+        lam = eigenvalues(gram_matrix(g, 1e-9)).min_eigenvalue
+        assert lam == pytest.approx(1.0, abs=1e-3)
         at_end = existence(g, upper)
         assert at_end.exists and at_end.rank == g.n - 1
         assert not existence(g, 1.001 * upper).exists
@@ -896,11 +954,15 @@ class TestSigmaFormulas:
 
     def test_cycle_endpoint_is_the_closed_form_to_the_bit(self):
         """1/(4cos^2(pi/n)) capped at 1, as a float, for every length it can
-        be evaluated at; from 10^9 on it is exactly 1/4."""
+        be evaluated at, and exact where 4cos^2(pi/n) is an integer: the
+        float cos(pi/3) would give 0.9999999999999996 at n = 3. From 10^9 on
+        it is exactly 1/4."""
+        exact = {3: 1.0, 4: 0.5, 6: 1 / 3}
         lengths = [*range(3, 10_001), *(10 ** k for k in range(4, 301))]
         for n in lengths:
             c = math.cos(math.pi / n)
-            assert sigma_cycle(n).upper == min(1.0, 1.0 / (4.0 * c * c)), n
+            want = exact.get(n, min(1.0, 1.0 / (4.0 * c * c)))
+            assert sigma_cycle(n).upper == want, n
         assert all(sigma_cycle(10 ** k).upper == 0.25 for k in range(9, 301))
 
     @pytest.mark.parametrize("n", [10 ** 309, 10 ** 400, 10 ** 5000], ids=["e309", "e400", "e5000"])

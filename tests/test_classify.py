@@ -181,6 +181,58 @@ def _shape_kind(g):
     return classify_structure(g).predicted_index_kind
 
 
+class TestCoxeterNumber:
+    """One rule from h: the label, the endpoint and the index of a
+    recognised shape all follow from its Coxeter number."""
+
+    @pytest.mark.parametrize("spec,h", [
+        ("A2", 3), ("A7", 8), ("D4", 6), ("D9", 16), ("E6", 12), ("E7", 18), ("E8", 30),
+        ("A~2", 3), ("C9", 9),
+    ])
+    def test_a_dynkin_shape_or_cycle_follows_from_h(self, spec, h):
+        (c,) = classify_structure(generate_named(parse_named_spec(spec))).components
+        assert c.coxeter_number == h and c.closed_form == f"1/(4cos^2(pi/{h}))"
+        cos = math.cos(math.pi / h)
+        assert c.endpoint == pytest.approx(min(1.0, 1 / (4 * cos * cos)), rel=1e-15)
+        assert c.index == (2.0 if c.is_extended else pytest.approx(2 * cos, rel=1e-15))
+
+    @pytest.mark.parametrize("spec,values", [
+        ("D~5", ("1/4", 0.25, 2.0)), ("E~6", ("1/4", 0.25, 2.0)), ("E~8", ("1/4", 0.25, 2.0)),
+        ("K1,5", (None, None, None)),
+    ])
+    def test_other_shapes_have_no_coxeter_number(self, spec, values):
+        (c,) = classify_structure(generate_named(parse_named_spec(spec))).components
+        assert c.coxeter_number is None
+        assert (c.closed_form, c.endpoint, c.index) == values
+
+    def test_exact_where_four_cos_squared_is_an_integer(self):
+        """h = 2, 3, 4 and 6 give 4cos^2(pi/h) = 0, 1, 2 and 3; the float
+        cos(pi/h) would put A2's endpoint at 0.9999999999999996."""
+        def shape(spec):
+            return classify_structure(generate_named(parse_named_spec(spec))).components[0]
+
+        assert shape("A1").index == 0.0 and shape("A1").endpoint == 1.0
+        assert shape("A2").index == 1.0 and shape("A2").endpoint == 1.0
+        assert shape("A3").index == math.sqrt(2.0) and shape("A3").endpoint == 0.5
+        for spec in ("A5", "D4"):
+            assert shape(spec).index == math.sqrt(3.0) and shape(spec).endpoint == 1 / 3
+
+    def test_a_graph_index_is_exact_only_when_every_component_is_recognised(self):
+        a3, d4 = [(1, 2), (2, 3)], [(4, 5), (5, 6), (5, 7)]
+        assert classify_structure(Graph.from_edges(a3 + d4)).index == math.sqrt(3.0)
+        cycle = [(8, 9), (9, 10), (8, 10)]
+        assert classify_structure(Graph.from_edges(a3 + d4 + cycle)).index == 2.0
+        k4 = [(i, j) for i in range(11, 15) for j in range(i + 1, 15)]
+        assert classify_structure(Graph.from_edges(a3 + k4)).index is None
+
+    def test_the_shapes_are_memoised_on_the_instance(self, shape_passes):
+        g = generate_named(parse_named_spec("E~8"))
+        first = classify_structure(g)
+        assert classify_structure(g) is first and shape_passes == [9]
+        twin = Graph(g.n, g.edges)
+        assert classify_structure(twin) == first and shape_passes == [9, 9]
+
+
 class TestClassifyIndex:
     """``classify_index`` pairs the shape's class with the numeric index."""
 

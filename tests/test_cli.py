@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import angleset.cli
-from angleset import generate_named, gram_matrix, parse_named_spec
+from angleset import adjacency_matrix, generate_named, gram_matrix, parse_named_spec, sigma_tree
 from angleset.cli import MAX_STEPS, build_parser, main
 from angleset.configurations import VERIFY_TOL
 from angleset.graphs import MAX_VERTICES
@@ -101,9 +101,14 @@ class TestSigma:
         assert "trichotomy: EqualQuarter" in out
 
     def test_tree_interval_and_trichotomy_share_one_eigensolve(self, capsys, eig_calls):
+        """E7 is answered by its Coxeter number, with no solve; K1,5 has no
+        closed form, and its interval and trichotomy share one solve."""
         code, _, _ = run(capsys, "sigma", "--graph", "E7")
         assert code == 0
-        assert eig_calls == [7]
+        assert eig_calls == []
+        code, _, _ = run(capsys, "sigma", "--graph", "K1,5")
+        assert code == 0
+        assert eig_calls == [6]
 
     def test_cycle_has_no_trichotomy_line(self, capsys):
         code, out, _ = run(capsys, "sigma", "--graph", "C6")
@@ -130,10 +135,12 @@ class TestSigma:
         assert doc["closed_form"] == "1/(4cos^2(pi/6))"
 
     @pytest.mark.parametrize("spec", ["E8", "K1,5"])
-    def test_one_structural_classification(self, capsys, structure_calls, spec):
+    def test_one_structural_classification(self, capsys, structure_calls, shape_passes, spec):
+        """The shapes are memoised on the graph, so ``sigma_tree`` reads
+        the ones ``sigma`` built: one component, shaped once."""
         code, _, _ = run(capsys, "sigma", "--graph", spec)
         assert code == 0
-        assert structure_calls["classify_structure"] == 1
+        assert len(shape_passes) == 1
         assert structure_calls["is_tree"] <= 1
 
     def test_closed_form_evaluates_to_sigma_upper(self, capsys):
@@ -235,6 +242,60 @@ class TestClassify:
         assert "components: supercritical" in out
         assert "index: 3" in out
         assert "index_class: supercritical" in out
+
+
+# Every Dynkin and extended tree the oracle checks, by spec.
+ORACLE_SPECS = (
+    [f"A{n}" for n in range(2, 301)] + [f"D{n}" for n in range(4, 301)] + ["E6", "E7", "E8"]
+    + [f"D~{n}" for n in range(4, 301)] + ["E~6", "E~7", "E~8"]
+)
+
+# Every spec whose every component is recognised: the closed forms answer
+# sigma and classify on these with no solve.
+RECOGNISED_SPECS = [spec for spec in CLOSED_FORM_SPECS if spec not in
+                    ("K1,5", "K1,6", "K1,7", "K1,8")]
+
+
+class TestClosedForms:
+    """``sigma`` and ``classify`` answer a recognised shape from its
+    Coxeter number and solve only what has no closed form."""
+
+    def test_the_closed_forms_agree_with_numpy(self, capsys):
+        """Within 2e-15 relative of numpy's eigvalsh, on 899 trees up to
+        300 vertices."""
+        for spec in ORACLE_SPECS:
+            g = generate_named(parse_named_spec(spec))
+            r = float(np.linalg.eigvalsh(adjacency_matrix(g).astype(float))[-1])
+            upper = sigma_tree(g).upper
+            assert abs(upper - min(1.0, 1.0 / (r * r))) <= 2e-15 * upper, spec
+            _, out, _ = run(capsys, "classify", "--graph", spec, "--format", "json")
+            assert abs(json.loads(out)["index"] - r) <= 2e-15 * r, spec
+
+    def test_exact_values(self, capsys):
+        _, out, _ = run(capsys, "classify", "--graph", "A1", "--format", "json")
+        assert json.loads(out)["index"] == 0.0
+        for spec, upper in (("A2", 1.0), ("A3", 0.5), ("A5", 1 / 3), ("D4", 1 / 3)):
+            _, out, _ = run(capsys, "sigma", "--graph", spec, "--format", "json")
+            assert json.loads(out)["sigma_upper"] == upper, spec
+
+    def test_a_recognised_shape_solves_nothing(self, capsys, eig_calls):
+        for spec in RECOGNISED_SPECS:
+            for command in ("sigma", "classify"):
+                code, _, _ = run(capsys, command, "--graph", spec)
+                assert code == 0 and eig_calls == [], (command, spec)
+
+    def test_a_supercritical_graph_solves_once(self, capsys, eig_calls, tmp_path):
+        """``sigma`` on K1,5 is in ``TestSigma``."""
+        code, _, _ = run(capsys, "classify", "--graph", "K1,5")
+        assert code == 0 and eig_calls == [6]
+        p = tmp_path / "k4.txt"
+        p.write_text("1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+        code, _, _ = run(capsys, "classify", "--file", str(p))
+        assert code == 0 and eig_calls == [6, 4]
+        p = tmp_path / "spider.txt"  # legs 2, 2, 3 from vertex 1: past E~6
+        p.write_text("1 2\n2 3\n1 4\n4 5\n1 6\n6 7\n7 8\n")
+        code, _, _ = run(capsys, "sigma", "--file", str(p))
+        assert code == 0 and eig_calls == [6, 4, 8]
 
 
 class TestConstructAndVerify:

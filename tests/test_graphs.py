@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import angleset.graphs
+
 from angleset import (
     Graph,
     GraphError,
@@ -174,6 +176,31 @@ def first_fault(n, pairs):
 class TestOneEdgeGate:
     """``Graph(n, edges)`` canonicalises and checks every edge set;
     ``from_edges`` and the document reader hand their pairs to it."""
+
+    def test_from_edges_walks_the_pairs_once(self, monkeypatch):
+        """The largest label, which sets n, comes from the gate's own walk."""
+        seen = []
+        real = angleset.graphs._edge_of
+        monkeypatch.setattr(angleset.graphs, "_edge_of",
+                            lambda item: seen.append(item) or real(item))
+        pairs = [(v + 1, v) for v in range(1, 2000)]
+        g = Graph.from_edges(pairs)
+        assert (g.n, g.num_edges, len(seen)) == (2000, 1999, 1999)
+        assert Graph.from_edges(iter(pairs)) == g and len(seen) == 2 * 1999
+
+    @pytest.mark.parametrize("edges,n,message", [
+        ([], 1, None),
+        ([(3, 1)], 3, None),
+        ([(0, 2)], None, "edge 0-2 out of vertex range 1..2"),
+        ([(-2, -1)], None, "edge -2--1 out of vertex range 1..1"),
+    ])
+    def test_from_edges_takes_n_from_the_largest_label(self, edges, n, message):
+        if message is None:
+            assert Graph.from_edges(edges) == Graph(n, edges)
+        else:
+            with pytest.raises(GraphError) as info:
+                Graph.from_edges(edges)
+            assert str(info.value) == message
 
     def test_a_repeated_pair_is_refused(self):
         with pytest.raises(GraphError, match="^duplicate edge 1-2$"):
