@@ -299,6 +299,15 @@ def _gram_verdict(a: np.ndarray) -> ExistenceVerdict:
     """
     if _certified(a, PSD_TOL):
         return ExistenceVerdict(True, a.shape[0], None)
+    return _eigen_verdict(a)
+
+
+def _eigen_verdict(a: np.ndarray) -> ExistenceVerdict:
+    """The verdict of :func:`~angleset.spectra.eigenvalues` on the Gram
+    matrix ``a``, with its least eigenvalue. Its ``exists`` and ``rank`` are
+    those of :func:`_gram_verdict` on ``a``: a matrix that the certificate
+    decides has every eigenvalue above ``PSD_TOL`` by more than LAPACK's
+    error bound. CLI ``exists`` and ``sweep`` print this verdict."""
     return ExistenceVerdict.from_eigenvalues(eigenvalues(a).eigenvalues)
 
 

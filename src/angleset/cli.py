@@ -21,7 +21,11 @@ No subcommand takes a tolerance. ``exists`` and ``sweep`` judge
 semidefiniteness and rank at ``PSD_TOL``, and ``construct`` and ``verify`` the
 residuals at ``VERIFY_TOL``, so no call can move a cut away from the one the
 other subcommands use. ``classify`` and ``sigma`` read the index class off the
-exact shapes, with no cut at all.
+exact shapes, with no cut at all. ``exists`` and each ``sweep`` row assemble
+the Gram matrix that ``construct`` factors and solve it once with eigvalsh,
+which gives ``exists``, ``rank`` and ``min_eigenvalue`` together; so the
+three subcommands agree on the verdict and the dimension, and none of them
+runs the Jacobi solver.
 
 :func:`main` may be called repeatedly in one process. Its parser is built on
 the first call and reused; :func:`build_parser` returns a fresh one each time.
@@ -35,7 +39,7 @@ import json
 import sys
 from pathlib import Path
 
-from .admissible import QuarterPosition, existence, gram_matrix, sigma_cycle, sigma_tree
+from .admissible import _eigen_verdict, gram_matrix, sigma_cycle, sigma_tree, trichotomy
 from .classify import classify_structure
 from .configurations import (
     configuration_document,
@@ -48,10 +52,11 @@ from .graphs import (
     GraphError,
     check_vertex_count,
     generate_named,
+    is_tree,
     parse_edge_list,
     parse_named_spec,
 )
-from .spectra import eigenvalues, graph_index, graph_spectrum
+from .spectra import graph_index, graph_spectrum
 
 SWEEP_COLUMNS = ("tau", "min_eigenvalue", "exists", "rank")
 
@@ -117,11 +122,10 @@ def cmd_sigma(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     shapes = classify_structure(g)
     shape = shapes.components[0]
-    connected = len(shapes.components) == 1
-    tree = connected and g.n >= 2 and g.num_edges == g.n - 1
+    tree = g.n >= 2 and is_tree(g)
     if tree:
         interval = sigma_tree(g)
-    elif connected and shape.family == "A~":
+    elif len(shapes.components) == 1 and shape.family == "A~":
         interval = sigma_cycle(g.n)
     else:
         raise GraphError(
@@ -133,7 +137,7 @@ def cmd_sigma(args: argparse.Namespace) -> int:
         "interval": f"(0, {_fmt(interval.upper)}]",
     }
     if tree:
-        payload["trichotomy"] = QuarterPosition.of(shapes.predicted_index_kind).value
+        payload["trichotomy"] = trichotomy(g).value
     if shape.closed_form is not None:
         payload["closed_form"] = shape.closed_form
     _emit(args, payload, ("sigma_upper", "closed_form", "interval", "trichotomy"))
@@ -141,15 +145,8 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def cmd_exists(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    # One query, so existence solves only what it needs: only a query the
-    # certificate leaves open solves the adjacency spectrum. A certified
-    # verdict has no least eigenvalue; LAPACK solves the Gram matrix for it.
-    verdict = existence(g, args.tau)
-    lam = verdict.min_eigenvalue
-    if lam is None:
-        lam = eigenvalues(gram_matrix(g, args.tau)).min_eigenvalue
-    _emit(args, {"exists": verdict.exists, "min_eigenvalue": lam, "rank": verdict.rank})
+    v = _eigen_verdict(gram_matrix(_load_graph(args), args.tau))
+    _emit(args, {"exists": v.exists, "min_eigenvalue": v.min_eigenvalue, "rank": v.rank})
     return 0
 
 
@@ -204,14 +201,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lo + (hi - lo) * k / (args.steps - 1) if args.steps > 1 else lo
         for k in range(args.steps)
     ]
-    # Rows cross the endpoint, where the certificate fails and a constant tau
-    # solves the adjacency spectrum by Jacobi: solve it once first, so every
-    # row reads its verdict and least eigenvalue off that one memo (no row
-    # is certified, so none lacks that value).
-    graph_spectrum(g)
     rows = []
     for tau in taus:
-        v = existence(g, tau)
+        v = _eigen_verdict(gram_matrix(g, tau))
         rows.append(dict(zip(SWEEP_COLUMNS, (tau, v.min_eigenvalue, v.exists, v.rank))))
     _emit(args, {"rows": rows})
     return 0

@@ -8,8 +8,7 @@ ones are orthogonal. Construction takes the PSD verdict a per-edge
 factors: by Cholesky at full rank, and otherwise through the eigenpairs
 that the verdict's rank keeps. Verification reads every defining relation
 off the vectors' Gram matrix V V^T, through one residual matrix, and
-reports worst-case Frobenius residuals; the vectors of a construction come
-read-only with that product, so verifying them forms it no second time.
+reports worst-case Frobenius residuals.
 
 Lines are defined only up to a rotation of the space, so construction returns
 them in one canonical frame: vector i has no component beyond coordinate i
@@ -62,17 +61,12 @@ class SubspaceConfiguration(_Record):
 
     The projection of vertex i, v_i v_i^T, is not stored: every relation that
     :func:`verify_configuration` checks follows from the inner products.
-    ``_gram`` is V V^T when :func:`construct_configuration` formed it for its
-    own check; it makes ``vectors`` read-only then, so the product cannot go
-    stale, and :func:`verify_configuration` reads it instead of forming it
-    again.
     """
 
-    __slots__ = ("vectors", "_gram")
+    __slots__ = ("vectors",)
     vectors: np.ndarray
-    _gram: np.ndarray | None
 
-    def __init__(self, vectors: np.ndarray, _gram: np.ndarray | None = None) -> None:
+    def __init__(self, vectors: np.ndarray) -> None:
         if not isinstance(vectors, np.ndarray):
             vectors = _array_of_rows(vectors)
         # Tested before the conversion, which would drop the imaginary part
@@ -88,7 +82,7 @@ class SubspaceConfiguration(_Record):
                              f"got shape {vectors.shape}")
         if not np.isfinite(vectors).all():
             raise ValueError("vectors must be finite, got a NaN or infinite entry")
-        super().__init__(vectors, _gram)
+        super().__init__(vectors)
 
     @property
     def ambient_dim(self) -> int:
@@ -154,8 +148,6 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
     zero. The check, made on the final vectors, allows that much plus
     ``PSD_TOL`` for rounding in the solve, the rotation and the product (at
     most 3e-14 in trials up to n = 96), and raises ``RuntimeError`` past it.
-    The vectors are returned read-only, with that product, which
-    :func:`verify_configuration` reads instead of forming it again.
     """
     a = gram_matrix(g, tau)
     verdict = _gram_verdict(a)
@@ -166,16 +158,14 @@ def construct_configuration(g: Graph, tau: TauLike) -> SubspaceConfiguration:
         )
     vectors, dropped = _canonical_factor(a, verdict.rank)
     vectors[np.abs(vectors) <= g.n * np.finfo(float).eps] = 0.0
-    gram = vectors @ vectors.T
-    vectors.flags.writeable = gram.flags.writeable = False
-    deviation = float(np.linalg.norm(gram - a))
+    deviation = float(np.linalg.norm(vectors @ vectors.T - a))
     allowed = dropped + PSD_TOL
     if deviation > allowed:
         raise RuntimeError(
             f"Gram factorization off by {deviation:.3e}, above the dropped "
             f"eigenvalues plus rounding, {allowed:.3e}"
         )
-    return SubspaceConfiguration(vectors, gram)
+    return SubspaceConfiguration(vectors)
 
 
 def _canonical_factor(a: np.ndarray, rank: int) -> tuple[np.ndarray, float]:
@@ -257,8 +247,7 @@ def verify_configuration(
     - ||P_i P_j|| = ||P_j P_i|| = |g_ij| sqrt(g_ii g_jj)
 
     so the one product G gives the whole report, judged against the fixed
-    ``VERIFY_TOL``. A configuration from :func:`construct_configuration`
-    brings G along, read-only.
+    ``VERIFY_TOL``.
 
     Every residual is read from one matrix R, the entrywise |G| less 1 on
     its diagonal and less sqrt(tau_ij) on its edges, and from G's diagonal
@@ -279,9 +268,7 @@ def verify_configuration(
     i, j, t = TauWeighting.of(tau).edge_arrays(g)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            gram = config._gram
-            if gram is None:
-                gram = config.vectors @ config.vectors.T
+            gram = config.vectors @ config.vectors.T
             sq = gram.diagonal()
             on_edges = gram[i, j]
             res = np.abs(gram, order="C")

@@ -11,7 +11,8 @@ takes about 0.09 ms at n = 8, 5 ms at n = 20 and 0.1 s at n = 50 to solve
 (LAPACK, no eigenvectors) for the verdict that the Cholesky certificate
 leaves open, per edge and in
 :func:`~angleset.configurations.construct_configuration` at any tau; a
-certified verdict solves nothing. :func:`eigenpairs` runs only in
+certified verdict solves nothing. CLI ``exists`` and ``sweep`` solve every
+Gram matrix this way, with no certificate. :func:`eigenpairs` runs only in
 ``construct_configuration``, after that verdict, to factor a singular Gram
 matrix (or a definite one that Cholesky rejects in rounding). All three
 take their input through one gate, :func:`_symmetric`.

@@ -18,6 +18,11 @@ CORPUS_SEED = 318008
 SAMPLES_7 = 1510
 SAMPLES_8 = 1511
 
+# Endpoint shrinks: tau = endpoint * (1 - delta) just below a tree's
+# endpoint. At delta = 2e-9 the least Gram eigenvalue is PSD_TOL itself, at
+# 4e-9 it is 2 * PSD_TOL.
+ENDPOINT_SHRINKS = (0.0, 1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 4e-9)
+
 
 def pruefer_from_index(n: int, idx: int) -> tuple[int, ...]:
     """The idx-th Pruefer sequence for n vertices, base-n digit expansion."""

@@ -45,7 +45,7 @@ from angleset import (
     verify_configuration,
 )
 from angleset.spectra import _lapack_bound, _memoised_spectrum
-from corpus import cycle, pruefer_from_index, shuffled
+from corpus import ENDPOINT_SHRINKS, cycle, pruefer_from_index, shuffled
 
 
 def named(tag_or_family, size=None):
@@ -481,11 +481,6 @@ def test_constant_tau_matches_the_direct_gram_solve(request, corpus_fixture):
                 assert (per_edge.exists, per_edge.rank) == (verdict.exists, verdict.rank)
     assert worst <= 1e-12
     assert seen == {True, False}
-
-
-# tau = endpoint * (1 - delta): at delta = 2e-9 the least Gram eigenvalue is
-# PSD_TOL itself, at 4e-9 it is 2 * PSD_TOL.
-ENDPOINT_SHRINKS = (0.0, 1e-12, 1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 4e-9)
 
 
 @pytest.mark.parametrize(

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 import angleset.cli
+import angleset.graphs
 from angleset import adjacency_matrix, generate_named, gram_matrix, parse_named_spec, sigma_tree
 from angleset.cli import MAX_STEPS, build_parser, main
 from angleset.configurations import VERIFY_TOL
 from angleset.graphs import MAX_VERTICES
+from corpus import ENDPOINT_SHRINKS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,9 +35,18 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
-def structure_calls(name_calls):
-    """Calls of ``classify_structure`` and ``is_tree``."""
-    return name_calls("classify_structure", "is_tree")
+def union_find_passes(monkeypatch):
+    """The vertex count of every graph whose component roots the union-find
+    of ``graphs._union_find_roots`` finds; a memoised graph adds none."""
+    passes = []
+    real = angleset.graphs._union_find_roots
+
+    def counted(g):
+        passes.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(angleset.graphs, "_union_find_roots", counted)
+    return passes
 
 
 def _closed_form_value(form: str) -> float:
@@ -135,13 +146,15 @@ class TestSigma:
         assert doc["closed_form"] == "1/(4cos^2(pi/6))"
 
     @pytest.mark.parametrize("spec", ["E8", "K1,5"])
-    def test_one_structural_classification(self, capsys, structure_calls, shape_passes, spec):
-        """The shapes are memoised on the graph, so ``sigma_tree`` reads
-        the ones ``sigma`` built: one component, shaped once."""
+    def test_one_structural_classification(self, capsys, union_find_passes, shape_passes,
+                                           spec):
+        """The shapes and the component roots are memoised on the graph, so
+        ``sigma_tree`` and ``trichotomy`` read the ones ``sigma`` built: one
+        component, shaped once, and one union-find."""
         code, _, _ = run(capsys, "sigma", "--graph", spec)
         assert code == 0
         assert len(shape_passes) == 1
-        assert structure_calls["is_tree"] <= 1
+        assert len(union_find_passes) == 1
 
     def test_closed_form_evaluates_to_sigma_upper(self, capsys):
         for spec in CLOSED_FORM_SPECS:
@@ -197,9 +210,9 @@ class TestExists:
         ("A40", ["exists: true", "min_eigenvalue: 0.1081972362", "rank: 40"]),
     ], ids=["E8", "A40"])
     def test_a_definite_query_runs_no_jacobi(self, capsys, eig_calls, spec, lines):
-        """The certificate decides tau = 0.2 on both, and the least eigenvalue
-        comes from eigvalsh on the Gram matrix: the text lines are those the
-        Jacobi route printed, and the JSON value is eigvalsh's."""
+        """eigvalsh on the Gram matrix decides tau = 0.2 on both and gives
+        the least eigenvalue: the text lines are those the Jacobi route
+        printed, and the JSON value is eigvalsh's."""
         code, out, _ = run(capsys, "exists", "--graph", spec, "--tau", "0.2")
         assert code == 0 and out.splitlines() == lines
         _, out, _ = run(capsys, "exists", "--graph", spec, "--tau", "0.2", "--format", "json")
@@ -207,13 +220,16 @@ class TestExists:
         g = generate_named(parse_named_spec(spec))
         assert json.loads(out)["min_eigenvalue"] == np.linalg.eigvalsh(gram_matrix(g, 0.2))[0]
 
-    def test_a_query_at_the_endpoint_solves_jacobi_once(self, capsys, eig_calls):
-        """At A12's endpoint the Gram matrix is singular, the certificate
-        fails, and the adjacency spectrum is solved once."""
+    def test_a_query_at_the_endpoint_solves_once(self, capsys, eig_calls, assemblies,
+                                                 name_calls):
+        """At A12's endpoint the Gram matrix is singular: one assembly and
+        one eigvalsh give the verdict and the least eigenvalue, with no
+        Jacobi solve and no Cholesky certificate."""
+        calls = name_calls("eigenvalues", "_certified")
         tau = 1.0 / (4.0 * math.cos(math.pi / 13) ** 2)
         code, out, _ = run(capsys, "exists", "--graph", "A12", "--tau", repr(tau))
         assert code == 0 and out.splitlines()[::2] == ["exists: true", "rank: 11"]
-        assert eig_calls == [12]
+        assert (eig_calls, assemblies, dict(calls)) == ([], [12], {"eigenvalues": 1})
 
 
 class TestClassify:
@@ -556,14 +572,17 @@ class TestSweep:
         assert len(rows) == 7
         assert rows[0]["exists"] is True and rows[-1]["exists"] is False
 
-    def test_one_eigensolve_for_every_row(self, capsys, eig_calls):
-        """Both sweeps cross their endpoint; one adjacency solve answers the
-        rows on either side, the definite ones included."""
+    def test_one_eigensolve_per_row(self, capsys, eig_calls, assemblies, name_calls):
+        """Both sweeps cross their endpoint. Each row, on either side,
+        assembles its Gram matrix once and solves it once with eigvalsh,
+        with no Jacobi solve and no Cholesky certificate."""
+        calls = name_calls("eigenvalues", "_certified")
         for spec, steps in (("E8", 40), ("E7", 100)):
             code, out, _ = run(capsys, "sweep", "--graph", spec, "--steps", str(steps))
             assert code == 0 and len(out.splitlines()) == steps + 1
             assert {row.split(",")[2] for row in out.splitlines()[1:]} == {"true", "false"}
-        assert eig_calls == [8, 7]
+        assert eig_calls == [] and assemblies == [8] * 40 + [7] * 100
+        assert dict(calls) == {"eigenvalues": 140}
 
     @pytest.mark.parametrize(
         "flags",
@@ -578,6 +597,36 @@ class TestSweep:
     def test_domain_errors(self, capsys, flags):
         code, _, err = run(capsys, "sweep", "--graph", "A3", *flags)
         assert code == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_exists_sweep_and_construct_agree_below_the_endpoint(capsys, family):
+    """Just below a tree's endpoint, where the least Gram eigenvalue is at
+    most a few ``PSD_TOL``, ``exists`` prints the rank that ``construct``
+    builds its lines in, or both refuse; and a one-row ``sweep`` at that tau
+    prints the row ``exists`` prints. Sizes 8..40, tau both as computed and
+    rounded to 10 digits."""
+    for n in range(8, 41):
+        spec = f"{family}{n}"
+        end = sigma_tree(generate_named(parse_named_spec(spec))).upper
+        for delta in ENDPOINT_SHRINKS:
+            for tau in (end * (1 - delta), round(end * (1 - delta), 10)):
+                case = (spec, tau)
+                code, out, _ = run(capsys, "exists", "--graph", spec, "--tau", repr(tau),
+                                   "--format", "json")
+                assert code == 0, case
+                verdict = json.loads(out)
+                code, out, err = run(capsys, "construct", "--graph", spec, "--tau", repr(tau))
+                if verdict["exists"]:
+                    assert code == 0, case
+                    assert json.loads(out)["ambient_dim"] == verdict["rank"], case
+                else:
+                    assert code == 1 and err.startswith("error: no configuration exists"), case
+                code, out, _ = run(capsys, "sweep", "--graph", spec, "--steps", "1",
+                                   "--tau-min", repr(tau), "--tau-max", repr(tau),
+                                   "--format", "json")
+                assert code == 0, case
+                assert json.loads(out)["rows"] == [{"tau": tau, **verdict}], case
 
 
 class TestGraphSourceHandling:
@@ -782,8 +831,11 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
     that, run in order in an empty directory. ``verify`` prints the keys
     shown, passes, and keeps every residual within ``VERIFY_TOL``: the
     residuals themselves can differ in their last bits across BLAS builds.
-    ``classify`` reads a file of the reader's and ``spectrum``'s output is
-    elided, so neither is run."""
+    So can the least eigenvalue that ``exists`` prints at an exact endpoint,
+    eigvalsh's rounding of 0: it must lie within 1e-14 of the one shown,
+    above eigvalsh's a-priori bound n * eps * ||G||_F of 2.9e-15 on D~4, and
+    every other line must match. ``classify`` reads a file of the reader's
+    and ``spectrum``'s output is elided, so neither is run."""
     monkeypatch.chdir(tmp_path)
     ran = []
     for argv, shown in readme_examples():
@@ -796,6 +848,12 @@ def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypat
             assert list(fields) == [line.split(": ")[0] for line in shown.splitlines()]
             assert fields.pop("passed") == "true"
             assert all(float(value) <= VERIFY_TOL for value in fields.values())
+        elif argv[0] == "exists":
+            fields = dict(line.split(": ") for line in out.splitlines())
+            want = dict(line.split(": ") for line in shown.splitlines())
+            assert list(fields) == list(want), argv
+            lam, lam_shown = float(fields.pop("min_eigenvalue")), float(want.pop("min_eigenvalue"))
+            assert abs(lam - lam_shown) <= 1e-14 and fields == want, argv
         else:
             assert out == shown, argv
         ran.append(argv[0])

@@ -53,7 +53,7 @@ class TestSubspaceConfiguration:
         product 0.6 = sqrt(tau) along each edge, 0 across the non-edge."""
         v = np.array([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.0, 0.75, math.sqrt(0.4375)]])
         c = SubspaceConfiguration(v)
-        assert c.size == 3 and c.ambient_dim == 3 and c._gram is None
+        assert c.size == 3 and c.ambient_dim == 3
         report = verify_configuration(c, Graph.from_edges([(1, 2), (2, 3)]), 0.36)
         assert report.passed and report.max_residual <= VERIFY_TOL
 
@@ -919,12 +919,12 @@ def test_closed_forms_match_the_pairwise_reference(random_connected_corpus):
             assert same_bits(report, clean), sorted(g.edges)
         if kind == "clean":
             clean = report
-            # The construction brings its own read-only V V^T, so a verify
-            # that wrote into it would raise; its report must match bit for bit.
+            # Verifying the construction forms V V^T from its vectors, writes
+            # nothing into them and matches this report bit for bit.
             built = construct_configuration(g, tau)
-            assert not built._gram.flags.writeable
             assert np.array_equal(built.vectors, v)
             assert same_bits(verify_configuration(built, g, tau), report), kind
+            assert np.array_equal(built.vectors, v)
         reports += 1
     assert reports == 6 * len(random_connected_corpus)
 
